@@ -106,7 +106,7 @@ def _parse_generic_problem(data: dict, where: str) -> DecisionProblem:
     mu = _exact_vector(data.get("mu"), f"{where}.mu")
     if len(mu) != n:
         raise DocumentError(f"{where}.mu: expected {n} entries")
-    constraints = data.get("prior_constraints") or {}
+    constraints = data.get("prior_constraints", {})
     if not isinstance(constraints, dict):
         raise DocumentError(f"{where}.prior_constraints: expected an object")
 

@@ -59,24 +59,10 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"adding vectors of lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"subtracting vectors of lengths {len(u)} and {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u: Sequence[Fraction], c: Fraction) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def is_zero_vector(u: Sequence[Fraction]) -> bool:
-    return not any(u)
 
 
 @dataclass(frozen=True)
@@ -120,9 +106,6 @@ class Matrix:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
 
 def rref(rows: Sequence[Sequence[Fraction]], cols: Optional[int] = None) -> tuple[list[Vector], list[int]]:

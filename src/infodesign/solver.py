@@ -1,10 +1,15 @@
 """Worst cases, saddle points, supporting priors, and the researcher's pick.
 
 The identified set of an experiment is the prior polytope intersected with
-an affine slice through mu, so every inner minimization here is rewritten
-over coordinates lambda on the experiment's kernel: nu = mu + D lambda.
-That keeps each solve at the dimension of what the experiment conceals
-rather than the full state count.
+the affine slice mu + ker(experiment). Minimizations over it split on k, the
+kernel's dimension:
+
+* k = 0: the set is the single point mu.
+* k = 1: the set is a segment mu + lam d with lam in [lo, hi]; every payoff
+  is a line in lam, so minima have closed forms.
+* k >= 2: one linear program over the state distribution nu >= 0, with the
+  prior set's rows and the experiment's pinning rows. The experiment's rows
+  sum to the all-ones row, so pinning them also makes nu sum to one.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .model import (
     DecisionProblem,
     InformationStructure,
     MixedAction,
+    identified_set,
     kernel_of,
     payoff,
 )
@@ -28,68 +34,28 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class _KernelRegion:
-    """Feasible lambda region of {mu + D lambda in the prior set}.
-
-    eq rows have zero right-hand side because mu satisfies the prior set's
-    equalities exactly; ub rows collect the polytope's <= rows followed by
-    the state nonnegativity rows.
-    """
-
-    directions: tuple[Vector, ...]
-    eq_rows: tuple[Vector, ...]
-    ub_rows: tuple[Vector, ...]
-    ub_rhs: Vector
-
-
-def _kernel_region(problem: DecisionProblem, structure: InformationStructure) -> _KernelRegion:
-    basis = kernel_of(structure).basis
+def _segment(problem: DecisionProblem, d: Vector) -> tuple[Fraction, Fraction]:
+    """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi."""
     mu = problem.mu
     priors = problem.priors
-    eq_rows = []
-    for row in priors.eq_matrix:
-        eq_rows.append(tuple(dot(row, d) for d in basis))
-    ub_rows = []
-    ub_rhs = []
-    for row, b in zip(priors.ub_matrix, priors.ub_rhs):
-        ub_rows.append(tuple(dot(row, d) for d in basis))
-        ub_rhs.append(b - dot(row, mu))
-    for s in range(problem.n_states):
-        ub_rows.append(tuple(-d[s] for d in basis))
-        ub_rhs.append(mu[s])
-    return _KernelRegion(tuple(basis), tuple(eq_rows), tuple(ub_rows), tuple(ub_rhs))
-
-
-def _point_on_kernel(mu: Vector, directions: Sequence[Vector], lam: Sequence[Fraction]) -> Vector:
-    out = list(mu)
-    for coeff, d in zip(lam, directions):
-        if coeff:
-            for s, v in enumerate(d):
-                if v:
-                    out[s] += coeff * v
-    return tuple(out)
-
-
-def _interval(region: _KernelRegion) -> tuple[Fraction, Fraction]:
-    """Exact feasible interval for a one-dimensional kernel region."""
+    if any(dot(row, d) for row in priors.eq_matrix):
+        return F0, F0
+    cuts = [(dot(row, d), b - dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
+    cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
-    for row in region.eq_rows:
-        if row[0]:
-            lo = F0 if lo is None else max(lo, F0)
-            hi = F0 if hi is None else min(hi, F0)
-    for row, b in zip(region.ub_rows, region.ub_rhs):
-        c = row[0]
+    for c, b in cuts:  # c * lam <= b
         if c > 0:
-            bound = b / c
-            hi = bound if hi is None else min(hi, bound)
+            hi = b / c if hi is None else min(hi, b / c)
         elif c < 0:
-            bound = b / c
-            lo = bound if lo is None else max(lo, bound)
+            lo = b / c if lo is None else max(lo, b / c)
     if lo is None or hi is None or lo > F0 or hi < F0:
         raise AssertionError("kernel segment must be bounded and contain zero")
     return lo, hi
+
+
+def _along(mu: Vector, d: Vector, lam: Fraction) -> Vector:
+    return tuple(m + lam * v if v else m for m, v in zip(mu, d))
 
 
 def worst_case(
@@ -98,31 +64,26 @@ def worst_case(
     """Exact minimum of the action's payoff over the identified set, with a minimizer."""
     u = problem.mixed_utility(alpha)
     mu = problem.mu
-    base = dot(u, mu)
-    region = _kernel_region(problem, structure)
-    k = len(region.directions)
-    if k == 0:
-        return base, mu
-    costs = tuple(dot(u, d) for d in region.directions)
-    if k == 1:
-        lo, hi = _interval(region)
-        c = costs[0]
+    kernel = kernel_of(structure)
+    if kernel.dim == 0:
+        return dot(u, mu), mu
+    if kernel.dim == 1:
+        d = kernel.basis[0]
+        lo, hi = _segment(problem, d)
+        c = dot(u, d)
         lam = hi if c < 0 else (lo if c > 0 else F0)
-        return base + c * lam, _point_on_kernel(mu, region.directions, (lam,))
-    program = lp.LinearProgram(
-        objective=costs,
-        sense="min",
-        eq_matrix=region.eq_rows,
-        eq_rhs=(F0,) * len(region.eq_rows),
-        ub_matrix=region.ub_rows,
-        ub_rhs=region.ub_rhs,
-        lower_bounds=(None,) * k,
+        return dot(u, mu) + c * lam, _along(mu, d, lam)
+    iset = identified_set(problem, structure)
+    eq, eq_rhs = iset.equality_rows()
+    ub, ub_rhs = iset.inequality_rows()
+    out = lp.solve_lp(
+        lp.LinearProgram(
+            objective=u, sense="min", eq_matrix=eq, eq_rhs=eq_rhs, ub_matrix=ub, ub_rhs=ub_rhs
+        )
     )
-    out = lp.solve_lp(program)
     if out.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError("inner minimization over a nonempty compact set must be optimal")
-    nu = _point_on_kernel(mu, region.directions, out.optimal_point)
-    return base + out.optimal_value, nu
+    return out.optimal_value, out.optimal_point
 
 
 @dataclass(frozen=True)
@@ -156,98 +117,97 @@ class SaddleCertificate:
 def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleCertificate:
     """Solve max over mixed actions of the worst-case payoff, with a saddle witness.
 
-    The outer problem is one linear program: dualize the inner minimization
-    over the kernel coordinates and maximize jointly over the action weights
-    and the inner dual variables. The worst-case prior is then recovered from
-    the mirror problem (minimize over the identified set the best pure
-    response), whose solutions pair with any maxmin action to form a saddle.
+    By the minimax theorem the value is also the minimum, over the
+    identified set, of the best pure-action payoff; a minimizer is the
+    worst-case prior nu*. How it is found depends on the kernel dimension k:
+
+    * k = 0: nu* = mu, and alpha* is the first best pure response to it.
+    * k = 1: the best pure payoff along the segment mu + lam d is the upper
+      envelope of one line per action; it is minimized at an endpoint or at
+      a crossing of two lines. alpha* is an active action whose slope does
+      not pull the payoff below the value inside the segment, or, at a kink,
+      the mix of the steepest rising and falling active actions that is flat.
+    * k >= 2: one linear program, min t over nu in the identified set
+      subject to u_a . nu <= t for every action a. nu* is its optimal point
+      and alpha* the negated duals of the action rows.
     """
-    region = _kernel_region(problem, structure)
-    k = len(region.directions)
-    n_actions = problem.n_actions
     mu = problem.mu
-    action_means = tuple(dot(problem.utility_row(a), mu) for a in range(n_actions))
+    n_actions = problem.n_actions
+    kernel = kernel_of(structure)
+    if kernel.dim == 0:
+        means = tuple(dot(problem.utility_row(a), mu) for a in range(n_actions))
+        best = max(means)
+        return SaddleCertificate(MixedAction.pure(means.index(best), n_actions), mu, best)
+    if kernel.dim == 1:
+        return _segment_saddle(problem, kernel.basis[0])
 
-    if k == 0:
-        best = max(action_means)
-        choice = action_means.index(best)
-        return SaddleCertificate(MixedAction.pure(choice, n_actions), mu, best)
-
-    action_dirs = tuple(
-        tuple(dot(problem.utility_row(a), d) for d in region.directions)
-        for a in range(n_actions)
-    )
-
-    n_eq = len(region.eq_rows)
-    n_ub = len(region.ub_rows)
-    # Variables: action weights, multipliers y on eq rows (free), multipliers
-    # v >= 0 standing for -w on ub rows.
-    objective = list(action_means) + [F0] * n_eq + [-b for b in region.ub_rhs]
-    eq_matrix = []
-    for i in range(k):
-        row = [-action_dirs[a][i] for a in range(n_actions)]
-        row += [region.eq_rows[r][i] for r in range(n_eq)]
-        row += [-region.ub_rows[r][i] for r in range(n_ub)]
-        eq_matrix.append(tuple(row))
-    eq_matrix.append(tuple([F1] * n_actions + [F0] * (n_eq + n_ub)))
-    eq_rhs = (F0,) * k + (F1,)
-    bounds = tuple([F0] * n_actions + [None] * n_eq + [F0] * n_ub)
+    n = problem.n_states
+    iset = identified_set(problem, structure)
+    eq, eq_rhs = iset.equality_rows()
+    ub, ub_rhs = iset.inequality_rows()
     program = lp.LinearProgram(
-        objective=tuple(objective),
-        sense="max",
-        eq_matrix=tuple(eq_matrix),
-        eq_rhs=eq_rhs,
-        lower_bounds=bounds,
-    )
-    out = lp.solve_lp(program)
-    if out.status is not lp.LpStatus.OPTIMAL:
-        raise AssertionError("maxmin program must have an optimum")
-    alpha_star = MixedAction(out.optimal_point[:n_actions])
-    value = out.optimal_value
-    nu_star = _minmax_prior(problem, region, action_dirs, action_means, value)
-    return SaddleCertificate(alpha_star, nu_star, value)
-
-
-def _minmax_prior(
-    problem: DecisionProblem,
-    region: _KernelRegion,
-    action_dirs: Sequence[Vector],
-    action_means: Vector,
-    value: Fraction,
-) -> Vector:
-    """Minimize over the identified set the best pure-action payoff.
-
-    By the minimax theorem this program's value equals the maxmin value and
-    any minimizer supports a saddle with any maxmin-optimal action.
-    """
-    k = len(region.directions)
-    n_actions = len(action_dirs)
-    # Variables: lambda (free) and the epigraph variable t (free).
-    objective = (F0,) * k + (F1,)
-    ub_matrix = []
-    ub_rhs = []
-    for a in range(n_actions):
-        ub_matrix.append(tuple(action_dirs[a]) + (-F1,))
-        ub_rhs.append(-action_means[a])
-    for row, b in zip(region.ub_rows, region.ub_rhs):
-        ub_matrix.append(tuple(row) + (F0,))
-        ub_rhs.append(b)
-    eq_matrix = tuple(tuple(row) + (F0,) for row in region.eq_rows)
-    program = lp.LinearProgram(
-        objective=objective,
+        objective=(F0,) * n + (F1,),
         sense="min",
-        eq_matrix=eq_matrix,
-        eq_rhs=(F0,) * len(eq_matrix),
-        ub_matrix=tuple(ub_matrix),
-        ub_rhs=tuple(ub_rhs),
-        lower_bounds=(None,) * (k + 1),
+        eq_matrix=tuple(row + (F0,) for row in eq),
+        eq_rhs=eq_rhs,
+        ub_matrix=tuple(problem.utility_row(a) + (-F1,) for a in range(n_actions))
+        + tuple(row + (F0,) for row in ub),
+        ub_rhs=(F0,) * n_actions + ub_rhs,
+        lower_bounds=(F0,) * n + (None,),
     )
     out = lp.solve_lp(program)
-    if out.status is not lp.LpStatus.OPTIMAL:
-        raise AssertionError("mirror program must have an optimum")
-    if out.optimal_value != value:
-        raise AssertionError("maxmin and its mirror disagree; exact duality is broken")
-    return _point_on_kernel(problem.mu, region.directions, out.optimal_point[:k])
+    if out.status is not lp.LpStatus.OPTIMAL or not lp.verify_outcome(program, out):
+        raise AssertionError("maxmin program must have a verified optimum")
+    alpha_star = MixedAction(tuple(-w for w in out.certificate.ub[:n_actions]))
+    return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
+
+
+def _segment_saddle(problem: DecisionProblem, d: Vector) -> SaddleCertificate:
+    """Closed-form saddle on the segment mu + lam d, lam in [lo, hi]."""
+    lo, hi = _segment(problem, d)
+    n_actions = problem.n_actions
+    rows = [problem.utility_row(a) for a in range(n_actions)]
+    means = [dot(row, problem.mu) for row in rows]
+    slopes = [dot(row, d) for row in rows]
+
+    def envelope(lam: Fraction) -> Fraction:
+        return max(m + c * lam for m, c in zip(means, slopes))
+
+    candidates = {lo, hi}
+    for a in range(n_actions):
+        for b in range(a):
+            if slopes[a] != slopes[b]:
+                lam = (means[b] - means[a]) / (slopes[a] - slopes[b])
+                if lo < lam < hi:
+                    candidates.add(lam)
+    value, lam = min((envelope(lam), lam) for lam in candidates)
+
+    def stays_above(slope: Fraction) -> bool:
+        # a line through the value at lam stays >= it on [lo, hi]
+        return (slope >= 0 or lam == hi) and (slope <= 0 or lam == lo)
+
+    active = [a for a in range(n_actions) if means[a] + slopes[a] * lam == value]
+    weights = [F0] * n_actions
+    pick = next((a for a in active if stays_above(slopes[a])), None)
+    if pick is not None:
+        weights[pick] = F1
+    else:
+        # a kink inside the segment: mix the steepest rising and falling
+        # active lines into a flat one
+        up = max(active, key=lambda a: slopes[a])
+        down = min(active, key=lambda a: slopes[a])
+        weights[up] = slopes[down] / (slopes[down] - slopes[up])
+        weights[down] = F1 - weights[up]
+
+    # saddle conditions, exactly: no action beats the value at lam, and
+    # alpha* attains it there and nowhere falls below it on the segment
+    if (
+        envelope(lam) > value
+        or dot(weights, means) + dot(weights, slopes) * lam != value
+        or not stays_above(dot(weights, slopes))
+    ):
+        raise AssertionError("segment saddle conditions fail")
+    return SaddleCertificate(MixedAction(tuple(weights)), _along(problem.mu, d, lam), value)
 
 
 def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[int, ...]:

@@ -134,6 +134,27 @@ def test_implement_rejects_dominated(tmp_path, capsys):
     assert "farkas" in payload
 
 
+@pytest.mark.parametrize("constraints", [[], None, "", 0, False])
+def test_prior_constraints_must_be_an_object(tmp_path, capsys, constraints):
+    doc = {
+        "schema_version": "1",
+        "states": ["s0", "s1"],
+        "actions": ["a0", "a1"],
+        "utility": [["1", "0"], ["0", "1"]],
+        "mu": ["1/2", "1/2"],
+        "prior_constraints": constraints,
+    }
+    path = tmp_path / "constraints.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "implement", str(path), "a0")
+    assert code == 2
+    assert f"{path}.prior_constraints: expected an object" in err
+    del doc["prior_constraints"]
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "implement", str(path), "a0")
+    assert code == 0
+
+
 def test_check_orders_and_maximality(example_files, tmp_path, capsys):
     prob, marg = example_files
     out_path = tmp_path / "constructed.json"
