@@ -199,13 +199,11 @@ def _segment_saddle(problem: DecisionProblem, d: Vector) -> SaddleCertificate:
         weights[up] = slopes[down] / (slopes[down] - slopes[up])
         weights[down] = F1 - weights[up]
 
-    # saddle conditions, exactly: no action beats the value at lam, and
-    # alpha* attains it there and nowhere falls below it on the segment
-    if (
-        envelope(lam) > value
-        or dot(weights, means) + dot(weights, slopes) * lam != value
-        or not stays_above(dot(weights, slopes))
-    ):
+    # saddle conditions, exactly: value = envelope(lam) holds by construction,
+    # so no action beats the value at lam; alpha* must attain it there and
+    # nowhere fall below it on the segment
+    slope = dot(weights, slopes)
+    if dot(weights, means) + slope * lam != value or not stays_above(slope):
         raise AssertionError("segment saddle conditions fail")
     return SaddleCertificate(MixedAction(tuple(weights)), _along(problem.mu, d, lam), value)
 
