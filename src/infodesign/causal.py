@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .design import KernelSpec, boundary_adjust, kernel_to_experiment, _certified
+from .design import implement_at_prior
 from .errors import (
     AssignmentMismatch,
     DimensionMismatch,
@@ -32,7 +32,7 @@ from .model import (
     payoff,
     payoff_equivalence_classes,
 )
-from .numerics import Subspace, Vector, dot, vector
+from .numerics import Vector, dot, vector
 from .solver import SaddleCertificate, best_responses
 
 F0 = Fraction(0)
@@ -352,7 +352,7 @@ def implement_treatment(
         raise DimensionMismatch("mixed action length does not match the treatments")
     mu = problem.mu
     if set(alpha.support) <= set(best_responses(problem, mu)):
-        return _certified(problem, InformationStructure.identity(model.n_states), alpha, mu)
+        return implement_at_prior(problem, alpha, mu)
 
     means = [
         counterfactual_mean(problem, t, mu) for t in range(model.n_treatments)
@@ -364,15 +364,9 @@ def implement_treatment(
     )
     pi = outcome_marginals_for_targets(model, targets)
     nu = prior_from_marginals(model, pi, problem).nu
-    if nu == mu:
-        return _certified(problem, InformationStructure.identity(model.n_states), alpha, mu)
-    if not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
+    if nu != mu and not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
         nu = _concentrated_prior(model, targets)
-    adjusted = boundary_adjust(problem, nu)
-    direction = tuple(a - b for a, b in zip(adjusted, mu))
-    spec = KernelSpec(Subspace.from_vectors(model.n_states, (direction,)))
-    structure, _ = kernel_to_experiment(spec)
-    return _certified(problem, structure, alpha, adjusted)
+    return implement_at_prior(problem, alpha, nu)
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,7 @@ def _implement_report(
     }
 
 
-def _write_structure_from_kernel(
-    path: Optional[str], problem: DecisionProblem, structure: InformationStructure
-) -> None:
+def _write_structure_from_kernel(path: Optional[str], structure: InformationStructure) -> None:
     if path is None:
         return
     documents.write_json(path, documents.serialize_structure_kernel(kernel_of(structure)))
@@ -211,7 +209,7 @@ def _cmd_implement(args) -> int:
     report = _implement_report(problem, structure, certificate, args.action)
     report["implementable"] = True
     _emit(report, args.format)
-    _write_structure_from_kernel(args.out, problem, structure)
+    _write_structure_from_kernel(args.out, structure)
     return EXIT_OK
 
 
@@ -327,7 +325,7 @@ def _cmd_treatment_implement(args) -> int:
     report = _implement_report(problem, structure, certificate, args.action)
     report["command"] = "treatment implement"
     _emit(report, args.format)
-    _write_structure_from_kernel(args.out, problem, structure)
+    _write_structure_from_kernel(args.out, structure)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 Given any zero-sum subspace D there is an experiment whose kernel is exactly
 D; this module builds one deterministically, adjusts supporting priors to
 the boundary of the prior set, assembles implementing experiments that
-conceal at most one dimension, and decides the informativeness order and
-maximality.
+conceal at most one dimension through one adjust-construct-certify tail,
+and decides the informativeness order by kernel inclusion and maximality by
+kernel dimension.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import lp
+from . import lp, solver
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
@@ -93,80 +94,51 @@ def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, Constr
     k = subspace.dim
 
     if k == n - 1:
-        matrix = Matrix(1, n, ((F1,) * n,))
-        structure = InformationStructure(("m0",), matrix)
-        structure.__dict__["kernel"] = subspace
         trace = ConstructionTrace(
             complement_basis=Subspace.from_vectors(n, ((F1,) * n,)).basis,
             x_shifts=(),
             y_shifts=(),
             normalizer=None,
-            matrix=matrix,
+            matrix=Matrix(1, n, ((F1,) * n,)),
         )
-        return structure, trace
-    if k == 0:
-        matrix = Matrix.identity(n)
-        structure = InformationStructure.identity(n)
-        structure.__dict__["kernel"] = subspace
+    elif k == 0:
         trace = ConstructionTrace(
             complement_basis=Subspace.full(n).basis,
             x_shifts=(),
             y_shifts=(),
             normalizer=None,
-            matrix=matrix,
+            matrix=Matrix.identity(n),
         )
-        return structure, trace
+    else:
+        ws = orthogonal_complement(subspace).basis
+        xs = tuple(F1 - min(w) for w in ws)
+        ys = tuple(F1 + max(w) for w in ws)
+        lam = F1 / sum(x + y for x, y in zip(xs, ys))
+        rows: list[Vector] = []
+        for x, w in zip(xs, ws):
+            flat = lam * x
+            rows.append(tuple(flat + lam * wj if wj else flat for wj in w))
+        for y, w in zip(ys, ws):
+            flat = lam * y
+            rows.append(tuple(flat - lam * wj if wj else flat for wj in w))
+        trace = ConstructionTrace(ws, xs, ys, lam, Matrix(len(rows), n, tuple(rows)))
 
-    complement = orthogonal_complement(subspace)
-    ws = complement.basis
-    xs = tuple(F1 - min(w) for w in ws)
-    ys = tuple(F1 + max(w) for w in ws)
-    lam = F1 / sum(x + y for x, y in zip(xs, ys))
-    rows: list[Vector] = []
-    for x, w in zip(xs, ws):
-        flat = lam * x
-        rows.append(tuple(flat + lam * wj if wj else flat for wj in w))
-    for y, w in zip(ys, ws):
-        flat = lam * y
-        rows.append(tuple(flat - lam * wj if wj else flat for wj in w))
-    matrix = Matrix(len(rows), n, tuple(rows))
-    messages = tuple(f"m{i}" for i in range(len(rows)))
-    structure = InformationStructure(messages, matrix)
+    messages = tuple(f"m{i}" for i in range(trace.matrix.rows))
+    structure = InformationStructure(messages, trace.matrix)
     structure.__dict__["kernel"] = subspace
-    return structure, ConstructionTrace(ws, xs, ys, lam, matrix)
+    return structure, trace
 
 
 def extremal_reach(problem: DecisionProblem, nu: Sequence[Fraction]) -> Fraction:
     """max { lam : mu + lam (nu - mu) stays in the prior set }, exactly.
 
-    The segment is one-dimensional, so the program reduces to an exact
-    interval intersection over the polytope's rows; nu must differ from mu.
+    The upper end of the solver's segment along nu - mu, which is 0 when that
+    direction breaks an equality of the prior set; nu must differ from mu.
     """
-    mu = problem.mu
-    direction = vec_sub(nu, mu)
+    direction = vec_sub(nu, problem.mu)
     if not any(direction):
         raise ValueError("reach undefined for nu equal to mu")
-    priors = problem.priors
-    hi: Optional[Fraction] = None
-
-    def tighten(coeff: Fraction, slackness: Fraction) -> None:
-        # constraint coeff * lam <= slackness with slackness >= 0 at lam = 0
-        nonlocal hi
-        if coeff > 0:
-            bound = slackness / coeff
-            if hi is None or bound < hi:
-                hi = bound
-
-    for s in range(problem.n_states):
-        tighten(-direction[s], mu[s])
-    for row, b in zip(priors.ub_matrix, priors.ub_rhs):
-        tighten(dot(row, direction), b - dot(row, mu))
-    for row in priors.eq_matrix:
-        if dot(row, direction) != 0:
-            raise AssertionError("segment endpoints must satisfy the same equalities")
-    if hi is None:
-        raise AssertionError("prior sets are bounded, the segment cannot be free")
-    return hi
+    return solver._segment(problem, direction)[1]
 
 
 def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
@@ -214,14 +186,23 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
     )
 
 
-def _certified(
-    problem: DecisionProblem,
-    structure: InformationStructure,
-    alpha: MixedAction,
-    nu: Vector,
+def implement_at_prior(
+    problem: DecisionProblem, alpha: MixedAction, nu: Vector
 ) -> tuple[InformationStructure, SaddleCertificate]:
-    u_alpha = problem.mixed_utility(alpha)
-    certificate = SaddleCertificate(alpha, nu, dot(u_alpha, nu))
+    """The certified experiment concealing the direction from mu to nu.
+
+    nu is a member of the prior set that supports alpha. nu equal to mu gives
+    the fully informative experiment; otherwise nu is first moved to the
+    boundary. The saddle certificate is verified before it is returned.
+    """
+    mu = problem.mu
+    if nu == mu:
+        structure = InformationStructure.identity(problem.n_states)
+    else:
+        nu = boundary_adjust(problem, nu)
+        spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
+        structure, _ = kernel_to_experiment(spec)
+    certificate = SaddleCertificate(alpha, nu, dot(problem.mixed_utility(alpha), nu))
     if not certificate.verify(problem, structure):
         raise AssertionError("constructed structure failed its own saddle check")
     return structure, certificate
@@ -240,23 +221,15 @@ def implementing_structure(
     prior exists, and propagates AssumptionViolation when the prior set
     cannot absorb the boundary move.
     """
-    n = problem.n_states
     mu = problem.mu
     if set(alpha.support) <= set(best_responses(problem, mu)):
-        return _certified(problem, InformationStructure.identity(n), alpha, mu)
+        return implement_at_prior(problem, alpha, mu)
     outcome = lp.feasible_point(supporting_prior_program(problem, alpha))
     if outcome.status is not lp.LpStatus.OPTIMAL:
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate
         )
-    nu = outcome.optimal_point
-    if nu == mu:
-        return _certified(problem, InformationStructure.identity(n), alpha, mu)
-    adjusted = boundary_adjust(problem, nu)
-    direction = vec_sub(adjusted, mu)
-    spec = KernelSpec(Subspace.from_vectors(n, (direction,)))
-    structure, _ = kernel_to_experiment(spec)
-    return _certified(problem, structure, alpha, adjusted)
+    return implement_at_prior(problem, alpha, outcome.optimal_point)
 
 
 class InformativenessOrder(Enum):
@@ -292,61 +265,15 @@ def is_maximally_informative(
 
     Requires that the given structure implements alpha (else
     NotImplementingError). When mu supports alpha only full informativeness
-    is maximal; otherwise the kernel must be a single direction d admitting
-    a nonzero stretch mu + lam d that is a supporting prior, decided by
-    exact interval intersection over lam.
+    is maximal; otherwise exactly a one-dimensional kernel is, because a
+    saddle prior nu* != mu in the identified set supports alpha: the kernel
+    spanned by nu* - mu lies in the given kernel and implements alpha, and
+    the fully informative experiment would need mu to support alpha.
     """
     value = worst_case(problem, structure, alpha)[0]
     if maxmin(problem, structure).value != value:
         raise NotImplementingError("structure does not implement the action")
     kernel = kernel_of(structure)
-    mu = problem.mu
-    if set(alpha.support) <= set(best_responses(problem, mu)):
+    if set(alpha.support) <= set(best_responses(problem, problem.mu)):
         return kernel.dim == 0
-    if kernel.dim != 1:
-        return False
-    d = kernel.basis[0]
-
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    feasible = True
-
-    def add(coeff: Fraction, rhs: Fraction) -> None:
-        # constraint coeff * lam <= rhs
-        nonlocal lo, hi, feasible
-        if coeff > 0:
-            bound = rhs / coeff
-            if hi is None or bound < hi:
-                hi = bound
-        elif coeff < 0:
-            bound = rhs / coeff
-            if lo is None or bound > lo:
-                lo = bound
-        elif rhs < 0:
-            feasible = False
-
-    priors = problem.priors
-    for s in range(problem.n_states):
-        add(-d[s], mu[s])
-    for row, b in zip(priors.ub_matrix, priors.ub_rhs):
-        add(dot(row, d), b - dot(row, mu))
-    for row in priors.eq_matrix:
-        c = dot(row, d)
-        if c:
-            add(c, F0)
-            add(-c, F0)
-    u_alpha = problem.mixed_utility(alpha)
-    for a in range(problem.n_actions):
-        gap_mu = dot(u_alpha, mu) - dot(problem.utility_row(a), mu)
-        gap_d = dot(u_alpha, d) - dot(problem.utility_row(a), d)
-        add(-gap_d, gap_mu)
-    add(dot(u_alpha, d), F0)
-
-    if not feasible:
-        return False
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return False
-        if lo == hi == 0:
-            return False
-    return True
+    return kernel.dim == 1

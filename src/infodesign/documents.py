@@ -11,6 +11,7 @@ marginal block naming disclosed variables.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,13 +25,29 @@ from .numerics import Matrix, Subspace, Vector, format_scalar, scalar
 SCHEMA_VERSION = "1"
 
 
+# Numbers are capped at CPython's default int-to-text digit limit, so every
+# accepted number prints back; exponents are checked before parsing, since
+# "1e1000000" alone would build a megabit integer.
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"[eE][+-]?(\d[\d_]*)\s*\Z")
+
+
 def _exact(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise DocumentError(f"{where}: floats are not exact, write the number as a string")
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or "0") >= MAX_DIGITS:
+            raise DocumentError(f"{where}: exponent must be less than {MAX_DIGITS} in magnitude")
     try:
-        return scalar(value)
+        number = scalar(value)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
+    if max(abs(number.numerator), number.denominator) >= _DIGIT_LIMIT:
+        raise DocumentError(f"{where}: numerator or denominator has more than {MAX_DIGITS} digits")
+    return number
 
 
 def _exact_vector(values, where: str) -> Vector:
@@ -65,6 +82,8 @@ def load_json(path: str) -> dict:
         raise DocumentError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an over-long integer literal
+        raise DocumentError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError(f"{path}: top level must be an object")
     return data

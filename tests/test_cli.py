@@ -155,6 +155,44 @@ def test_prior_constraints_must_be_an_object(tmp_path, capsys, constraints):
     assert code == 0
 
 
+def _number_documents(tmp_path, entry):
+    """A two-state problem whose first utility entry is raw JSON text, and a k = 1 kernel."""
+    problem = tmp_path / "numbers.json"
+    problem.write_text(
+        '{"states": ["s0", "s1"], "actions": ["a0", "a1"], '
+        f'"utility": [[{entry}, "0"], ["0", "1"]], "mu": ["1/2", "1/2"]}}'
+    )
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"kernel": {"basis": [["1", "-1"]]}}))
+    return problem, kernel
+
+
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [
+        ('"1e4299"', True),
+        ('"1e-4299"', True),
+        ('"1e4300"', False),
+        ('"1e-4300"', False),
+        ('"1e1000000"', False),
+        ('"1' + "0" * 4300 + '"', False),
+        ("1" + "0" * 4299, True),
+        ("1" + "0" * 4300, False),
+    ],
+    ids=["1e4299", "1e-4299", "1e4300", "1e-4300", "1e1000000", "str-4301", "int-4300", "int-4301"],
+)
+def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accepted):
+    problem, kernel = _number_documents(tmp_path, entry)
+    code, out, err = run(capsys, "solve", str(problem), str(kernel))
+    assert "Traceback" not in out + err
+    if accepted:
+        assert code == 0
+    else:
+        assert code == 2
+        located = f"{problem}.utility[0][0]: " if entry.startswith('"') else f"{problem}: "
+        assert located in err
+
+
 def test_check_orders_and_maximality(example_files, tmp_path, capsys):
     prob, marg = example_files
     out_path = tmp_path / "constructed.json"
@@ -210,6 +248,12 @@ def test_parse_errors_exit_two(example_files, tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(floats), str(marg))
     assert code == 2
     assert "float" in err
+
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "solve", str(undecodable), str(marg))
+    assert code == 2
+    assert f"{undecodable}: " in err
 
 
 def test_treatment_subcommands(example_files, tmp_path, capsys):

@@ -8,7 +8,8 @@ and both the worst case and the maxmin value in kernel coordinates
 nu = mu + D lambda, where the outer maxmin program dualizes the inner
 minimization. Results must agree exactly. The file also checks that
 constructed implementing experiments are maximal in the informativeness
-order.
+order, and compares the maximality decision with a program over the
+kernel coordinate of a one-direction kernel.
 """
 
 import random
@@ -248,6 +249,67 @@ def test_segment_saddle_matches_kernel_oracle(game):
     weights = certificate.alpha_star.weights
     assert len(weights) == problem.n_actions
     assert all(w >= 0 for w in weights) and sum(weights) == 1
+
+
+def _lambda_maximality_oracle(problem, d, alpha):
+    """Whether some mu + lam d with lam != 0 supports alpha at no gain over mu.
+
+    One program over lam alone: the prior set's rows along d, alpha a best
+    response at mu + lam d, and alpha's payoff there at most its payoff at
+    mu. It is solved for max lam and min lam; the structure is maximal when
+    the program is feasible and admits more than lam = 0.
+    """
+    mu = problem.mu
+    priors = problem.priors
+    u = problem.mixed_utility(alpha)
+    cuts = [(_dot(row, d), b - _dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
+    cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
+    for a in range(problem.n_actions):
+        gap = tuple(x - y for x, y in zip(problem.utility_row(a), u))
+        cuts.append((_dot(gap, d), -_dot(gap, mu)))
+    cuts.append((_dot(u, d), F(0)))
+    eq_rows = tuple((_dot(row, d),) for row in priors.eq_matrix)
+    ends = []
+    for sense in ("max", "min"):
+        program = lp.LinearProgram(
+            objective=(F(1),),
+            sense=sense,
+            eq_matrix=eq_rows,
+            eq_rhs=(F(0),) * len(eq_rows),
+            ub_matrix=tuple((c,) for c, _ in cuts),
+            ub_rhs=tuple(b for _, b in cuts),
+            lower_bounds=(None,),
+        )
+        out = lp.solve_lp(program)
+        assert lp.verify_outcome(program, out)
+        if out.status is lp.LpStatus.INFEASIBLE:
+            return False
+        assert out.status is lp.LpStatus.OPTIMAL
+        ends.append(out.optimal_value)
+    return ends != [F(0), F(0)]
+
+
+@given(segment_games())
+def test_maximality_matches_lambda_oracle(game):
+    """is_maximally_informative against the lambda program, on every implemented action.
+
+    When mu itself supports alpha the identity implements alpha and is
+    strictly more informative than a one-direction kernel, so the expected
+    answer is False without the program.
+    """
+    problem, structure = game
+    (d,) = idg.kernel_of(structure).basis
+    mu = problem.mu
+    certificate = idg.maxmin(problem, structure)
+    pures = [idg.MixedAction.pure(a, problem.n_actions) for a in range(problem.n_actions)]
+    for alpha in [certificate.alpha_star] + pures:
+        if idg.worst_case(problem, structure, alpha)[0] != certificate.value:
+            continue
+        u = problem.mixed_utility(alpha)
+        best_at_mu = max(_dot(problem.utility_row(a), mu) for a in range(problem.n_actions))
+        mu_supports = _dot(u, mu) == best_at_mu
+        expected = not mu_supports and _lambda_maximality_oracle(problem, d, alpha)
+        assert idg.is_maximally_informative(problem, structure, alpha) == expected
 
 
 def test_constructed_structures_are_maximally_informative():

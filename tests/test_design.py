@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
@@ -68,6 +69,37 @@ def test_kernel_round_trip_random():
         assert idg.nullspace(structure.experiment) == sub
         if 0 < k < n - 1:
             assert len(structure.messages) == 2 * (n - k)
+
+
+@st.composite
+def zero_sum_subspaces(draw):
+    """The span of up to n-1 centred integer vectors, so every k in 0..n-1 occurs."""
+    n = draw(st.integers(1, 8))
+    raws = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n - 1))
+    vectors = [tuple(F(x) - F(sum(raw), n) for x in raw) for raw in raws]
+    return idg.Subspace.from_vectors(n, vectors)
+
+
+@given(zero_sum_subspaces())
+def test_kernel_round_trip_property(sub):
+    n, k = sub.ambient_dim, sub.dim
+    spec = idg.KernelSpec(sub)
+    structure, trace = idg.kernel_to_experiment(spec)
+    assert idg.nullspace(structure.experiment) == spec.subspace == idg.kernel_of(structure)
+    assert trace.matrix == structure.experiment
+    for j in range(n):
+        column = structure.experiment.column(j)
+        assert all(v >= 0 for v in column) and sum(column) == 1
+    if k == n - 1:
+        assert len(structure.messages) == 1
+    elif k == 0:
+        assert len(structure.messages) == n
+    else:
+        assert len(structure.messages) == 2 * (n - k)
+        assert trace.normalizer == 1 / sum(x + y for x, y in zip(trace.x_shifts, trace.y_shifts))
+        for x, y, w in zip(trace.x_shifts, trace.y_shifts, trace.complement_basis):
+            assert x > -min(w)
+            assert y > max(w)
 
 
 def test_boundary_adjust_leaves_boundary_prior_alone():
