@@ -37,6 +37,7 @@ from .design import (
 from .errors import (
     AssignmentMismatch,
     AssumptionViolation,
+    DigitLimitExceeded,
     DimensionMismatch,
     DocumentError,
     EmptyOrFullVariableSet,

@@ -10,7 +10,7 @@ every joint distribution consistent with the known assignment mechanism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -37,7 +37,6 @@ from .solver import SaddleCertificate, best_responses
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-F2 = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,19 @@ class TreatmentModel:
         return total
 
 
+def _cell_indices(model: TreatmentModel) -> tuple[tuple[int, ...], ...]:
+    """Covariate cells as tuples of value indices, in assignment-row order."""
+    return tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
+
+
 def _irrelevant_covariates(model: TreatmentModel) -> tuple[int, ...]:
     """Covariates the assignment mechanism provably ignores."""
-    cells = tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
-    cell_index = {cell: i for i, cell in enumerate(cells)}
+    cells = _cell_indices(model)
     out = []
     for j in range(len(model.covariate_domains)):
         groups: dict[tuple, Vector] = {}
         constant = True
-        for cell, idx in cell_index.items():
+        for idx, cell in enumerate(cells):
             key = cell[:j] + cell[j + 1 :]
             row = model.assignment.row(idx)
             if key in groups:
@@ -274,6 +277,25 @@ class OutcomeMarginalPrior:
     payoffs: Vector
 
 
+def _factorized(
+    model: TreatmentModel,
+    marginals: Sequence[Vector],
+    cell_masses: Sequence[Fraction],
+) -> Vector:
+    """The prior pi(y|t) P(t|x) m(x) for outcome marginals pi and cell masses m."""
+    nu = [F0] * model.n_states
+    for cell, mass in enumerate(cell_masses):
+        if not mass:
+            continue
+        shares = model.assignment.row(cell)
+        for y in range(model.n_outcomes):
+            for t in range(model.n_treatments):
+                weight = marginals[t][y]
+                if weight:
+                    nu[model.state_index(y, cell, t)] = weight * shares[t] * mass
+    return tuple(nu)
+
+
 def prior_from_marginals(
     model: TreatmentModel,
     pi: Sequence[Sequence[Fraction]],
@@ -290,16 +312,7 @@ def prior_from_marginals(
             raise ValueError(f"marginal for treatment {t} is not a probability vector")
         marginals.append(m)
 
-    n = model.n_states
-    nu = [F0] * n
-    cell_masses = [model.cell_mass(c) for c in range(model.n_cells)]
-    for y, cell, t in model.iter_states():
-        weight = marginals[t][y]
-        if weight and cell_masses[cell]:
-            nu[model.state_index(y, cell, t)] = (
-                weight * model.assignment.entries[cell][t] * cell_masses[cell]
-            )
-    nu = tuple(nu)
+    nu = _factorized(model, marginals, [model.cell_mass(c) for c in range(model.n_cells)])
     payoffs = tuple(dot(model.outcomes, m) for m in marginals)
 
     problem = problem or build_treatment_problem(model)
@@ -324,15 +337,7 @@ def _concentrated_prior(
     """
     marginals = outcome_marginals_for_targets(model, targets)
     cell = next(c for c in range(model.n_cells) if model.cell_mass(c) < 1)
-    nu = [F0] * model.n_states
-    for y in range(model.n_outcomes):
-        for t in range(model.n_treatments):
-            weight = marginals[t][y]
-            if weight:
-                nu[model.state_index(y, cell, t)] = (
-                    weight * model.assignment.entries[cell][t]
-                )
-    return tuple(nu)
+    return _factorized(model, marginals, [F1 if c == cell else F0 for c in range(model.n_cells)])
 
 
 def implement_treatment(
@@ -364,7 +369,7 @@ def implement_treatment(
     )
     pi = outcome_marginals_for_targets(model, targets)
     nu = prior_from_marginals(model, pi, problem).nu
-    if nu != mu and not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
+    if not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
         nu = _concentrated_prior(model, targets)
     return implement_at_prior(problem, alpha, nu)
 
@@ -382,14 +387,19 @@ class MarginalSpec:
             raise ValueError("duplicate variable in marginal disclosure")
 
 
-def _variable_order(model: TreatmentModel) -> tuple[str, ...]:
-    return ("Y",) + tuple(f"X{j + 1}" for j in range(len(model.covariate_domains))) + ("T",)
+def _domains(model: TreatmentModel) -> dict[str, tuple[str, ...]]:
+    """The value labels of each observable variable, in the order Y, X1..Xl, T."""
+    domains = {"Y": tuple(str(y) for y in model.outcomes)}
+    for j, domain in enumerate(model.covariate_domains):
+        domains[f"X{j + 1}"] = domain
+    domains["T"] = model.treatments
+    return domains
 
 
 def _normalize_spec(model: TreatmentModel, spec) -> MarginalSpec:
     if not isinstance(spec, MarginalSpec):
         spec = MarginalSpec(tuple(spec))
-    order = _variable_order(model)
+    order = tuple(_domains(model))
     unknown = [v for v in spec.variables if v not in order]
     if unknown:
         raise ValueError(f"unknown variables in marginal disclosure: {unknown}")
@@ -402,14 +412,7 @@ def _normalize_spec(model: TreatmentModel, spec) -> MarginalSpec:
 def marginal_structure(model: TreatmentModel, spec) -> InformationStructure:
     """Deterministic coarsening disclosing the joint law of the chosen variables."""
     spec = _normalize_spec(model, spec)
-    order = _variable_order(model)
-    domains = {
-        "Y": tuple(str(y) for y in model.outcomes),
-        "T": model.treatments,
-    }
-    for j, domain in enumerate(model.covariate_domains):
-        domains[f"X{j + 1}"] = domain
-
+    domains = _domains(model)
     chosen = spec.variables
     message_values = tuple(itertools.product(*(range(len(domains[v])) for v in chosen)))
     message_index = {vals: i for i, vals in enumerate(message_values)}
@@ -417,7 +420,7 @@ def marginal_structure(model: TreatmentModel, spec) -> InformationStructure:
         ",".join(domains[v][val] for v, val in zip(chosen, vals)) for vals in message_values
     )
 
-    cells = tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
+    cells = _cell_indices(model)
     rows = [[F0] * model.n_states for _ in message_values]
     for y, cell, t in model.iter_states():
         components = {"Y": y, "T": t}
@@ -443,16 +446,10 @@ def check_marginal_not_maximal(model: TreatmentModel, spec) -> MarginalReport:
     spec = _normalize_spec(model, spec)
     structure = marginal_structure(model, spec)
     kernel_dim = kernel_of(structure).dim
-    order = _variable_order(model)
-    sizes = {
-        "Y": model.n_outcomes,
-        "T": model.n_treatments,
-    }
-    for j, domain in enumerate(model.covariate_domains):
-        sizes[f"X{j + 1}"] = len(domain)
-    excluded = [v for v in order if v not in spec.variables]
     bound = max(
-        Fraction(sizes[v] - 1, sizes[v]) * model.n_states for v in excluded
+        Fraction(len(domain) - 1, len(domain)) * model.n_states
+        for v, domain in _domains(model).items()
+        if v not in spec.variables
     )
     return MarginalReport(
         variables=spec.variables,
@@ -536,14 +533,4 @@ def motivating_worst_case_prior(model: TreatmentModel) -> Vector:
     if model.n_states != 16 or model.n_cells != 4:
         raise DimensionMismatch("expected the extended built-in example")
     raw = vector(["0.35", "0.10", "0.10", "0.30", "0.05", "0.00", "0.00", "0.10"])
-    out = [F0] * model.n_states
-    n_treat = model.n_treatments
-    for y in range(2):
-        for x in range(2):
-            for t in range(2):
-                mass = raw[(y * 2 + x) * 2 + t]
-                if mass:
-                    for s in range(2):
-                        cell = x * 2 + s
-                        out[(y * model.n_cells + cell) * n_treat + t] = mass / F2
-    return tuple(out)
+    return add_irrelevant_signal(replace(_motivating_raw(), mu=raw)).mu

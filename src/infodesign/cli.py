@@ -3,7 +3,9 @@
 Subcommands: solve, implement, check, example, and treatment build /
 implement / marginal. Exit codes are part of the interface: 0 success,
 2 parse or validation failure, 3 action not implementable, 4 structure does
-not implement the action. ``--format machine`` prints one JSON document with
+not implement the action, 5 a result has a numerator or denominator too
+long to print (more than 4300 digits, CPython's default int-to-text
+limit). ``--format machine`` prints one JSON document with
 every number as an exact string; ``table`` prints the same content for
 humans.
 """
@@ -27,10 +29,12 @@ from .causal import (
     motivating_worst_case_prior,
 )
 from .design import (
+    implementing_structure,
     is_maximally_informative,
     robustly_more_informative,
 )
 from .errors import (
+    DigitLimitExceeded,
     DocumentError,
     InfoDesignError,
     NotImplementableError,
@@ -44,13 +48,14 @@ from .model import (
     payoff,
     push_forward,
 )
-from .numerics import format_scalar, scalar
+from .numerics import format_scalar
 from .solver import maxmin, worst_case
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_IMPLEMENTABLE = 3
 EXIT_NOT_IMPLEMENTING = 4
+EXIT_DIGIT_LIMIT = 5
 
 
 def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
@@ -69,10 +74,7 @@ def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
             index = problem.actions.index(label)
         except ValueError:
             raise DocumentError(f"unknown action {label!r} in mixed weights")
-        try:
-            weights[index] = scalar(weight.strip())
-        except (TypeError, ValueError):
-            raise DocumentError(f"bad weight for action {label!r}: {weight!r}")
+        weights[index] = documents._exact(weight.strip(), f"weight for action {label!r}")
     try:
         return MixedAction(tuple(weights))
     except ValueError as exc:
@@ -121,12 +123,7 @@ def _load_problem(path: str) -> documents.LoadedProblem:
 
 
 def _load_structure(path: str, loaded: documents.LoadedProblem) -> InformationStructure:
-    structure = documents.parse_structure_document(
-        documents.load_json(path), loaded, where=path
-    )
-    if structure.n_states != loaded.problem.n_states:
-        raise DocumentError(f"{path}: structure columns do not match the problem states")
-    return structure
+    return documents.parse_structure_document(documents.load_json(path), loaded, where=path)
 
 
 def _cmd_solve(args) -> int:
@@ -186,8 +183,6 @@ def _write_structure_from_kernel(path: Optional[str], structure: InformationStru
 
 
 def _cmd_implement(args) -> int:
-    from .design import implementing_structure
-
     loaded = _load_problem(args.problem)
     problem = loaded.problem
     alpha = _parse_action(problem, args.action)
@@ -421,6 +416,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotImplementingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IMPLEMENTING
+    except DigitLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIGIT_LIMIT
     except InfoDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

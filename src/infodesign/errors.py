@@ -55,3 +55,7 @@ class EmptyOrFullVariableSet(InfoDesignError, ValueError):
 
 class DocumentError(InfoDesignError, ValueError):
     """An input document failed to parse or validate."""
+
+
+class DigitLimitExceeded(InfoDesignError, ValueError):
+    """An exact result has a numerator or denominator too long to print as text."""

@@ -25,7 +25,7 @@ free variables):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -292,7 +292,7 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
         y = [F1 - z[n_struct + i] for i in range(m)]
         return LpOutcome(
             status=LpStatus.INFEASIBLE,
-            certificate=_farkas_from_duals(std, y, z),
+            certificate=FarkasCertificate(*_split_duals(std, y, z)),
         )
 
     # Drive basic artificials out where a structural pivot exists; rows with
@@ -329,16 +329,21 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
     point = std.point_from(z_by_col)
     value = dot(program.objective, point)
     y = [-z[n_struct + i] for i in range(m)]
-    dual = _dual_from_duals(std, y, z)
+    duals = _split_duals(std, y, z)
+    if program.sense == "max":
+        duals = tuple(tuple(-v for v in part) for part in duals)
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         optimal_point=point,
         optimal_value=value,
-        certificate=dual,
+        certificate=DualCertificate(*duals),
     )
 
 
-def _split_row_duals(std: _Standard, y: Sequence[Fraction]) -> tuple[Vector, Vector]:
+def _split_duals(
+    std: _Standard, y: Sequence[Fraction], z: Sequence[Fraction]
+) -> tuple[Vector, Vector, Vector]:
+    """Tableau row duals y and reduced costs z as (eq, ub, lb) multipliers of the program."""
     eq = [F0] * len(std.program.eq_matrix)
     ub = [F0] * len(std.program.ub_matrix)
     for i, (kind, orig, sign) in enumerate(std.meta):
@@ -347,32 +352,8 @@ def _split_row_duals(std: _Standard, y: Sequence[Fraction]) -> tuple[Vector, Vec
             eq[orig] = val
         else:
             ub[orig] = val
-    return tuple(eq), tuple(ub)
-
-
-def _bound_duals(std: _Standard, z: Sequence[Fraction]) -> Vector:
-    out = []
-    for j in range(std.program.n_vars):
-        if std.bounds[j] is None:
-            out.append(F0)
-        else:
-            out.append(z[std.var_cols[j]])
-    return tuple(out)
-
-
-def _farkas_from_duals(std: _Standard, y: Sequence[Fraction], z: Sequence[Fraction]) -> FarkasCertificate:
-    eq, ub = _split_row_duals(std, y)
-    return FarkasCertificate(eq=eq, ub=ub, lb=_bound_duals(std, z))
-
-
-def _dual_from_duals(std: _Standard, y: Sequence[Fraction], z: Sequence[Fraction]) -> DualCertificate:
-    eq, ub = _split_row_duals(std, y)
-    lb = _bound_duals(std, z)
-    if std.program.sense == "max":
-        eq = tuple(-v for v in eq)
-        ub = tuple(-v for v in ub)
-        lb = tuple(-v for v in lb)
-    return DualCertificate(eq=eq, ub=ub, lb=lb)
+    lb = tuple(F0 if b is None else z[col] for b, col in zip(std.bounds, std.var_cols))
+    return tuple(eq), tuple(ub), lb
 
 
 def feasible_point(program: LinearProgram) -> LpOutcome:
@@ -382,16 +363,7 @@ def feasible_point(program: LinearProgram) -> LpOutcome:
     used internally; callers should only rely on status, point, and the
     Farkas certificate.
     """
-    probe = LinearProgram(
-        objective=(F0,) * program.n_vars,
-        sense="min",
-        eq_matrix=program.eq_matrix,
-        eq_rhs=program.eq_rhs,
-        ub_matrix=program.ub_matrix,
-        ub_rhs=program.ub_rhs,
-        lower_bounds=program.lower_bounds,
-    )
-    return solve_lp(probe)
+    return solve_lp(replace(program, objective=(F0,) * program.n_vars, sense="min"))
 
 
 def _point_feasible(program: LinearProgram, point: Sequence[Fraction]) -> bool:

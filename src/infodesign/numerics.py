@@ -8,11 +8,12 @@ are identical entry for entry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DigitLimitExceeded, DimensionMismatch
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -42,7 +43,11 @@ def scalar(value: ScalarLike) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # CPython's int-to-text digit limit
+        digits = sys.get_int_max_str_digits()
+        raise DigitLimitExceeded(f"a result has more than {digits} digits, too many to print") from exc
 
 
 def vector(values: Sequence[ScalarLike]) -> Vector:
@@ -218,8 +223,6 @@ def nullspace(m: Matrix) -> Subspace:
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """All vectors orthogonal to s; an involution on canonical subspaces."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
     return nullspace(s.basis_matrix())
 
 

@@ -14,7 +14,7 @@ kernel's dimension:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,7 +28,7 @@ from .model import (
     kernel_of,
     payoff,
 )
-from .numerics import Vector, dot
+from .numerics import Vector, dot, vec_sub
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -226,25 +226,14 @@ class SupportingPrior:
 
 
 def supporting_prior_program(problem: DecisionProblem, alpha: MixedAction) -> lp.LinearProgram:
-    """Feasibility system for a supporting prior of alpha."""
-    n = problem.n_states
+    """The prior set's program plus u_a.nu <= u_alpha.nu for all a and u_alpha.nu <= u_alpha.mu."""
     u_alpha = problem.mixed_utility(alpha)
-    priors = problem.priors
-    ub_matrix = list(priors.ub_matrix)
-    ub_rhs = list(priors.ub_rhs)
-    for a in range(problem.n_actions):
-        row = problem.utility_row(a)
-        ub_matrix.append(tuple(row[s] - u_alpha[s] for s in range(n)))
-        ub_rhs.append(F0)
-    ub_matrix.append(u_alpha)
-    ub_rhs.append(dot(u_alpha, problem.mu))
-    return lp.LinearProgram(
-        objective=(F0,) * n,
-        sense="min",
-        eq_matrix=((F1,) * n,) + priors.eq_matrix,
-        eq_rhs=(F1,) + priors.eq_rhs,
-        ub_matrix=tuple(ub_matrix),
-        ub_rhs=tuple(ub_rhs),
+    gaps = tuple(vec_sub(problem.utility_row(a), u_alpha) for a in range(problem.n_actions))
+    program = problem.priors.feasibility_program()
+    return replace(
+        program,
+        ub_matrix=program.ub_matrix + gaps + (u_alpha,),
+        ub_rhs=program.ub_rhs + (F0,) * problem.n_actions + (dot(u_alpha, problem.mu),),
     )
 
 

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import infodesign as idg
-from infodesign.causal import _irrelevant_covariates
+from infodesign.causal import _concentrated_prior, _irrelevant_covariates
 
 from support import random_treatment_model, raw_motivating_model
 
@@ -71,6 +72,33 @@ def test_counterfactual_means(example_problem, example_model):
     assert idg.counterfactual_mean(p, 0, worst) == F(1, 16)
     assert idg.counterfactual_mean(p, 1, worst) == F(1, 8)
 
+
+
+def test_motivating_worst_case_prior_entries(example_model):
+    # the raw (y, x, t) table split evenly over the signal, states (y, x, s, t)
+    expected = [
+        "7/40", "1/20", "7/40", "1/20", "1/20", "3/20", "1/20", "3/20",
+        "1/40", "0", "1/40", "0", "0", "1/20", "0", "1/20",
+    ]
+    assert idg.motivating_worst_case_prior(example_model) == idg.vector(expected)
+
+
+@given(
+    st.integers(0, 199),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6), min_size=3, max_size=3),
+)
+def test_concentrated_prior_property(seed, shares):
+    model = random_treatment_model(f"concentrated-{seed}")
+    problem = idg.build_treatment_problem(model)
+    lo, hi = model.outcomes[0], model.outcomes[-1]
+    targets = tuple(lo + (hi - lo) * s for s in shares[: model.n_treatments])
+    nu = _concentrated_prior(model, targets)
+    assert problem.priors.contains(nu)
+    assert all(
+        idg.counterfactual_mean(problem, a, nu) == target for a, target in enumerate(targets)
+    )
+    # a positive-mu state without prior mass: boundary adjustment keeps nu as is
+    assert any(m > 0 and v == 0 for m, v in zip(problem.mu, nu))
 
 def test_prior_from_zero_marginals(example_model, example_problem):
     pi = ((F(1), F(0)), (F(1), F(0)))  # all mass on the zero outcome

@@ -1,6 +1,7 @@
 """Command-line interface: reports, documents, exit codes, round-trips."""
 
 import json
+import random
 
 import pytest
 
@@ -192,6 +193,62 @@ def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accept
         located = f"{problem}.utility[0][0]: " if entry.startswith('"') else f"{problem}: "
         assert located in err
 
+
+
+@pytest.mark.parametrize(
+    "action, outcome",
+    [
+        ("a0:1,a1:0e4299", "accepted"),
+        ("a0:1,a1:0e-4299", "accepted"),
+        ("a0:1e4299,a1:0", "bad mixed action"),
+        ("a0:1,a1:0e4300", "exponent must be less than 4300"),
+        ("a0:1e4300,a1:0", "exponent must be less than 4300"),
+        ("a0:1e-4300,a1:1", "exponent must be less than 4300"),
+        ("a0:1e10000000,a1:0", "exponent must be less than 4300"),
+    ],
+)
+def test_action_weights_share_the_document_bound(tmp_path, capsys, action, outcome):
+    problem, _ = _number_documents(tmp_path, '"1"')
+    code, out, err = run(capsys, "implement", str(problem), action)
+    assert "Traceback" not in out + err
+    if outcome == "accepted":
+        assert code == 0
+    else:
+        assert code == 2
+        assert outcome in err
+        if outcome.startswith("exponent"):
+            assert "weight for action 'a" in err
+
+
+def _oversized_documents(tmp_path):
+    """Two states, one action, and numbers of about 2200 digits: valid input whose
+    exact value has a numerator of about 4400 digits."""
+    r = random.Random("oversized")
+    den = r.randrange(10**2199, 10**2200)
+    num = r.randrange(10**2198, den)
+    doc = {
+        "states": ["s0", "s1"],
+        "actions": ["a0"],
+        "utility": [[str(r.randrange(10**2199, 10**2200)) for _ in range(2)]],
+        "mu": [f"{num}/{den}", f"{den - num}/{den}"],
+    }
+    problem = tmp_path / "oversized.json"
+    problem.write_text(json.dumps(doc))
+    identity = tmp_path / "identity.json"
+    identity.write_text(
+        json.dumps(documents.serialize_structure_matrix(idg.InformationStructure.identity(2)))
+    )
+    return problem, identity
+
+
+def test_results_beyond_the_digit_limit_exit_five(tmp_path, capsys):
+    problem, identity = _oversized_documents(tmp_path)
+    for argv in (["solve", str(problem), str(identity)], ["implement", str(problem), "a0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert "Traceback" not in out + err
+        assert "more than 4300 digits" in err
+        assert len(err.splitlines()) == 1
 
 def test_check_orders_and_maximality(example_files, tmp_path, capsys):
     prob, marg = example_files
