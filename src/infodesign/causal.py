@@ -28,6 +28,7 @@ from .model import (
     Matrix,
     MixedAction,
     PriorPolytope,
+    _is_distribution,
     kernel_of,
     payoff,
     payoff_equivalence_classes,
@@ -72,11 +73,11 @@ class TreatmentModel:
             raise DimensionMismatch("assignment shape must be cells x treatments")
         for c in range(self.n_cells):
             row = self.assignment.row(c)
-            if any(p < 0 for p in row) or sum(row) != 1:
+            if not _is_distribution(row):
                 raise ValueError(f"assignment row {c} is not a probability vector")
         if len(self.mu) != self.n_states:
             raise DimensionMismatch("mu length must match the state count")
-        if any(p < 0 for p in self.mu) or sum(self.mu) != 1:
+        if not _is_distribution(self.mu):
             raise ValueError("mu must be a probability vector")
 
     @property
@@ -253,10 +254,7 @@ def outcome_marginals_for_targets(
     for target in targets:
         if not (lo <= target <= hi):
             raise ValueError(f"target mean {target} is outside the outcome range")
-        if hi == lo:
-            weight_hi = F0
-        else:
-            weight_hi = (target - lo) / (hi - lo)
+        weight_hi = (target - lo) / (hi - lo)
         marginal = [F0] * model.n_outcomes
         marginal[0] = F1 - weight_hi
         marginal[-1] += weight_hi
@@ -308,7 +306,7 @@ def prior_from_marginals(
         m = vector(marginal)
         if len(m) != model.n_outcomes:
             raise DimensionMismatch(f"marginal for treatment {t} has the wrong length")
-        if any(v < 0 for v in m) or sum(m) != 1:
+        if not _is_distribution(m):
             raise ValueError(f"marginal for treatment {t} is not a probability vector")
         marginals.append(m)
 
@@ -528,9 +526,12 @@ def motivating_worst_case_prior(model: TreatmentModel) -> Vector:
     """The joint distribution attaining both worst cases under (Y, T) disclosure.
 
     Stated on the extended state space of ``motivating_example`` by an even
-    split across the signal covariate.
+    split across the signal covariate. Any model whose outcomes, assignment
+    or observed distribution differ from that example's is refused.
     """
-    if model.n_states != 16 or model.n_cells != 4:
+    example = motivating_example()
+    observed = (model.outcomes, model.assignment, model.mu)
+    if observed != (example.outcomes, example.assignment, example.mu):
         raise DimensionMismatch("expected the extended built-in example")
     raw = vector(["0.35", "0.10", "0.10", "0.30", "0.05", "0.00", "0.00", "0.10"])
     return add_irrelevant_signal(replace(_motivating_raw(), mu=raw)).mu

@@ -5,9 +5,10 @@ implement / marginal. Exit codes are part of the interface: 0 success,
 2 parse or validation failure, 3 action not implementable, 4 structure does
 not implement the action, 5 a result has a numerator or denominator too
 long to print (more than 4300 digits, CPython's default int-to-text
-limit). ``--format machine`` prints one JSON document with
-every number as an exact string; ``table`` prints the same content for
-humans.
+limit), 6 the action has a supporting prior but no payoff-preserving
+reallocation keeps it inside the prior set. ``--format machine`` prints
+one JSON document with every number as an exact string; ``table`` prints
+the same content for humans.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .design import (
     robustly_more_informative,
 )
 from .errors import (
+    AssumptionViolation,
     DigitLimitExceeded,
     DocumentError,
     InfoDesignError,
@@ -56,6 +58,16 @@ EXIT_PARSE = 2
 EXIT_NOT_IMPLEMENTABLE = 3
 EXIT_NOT_IMPLEMENTING = 4
 EXIT_DIGIT_LIMIT = 5
+EXIT_ASSUMPTION = 6
+
+# the first entry the error is an instance of gives the exit code
+_EXIT_CODES = (
+    (NotImplementableError, EXIT_NOT_IMPLEMENTABLE),
+    (NotImplementingError, EXIT_NOT_IMPLEMENTING),
+    (DigitLimitExceeded, EXIT_DIGIT_LIMIT),
+    (AssumptionViolation, EXIT_ASSUMPTION),
+    (InfoDesignError, EXIT_PARSE),
+)
 
 
 def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
@@ -407,21 +419,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotImplementableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IMPLEMENTABLE
-    except NotImplementingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IMPLEMENTING
-    except DigitLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIGIT_LIMIT
     except InfoDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -115,43 +115,18 @@ class _Standard:
 
     def __init__(self, program: LinearProgram) -> None:
         self.program = program
-        n = program.n_vars
-        bounds = program.bounds()
-        self.bounds = bounds
+        bounds = self.bounds = program.bounds()
 
         # Structural columns: one per bounded variable (shifted by its lower
         # bound), a +/- pair per free variable, then one slack per <= row.
-        base_cols: list[tuple[str, int]] = []
         var_cols: list[int] = []
-        for j in range(n):
-            var_cols.append(len(base_cols))
-            if bounds[j] is None:
-                base_cols.append(("pos", j))
-                base_cols.append(("neg", j))
-            else:
-                base_cols.append(("shift", j))
+        n_base = 0
+        for lb in bounds:
+            var_cols.append(n_base)
+            n_base += 2 if lb is None else 1
         self.var_cols = var_cols
-        self.n_base = len(base_cols)
-        self.n_ub = len(program.ub_matrix)
-        self.n_struct = self.n_base + self.n_ub
-
-        flip = program.sense == "max"
-        cost = [F0] * self.n_struct
-        for j in range(n):
-            c = program.objective[j]
-            if flip:
-                c = -c
-            if not c:
-                continue
-            col = var_cols[j]
-            cost[col] = c
-            if bounds[j] is None:
-                cost[col + 1] = -c
-        self.cost = cost
-
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        meta: list[tuple[str, int, int]] = []  # (kind, original index, sign)
+        self.n_base = n_base
+        self.n_struct = n_base + len(program.ub_matrix)
 
         def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
             out = [F0] * self.n_struct
@@ -168,52 +143,45 @@ class _Standard:
                     delta += a * lb
             return out, delta
 
-        for i, (coeffs, b) in enumerate(zip(program.eq_matrix, program.eq_rhs)):
-            out, delta = expand(coeffs)
-            r = b - delta
-            sign = 1
-            if r < 0:
-                out = [-x for x in out]
-                r = -r
-                sign = -1
-            rows.append(out)
-            rhs.append(r)
-            meta.append(("eq", i, sign))
-        for i, (coeffs, b) in enumerate(zip(program.ub_matrix, program.ub_rhs)):
-            out, delta = expand(coeffs)
-            out[self.n_base + i] = F1
-            r = b - delta
-            sign = 1
-            if r < 0:
-                out = [-x for x in out]
-                r = -r
-                sign = -1
-            rows.append(out)
-            rhs.append(r)
-            meta.append(("ub", i, sign))
-        self.rows = rows
-        self.rhs = rhs
-        self.meta = meta
+        objective = program.objective
+        if program.sense == "max":
+            objective = [-c for c in objective]
+        self.cost = expand(objective)[0]
 
-    def point_from(self, z_by_col: dict[int, Fraction]) -> Vector:
+        # Equality rows first, then <= rows with their slacks; a row whose
+        # shifted rhs is negative is negated (sign -1 in meta).
+        self.rows: list[list[Fraction]] = []
+        self.rhs: list[Fraction] = []
+        self.meta: list[tuple[str, int, int]] = []  # (kind, original index, sign)
+        n_eq = len(program.eq_matrix)
+        lhs = program.eq_matrix + program.ub_matrix
+        for i, (coeffs, b) in enumerate(zip(lhs, (*program.eq_rhs, *program.ub_rhs))):
+            out, delta = expand(coeffs)
+            if i < n_eq:
+                kind, orig = "eq", i
+            else:
+                kind, orig = "ub", i - n_eq
+                out[n_base + orig] = F1
+            r = b - delta
+            sign = 1
+            if r < 0:
+                out = [-x for x in out]
+                r = -r
+                sign = -1
+            self.rows.append(out)
+            self.rhs.append(r)
+            self.meta.append((kind, orig, sign))
+
+    def point_from(self, by_col: dict[int, Fraction], shift: bool = True) -> Vector:
+        """Program variables from column values; points are shifted by the bounds, rays not."""
         out = []
-        for j in range(self.program.n_vars):
-            col = self.var_cols[j]
-            lb = self.bounds[j]
+        for lb, col in zip(self.bounds, self.var_cols):
+            x = by_col.get(col, F0)
             if lb is None:
-                out.append(z_by_col.get(col, F0) - z_by_col.get(col + 1, F0))
-            else:
-                out.append(z_by_col.get(col, F0) + lb)
-        return tuple(out)
-
-    def direction_from(self, d_by_col: dict[int, Fraction]) -> Vector:
-        out = []
-        for j in range(self.program.n_vars):
-            col = self.var_cols[j]
-            if self.bounds[j] is None:
-                out.append(d_by_col.get(col, F0) - d_by_col.get(col + 1, F0))
-            else:
-                out.append(d_by_col.get(col, F0))
+                x -= by_col.get(col + 1, F0)
+            elif shift:
+                x += lb
+            out.append(x)
         return tuple(out)
 
 
@@ -321,7 +289,7 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
             if t:
                 d_by_col[basis[i]] = -t
         ray = ImprovingRay(
-            direction=std.direction_from(d_by_col),
+            direction=std.point_from(d_by_col, shift=False),
             base_point=std.point_from(z_by_col),
         )
         return LpOutcome(status=LpStatus.UNBOUNDED, certificate=ray)
@@ -450,19 +418,16 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
             return False
         if not _point_feasible(program, cert.base_point):
             return False
-        d = cert.direction
-        if len(d) != n:
+        # a ray is a feasible point of the homogeneous program
+        homogeneous = replace(
+            program,
+            eq_rhs=(F0,) * len(program.eq_rhs),
+            ub_rhs=(F0,) * len(program.ub_rhs),
+            lower_bounds=tuple(None if lb is None else F0 for lb in bounds),
+        )
+        if not _point_feasible(homogeneous, cert.direction):
             return False
-        for row in program.eq_matrix:
-            if dot(row, d) != 0:
-                return False
-        for row in program.ub_matrix:
-            if dot(row, d) > 0:
-                return False
-        for lb, dv in zip(bounds, d):
-            if lb is not None and dv < 0:
-                return False
-        gain = dot(program.objective, d)
+        gain = dot(program.objective, cert.direction)
         return gain < 0 if program.sense == "min" else gain > 0
 
     return False

@@ -70,15 +70,7 @@ class PriorPolytope:
             raise DimensionMismatch(
                 f"point of length {len(point)} in a {self.dimension}-state prior set"
             )
-        if not _is_distribution(point):
-            return False
-        for row, b in zip(self.eq_matrix, self.eq_rhs):
-            if dot(row, point) != b:
-                return False
-        for row, b in zip(self.ub_matrix, self.ub_rhs):
-            if dot(row, point) > b:
-                return False
-        return True
+        return lp._point_feasible(self.feasibility_program(), point)
 
     def feasibility_program(self) -> lp.LinearProgram:
         n = self.dimension
@@ -138,7 +130,7 @@ class InformationStructure:
         if not self.messages:
             raise DimensionMismatch("experiment needs at least one message")
         for j, col in enumerate(zip(*self.experiment.entries)):
-            if any(x < 0 for x in col) or sum(col) != 1:
+            if not _is_distribution(col):
                 raise ValueError(f"experiment column {j} is not a probability vector")
 
     @property

@@ -4,9 +4,9 @@ The identified set of an experiment is the prior polytope intersected with
 the affine slice mu + ker(experiment). Minimizations over it split on k, the
 kernel's dimension:
 
-* k = 0: the set is the single point mu.
-* k = 1: the set is a segment mu + lam d with lam in [lo, hi]; every payoff
-  is a line in lam, so minima have closed forms.
+* k <= 1: the set is a segment mu + lam d, lam in [lo, hi] (the point mu,
+  d = 0, when k = 0); every payoff is a line in lam, so one closed form
+  gives both the worst case of an action and the saddle point.
 * k >= 2: one linear program over the state distribution nu >= 0, with the
   prior set's rows and the experiment's pinning rows. The experiment's rows
   sum to the all-ones row, so pinning them also makes nu sum to one.
@@ -28,17 +28,20 @@ from .model import (
     kernel_of,
     payoff,
 )
-from .numerics import Vector, dot, vec_sub
+from .numerics import Subspace, Vector, dot, vec_sub
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 def _segment(problem: DecisionProblem, d: Vector) -> tuple[Fraction, Fraction]:
-    """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi."""
+    """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
+
+    [0, 0] when d is zero or breaks an equality of the prior set.
+    """
     mu = problem.mu
     priors = problem.priors
-    if any(dot(row, d) for row in priors.eq_matrix):
+    if not any(d) or any(dot(row, d) for row in priors.eq_matrix):
         return F0, F0
     cuts = [(dot(row, d), b - dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
     cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
@@ -54,25 +57,20 @@ def _segment(problem: DecisionProblem, d: Vector) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _along(mu: Vector, d: Vector, lam: Fraction) -> Vector:
-    return tuple(m + lam * v if v else m for m, v in zip(mu, d))
-
-
 def worst_case(
     problem: DecisionProblem, structure: InformationStructure, alpha: MixedAction
 ) -> tuple[Fraction, Vector]:
-    """Exact minimum of the action's payoff over the identified set, with a minimizer."""
+    """Exact minimum of the action's payoff over the identified set, with a minimizer.
+
+    For k <= 1 the minimizer is the end of the segment the payoff falls
+    towards, the smallest lam when the payoff is flat along it; for k >= 2
+    the optimal point of one LP.
+    """
     u = problem.mixed_utility(alpha)
-    mu = problem.mu
     kernel = kernel_of(structure)
-    if kernel.dim == 0:
-        return dot(u, mu), mu
-    if kernel.dim == 1:
-        d = kernel.basis[0]
-        lo, hi = _segment(problem, d)
-        c = dot(u, d)
-        lam = hi if c < 0 else (lo if c > 0 else F0)
-        return dot(u, mu) + c * lam, _along(mu, d, lam)
+    if kernel.dim <= 1:
+        _, nu, value = _segment_saddle(problem, kernel, (u,))
+        return value, nu
     iset = identified_set(problem, structure)
     eq, eq_rhs = iset.equality_rows()
     ub, ub_rhs = iset.inequality_rows()
@@ -121,25 +119,22 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     identified set, of the best pure-action payoff; a minimizer is the
     worst-case prior nu*. How it is found depends on the kernel dimension k:
 
-    * k = 0: nu* = mu, and alpha* is the first best pure response to it.
-    * k = 1: the best pure payoff along the segment mu + lam d is the upper
-      envelope of one line per action; it is minimized at an endpoint or at
-      a crossing of two lines. alpha* is an active action whose slope does
-      not pull the payoff below the value inside the segment, or, at a kink,
-      the mix of the steepest rising and falling active actions that is flat.
+    * k <= 1: the best pure payoff along the segment mu + lam d (the point
+      mu when k = 0) is the upper envelope of one line per action, minimized
+      at an endpoint or at a crossing of two lines. alpha* is the first
+      active action whose slope does not pull the payoff below the value
+      inside the segment, or, at a kink, the flat mix of the steepest rising
+      and falling active actions.
     * k >= 2: one linear program, min t over nu in the identified set
       subject to u_a . nu <= t for every action a. nu* is its optimal point
       and alpha* the negated duals of the action rows.
     """
-    mu = problem.mu
     n_actions = problem.n_actions
+    rows = tuple(problem.utility_row(a) for a in range(n_actions))
     kernel = kernel_of(structure)
-    if kernel.dim == 0:
-        means = tuple(dot(problem.utility_row(a), mu) for a in range(n_actions))
-        best = max(means)
-        return SaddleCertificate(MixedAction.pure(means.index(best), n_actions), mu, best)
-    if kernel.dim == 1:
-        return _segment_saddle(problem, kernel.basis[0])
+    if kernel.dim <= 1:
+        weights, nu, value = _segment_saddle(problem, kernel, rows)
+        return SaddleCertificate(MixedAction(weights), nu, value)
 
     n = problem.n_states
     iset = identified_set(problem, structure)
@@ -150,8 +145,7 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
         sense="min",
         eq_matrix=tuple(row + (F0,) for row in eq),
         eq_rhs=eq_rhs,
-        ub_matrix=tuple(problem.utility_row(a) + (-F1,) for a in range(n_actions))
-        + tuple(row + (F0,) for row in ub),
+        ub_matrix=tuple(row + (-F1,) for row in rows) + tuple(row + (F0,) for row in ub),
         ub_rhs=(F0,) * n_actions + ub_rhs,
         lower_bounds=(F0,) * n + (None,),
     )
@@ -162,11 +156,16 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
 
 
-def _segment_saddle(problem: DecisionProblem, d: Vector) -> SaddleCertificate:
-    """Closed-form saddle on the segment mu + lam d, lam in [lo, hi]."""
+def _segment_saddle(
+    problem: DecisionProblem, kernel: Subspace, rows: Sequence[Vector]
+) -> tuple[Vector, Vector, Fraction]:
+    """Closed-form saddle (weights, minimizer, value) of the rows on mu + lam d, lam in [lo, hi].
+
+    d is the basis vector of a kernel with k = 1, or zero when k = 0.
+    """
+    d = kernel.basis[0] if kernel.dim else (F0,) * problem.n_states
     lo, hi = _segment(problem, d)
-    n_actions = problem.n_actions
-    rows = [problem.utility_row(a) for a in range(n_actions)]
+    n_actions = len(rows)
     means = [dot(row, problem.mu) for row in rows]
     slopes = [dot(row, d) for row in rows]
 
@@ -205,7 +204,7 @@ def _segment_saddle(problem: DecisionProblem, d: Vector) -> SaddleCertificate:
     slope = dot(weights, slopes)
     if dot(weights, means) + slope * lam != value or not stays_above(slope):
         raise AssertionError("segment saddle conditions fail")
-    return SaddleCertificate(MixedAction(tuple(weights)), _along(problem.mu, d, lam), value)
+    return tuple(weights), tuple(m + lam * v if v else m for m, v in zip(problem.mu, d)), value
 
 
 def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import infodesign as idg
+from infodesign import lp
 from infodesign.causal import _compile_problem, _motivating_raw
 
 F0 = Fraction(0)
@@ -31,6 +32,24 @@ def rand_distribution(rng: random.Random, n: int, allow_zero: bool = True) -> tu
 
 def random_mixed(rng: random.Random, n_actions: int) -> idg.MixedAction:
     return idg.MixedAction(rand_distribution(rng, n_actions))
+
+
+def random_program(rng: random.Random) -> lp.LinearProgram:
+    """A small LP with integer data, either sense, and free, zero and shifted bounds."""
+    n = rng.randint(1, 5)
+    n_eq = rng.randint(0, 2)
+    n_ub = rng.randint(0, 4)
+    return lp.LinearProgram(
+        objective=idg.vector([rng.randint(-5, 5) for _ in range(n)]),
+        sense=rng.choice(["min", "max"]),
+        eq_matrix=tuple(idg.vector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(n_eq)),
+        eq_rhs=idg.vector([rng.randint(-4, 4) for _ in range(n_eq)]),
+        ub_matrix=tuple(idg.vector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(n_ub)),
+        ub_rhs=idg.vector([rng.randint(-4, 4) for _ in range(n_ub)]),
+        lower_bounds=tuple(
+            rng.choice([F0, F0, None, Fraction(rng.randint(-3, 3))]) for _ in range(n)
+        ),
+    )
 
 
 def paired_problem(seed) -> tuple[idg.DecisionProblem, random.Random]:

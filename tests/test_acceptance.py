@@ -19,6 +19,7 @@ from support import (
     rand_distribution,
     random_member,
     random_mixed,
+    random_program,
     random_treatment_model,
     random_zero_sum_subspace,
 )
@@ -208,24 +209,7 @@ def test_criterion_10_lp_certificates():
     rng = random.Random("acc10")
     counts = {status: 0 for status in lp.LpStatus}
     for trial in range(500):
-        n = rng.randint(1, 5)
-        n_eq = rng.randint(0, 2)
-        n_ub = rng.randint(0, 4)
-        program = lp.LinearProgram(
-            objective=idg.vector([rng.randint(-5, 5) for _ in range(n)]),
-            sense=rng.choice(["min", "max"]),
-            eq_matrix=tuple(
-                idg.vector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(n_eq)
-            ),
-            eq_rhs=idg.vector([rng.randint(-4, 4) for _ in range(n_eq)]),
-            ub_matrix=tuple(
-                idg.vector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(n_ub)
-            ),
-            ub_rhs=idg.vector([rng.randint(-4, 4) for _ in range(n_ub)]),
-            lower_bounds=tuple(
-                rng.choice([F(0), F(0), None, F(rng.randint(-3, 3))]) for _ in range(n)
-            ),
-        )
+        program = random_program(rng)
         outcome = lp.solve_lp(program)
         counts[outcome.status] += 1
         assert lp.verify_outcome(program, outcome)

@@ -83,6 +83,21 @@ def test_motivating_worst_case_prior_entries(example_model):
     assert idg.motivating_worst_case_prior(example_model) == idg.vector(expected)
 
 
+def test_motivating_worst_case_prior_refuses_other_models(example_model):
+    # same shape as the built-in example, but a different study: the built-in
+    # prior need not lie in this model's prior set
+    other = idg.TreatmentModel(
+        outcomes=idg.vector([0, 1]),
+        covariate_domains=(("x0", "x1"), ("s0", "s1")),
+        treatments=("t0", "t1"),
+        assignment=idg.Matrix.from_rows([["1/2", "1/2"]] * 4),
+        mu=(F(1, 16),) * 16,
+    )
+    problem = idg.build_treatment_problem(other)
+    assert not problem.priors.contains(idg.motivating_worst_case_prior(example_model))
+    with pytest.raises(idg.DimensionMismatch):
+        idg.motivating_worst_case_prior(other)
+
 @given(
     st.integers(0, 199),
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6), min_size=3, max_size=3),

@@ -250,6 +250,30 @@ def test_results_beyond_the_digit_limit_exit_five(tmp_path, capsys):
         assert "more than 4300 digits" in err
         assert len(err.splitlines()) == 1
 
+def test_assumption_violation_exits_six(tmp_path, capsys):
+    # a1 is implementable, but every state has its own payoff column and a
+    # floor of 1/20, so no payoff-preserving reallocation stays in the set
+    doc = {
+        "schema_version": "1",
+        "states": ["s0", "s1", "s2"],
+        "actions": ["a0", "a1"],
+        "utility": [["2", "3", "-2"], ["1", "-3", "-1"]],
+        "mu": ["1/3", "1/3", "1/3"],
+        "prior_constraints": {
+            "inequalities": {
+                "matrix": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+                "rhs": ["-1/20", "-1/20", "-1/20"],
+            }
+        },
+    }
+    path = tmp_path / "no_redundancy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "implement", str(path), "a1")
+    assert code == 6
+    assert "Traceback" not in out + err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_orders_and_maximality(example_files, tmp_path, capsys):
     prob, marg = example_files
     out_path = tmp_path / "constructed.json"

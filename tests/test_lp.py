@@ -1,12 +1,15 @@
 """The exact simplex: examples, certificates, determinism."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import infodesign as idg
 from infodesign import lp
+
+from support import random_program
 
 
 def test_bounded_maximum():
@@ -127,3 +130,29 @@ def test_malformed_dimensions_rejected():
         lp.LinearProgram(objective=idg.vector([1, 2]), eq_matrix=(idg.vector([1]),), eq_rhs=idg.vector([0]))
     with pytest.raises(idg.DimensionMismatch):
         lp.LinearProgram(objective=())
+
+
+def _negated(cert):
+    return type(cert)(*(tuple(-v for v in part) for part in (cert.eq, cert.ub, cert.lb)))
+
+
+def test_verify_rejects_tampered_certificates():
+    # one tampered copy per outcome of the criterion-10 programs: an optimal
+    # value off by one, a negated Farkas certificate, a negated ray
+    rng = random.Random("acc10")
+    counts = {status: 0 for status in lp.LpStatus}
+    for _ in range(500):
+        program = random_program(rng)
+        outcome = lp.solve_lp(program)
+        cert = outcome.certificate
+        if outcome.status is lp.LpStatus.OPTIMAL:
+            tampered = replace(outcome, optimal_value=outcome.optimal_value + 1)
+        elif outcome.status is lp.LpStatus.INFEASIBLE:
+            tampered = replace(outcome, certificate=_negated(cert))
+        else:
+            ray = replace(cert, direction=tuple(-v for v in cert.direction))
+            tampered = replace(outcome, certificate=ray)
+        counts[outcome.status] += 1
+        assert lp.verify_outcome(program, outcome)
+        assert not lp.verify_outcome(program, tampered)
+    assert all(count >= 25 for count in counts.values()), counts
