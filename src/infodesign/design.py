@@ -78,10 +78,11 @@ class ConstructionTrace:
 def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, ConstructionTrace]:
     """Build a column-stochastic experiment whose kernel is exactly the spec.
 
-    Fully concealing kernels (dimension n-1) yield the single-message
-    experiment; the zero kernel yields the identity; otherwise the generic
-    two-rows-per-complement-direction construction applies and the message
-    count is twice the complement dimension.
+    The construction starts from the canonical basis ws of the spec's
+    orthogonal complement. The zero kernel's ws is the identity and a fully
+    concealing kernel's (dimension n-1) is the all-ones row; both are
+    column-stochastic, so ws is the matrix. Otherwise each direction of ws
+    gives two messages, as ConstructionTrace describes.
 
     The construction's row space is the orthogonal complement of the spec by
     design, so the returned structure's kernel cache is filled in directly;
@@ -91,26 +92,10 @@ def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, Constr
     n = subspace.ambient_dim
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least one")
-    k = subspace.dim
-
-    if k == n - 1:
-        trace = ConstructionTrace(
-            complement_basis=Subspace.from_vectors(n, ((F1,) * n,)).basis,
-            x_shifts=(),
-            y_shifts=(),
-            normalizer=None,
-            matrix=Matrix(1, n, ((F1,) * n,)),
-        )
-    elif k == 0:
-        trace = ConstructionTrace(
-            complement_basis=Subspace.full(n).basis,
-            x_shifts=(),
-            y_shifts=(),
-            normalizer=None,
-            matrix=Matrix.identity(n),
-        )
+    ws = orthogonal_complement(subspace).basis
+    if subspace.dim in (0, n - 1):
+        trace = ConstructionTrace(ws, (), (), None, Matrix(len(ws), n, ws))
     else:
-        ws = orthogonal_complement(subspace).basis
         xs = tuple(F1 - min(w) for w in ws)
         ys = tuple(F1 + max(w) for w in ws)
         lam = F1 / sum(x + y for x, y in zip(xs, ys))
@@ -191,17 +176,15 @@ def implement_at_prior(
 ) -> tuple[InformationStructure, SaddleCertificate]:
     """The certified experiment concealing the direction from mu to nu.
 
-    nu is a member of the prior set that supports alpha. nu equal to mu gives
-    the fully informative experiment; otherwise nu is first moved to the
-    boundary. The saddle certificate is verified before it is returned.
+    nu is a member of the prior set that supports alpha. nu other than mu is
+    moved to the boundary; nu equal to mu gives the zero kernel, full
+    information. The saddle certificate is verified before it is returned.
     """
     mu = problem.mu
-    if nu == mu:
-        structure = InformationStructure.identity(problem.n_states)
-    else:
+    if nu != mu:
         nu = boundary_adjust(problem, nu)
-        spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
-        structure, _ = kernel_to_experiment(spec)
+    spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
+    structure, _ = kernel_to_experiment(spec)
     certificate = SaddleCertificate(alpha, nu, dot(problem.mixed_utility(alpha), nu))
     if not certificate.verify(problem, structure):
         raise AssertionError("constructed structure failed its own saddle check")

@@ -70,9 +70,13 @@ class PriorPolytope:
             raise DimensionMismatch(
                 f"point of length {len(point)} in a {self.dimension}-state prior set"
             )
-        return lp._point_feasible(self.feasibility_program(), point)
+        return lp._point_feasible(self._feasibility, point)
 
     def feasibility_program(self) -> lp.LinearProgram:
+        return self._feasibility
+
+    @cached_property
+    def _feasibility(self) -> lp.LinearProgram:
         n = self.dimension
         return lp.LinearProgram(
             objective=(F0,) * n,

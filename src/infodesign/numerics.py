@@ -4,6 +4,10 @@ Everything here computes over ``fractions.Fraction``; no operation rounds.
 Subspace bases are stored in reduced row echelon form, which is unique for a
 given row space, so two subspaces are equal exactly when their stored bases
 are identical entry for entry.
+
+A kernel, and so an orthogonal complement of any dimension, costs one
+elimination: the matrix is reduced with its columns reversed, and the kernel
+vectors read off that are already in canonical form (see ``nullspace``).
 """
 
 from __future__ import annotations
@@ -204,21 +208,26 @@ class Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """The kernel {v : m v = 0}, in canonical form. Satisfies rank-nullity."""
-    rows, pivots = rref(m.entries, m.cols)
-    pivot_set = set(pivots)
-    raw: list[list[Fraction]] = []
-    for f in range(m.cols):
-        if f in pivot_set:
+    """The kernel {v : m v = 0}, in canonical form. Satisfies rank-nullity.
+
+    Reducing with the columns reversed leaves each pivot row zero past its
+    pivot p, so free column f gives e_f - sum_p row_p[f] e_p with leading 1
+    at f and zeros at the other free columns: already the canonical basis.
+    """
+    n = m.cols
+    rows, pivots = rref([r[::-1] for r in m.entries], n)
+    pivot_rows = {n - 1 - p: row[::-1] for p, row in zip(pivots, rows)}
+    basis: list[Vector] = []
+    for f in range(n):
+        if f in pivot_rows:
             continue
-        v = [F0] * m.cols
+        v = [F0] * n
         v[f] = F1
-        for i, p in enumerate(pivots):
-            coeff = rows[i][f]
-            if coeff:
-                v[p] = -coeff
-        raw.append(v)
-    return Subspace.from_vectors(m.cols, raw)
+        for p, row in pivot_rows.items():
+            if row[f]:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return Subspace(n, tuple(basis))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

@@ -10,15 +10,23 @@ minimization. Results must agree exactly. The file also checks that
 constructed implementing experiments are maximal in the informativeness
 order, and compares the maximality decision with a program over the
 kernel coordinate of a one-direction kernel.
+
+``nullspace`` reads its canonical basis off one column-reversed
+elimination. Two oracles recompute it: the earlier two-pass routine (kernel
+vectors from a forward elimination, then a second elimination into
+canonical form) and, where installed, sympy's exact ``nullspace`` and
+``rref``, which share no code with infodesign.
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
+from infodesign.numerics import rref
 
 from support import (
     paired_problem,
@@ -339,3 +347,81 @@ def test_implemented_treatments_are_maximally_informative():
         for alpha in actions:
             structure, _ = idg.implement_treatment(model, alpha, problem)
             assert idg.is_maximally_informative(problem, structure, alpha)
+
+
+def _two_pass_nullspace(m):
+    """Kernel vectors of a forward elimination, put in canonical form by a second one."""
+    rows, pivots = rref(m.entries, m.cols)
+    raw = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            if rows[i][f]:
+                v[p] = -rows[i][f]
+        raw.append(v)
+    return idg.Subspace.from_vectors(m.cols, raw)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_nullspace(sympy, m):
+    """sympy's kernel basis, stacked as rows and reduced by sympy's rref."""
+    cells = [sympy.Rational(x.numerator, x.denominator) for row in m.entries for x in row]
+    kernel = sympy.Matrix(m.rows, m.cols, cells).nullspace()
+    if not kernel:
+        return idg.Subspace.zero(m.cols)
+    reduced, _ = sympy.Matrix.hstack(*kernel).T.rref()
+    basis = tuple(
+        tuple(F(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(reduced.rows)
+    )
+    return idg.Subspace(m.cols, basis)
+
+
+@st.composite
+def rational_matrices(draw):
+    """0-8 rows over 1-10 columns, with zero columns, zero rows and dependent rows."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(1, 10))
+    entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols))
+    rows = []
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "zero":
+            row = [F(0)] * n_cols
+        elif kind == "combination" and i >= 1:
+            a, b = draw(entry), draw(entry)
+            first, second = rows[draw(st.integers(0, i - 1))], rows[draw(st.integers(0, i - 1))]
+            row = [a * x + b * y for x, y in zip(first, second)]
+        else:
+            row = [F(0) if c in zero_cols else draw(entry) for c in range(n_cols)]
+        rows.append(tuple(row))
+    return idg.Matrix(n_rows, n_cols, tuple(rows))
+
+
+@given(rational_matrices())
+def test_nullspace_matches_two_pass_routine(m):
+    kernel = idg.nullspace(m)
+    assert kernel == _two_pass_nullspace(m)
+    assert idg.rank(m) + kernel.dim == m.cols
+    assert all(not any(m.matvec(v)) for v in kernel.basis)
+
+
+@given(rational_matrices())
+def test_nullspace_matches_sympy(sympy, m):
+    assert idg.nullspace(m) == _sympy_nullspace(sympy, m)
+
+
+@given(rational_matrices())
+def test_orthogonal_complement_round_trip(m):
+    s = idg.Subspace.from_vectors(m.cols, m.entries)
+    complement = idg.orthogonal_complement(s)
+    assert s.dim + complement.dim == m.cols
+    assert all(_dot(w, v) == 0 for w in complement.basis for v in s.basis)
+    assert idg.orthogonal_complement(complement) == s
