@@ -6,9 +6,10 @@ implement / marginal. Exit codes are part of the interface: 0 success,
 not implement the action, 5 a result has a numerator or denominator too
 long to print (more than 4300 digits, CPython's default int-to-text
 limit), 6 the action has a supporting prior but no payoff-preserving
-reallocation keeps it inside the prior set. ``--format machine`` prints
-one JSON document with every number as an exact string; ``table`` prints
-the same content for humans.
+reallocation keeps it inside the prior set, 7 an internal error (a failed
+assertion inside the library, reported in one line without a traceback).
+``--format machine`` prints one JSON document with every number as an
+exact string; ``table`` prints the same content for humans.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ _EXIT_CODES = (
     (AssumptionViolation, EXIT_ASSUMPTION),
     (InfoDesignError, EXIT_PARSE),
 )
+# a failed internal assertion: a fault of the program, not of its input
+EXIT_INTERNAL = 7
 
 
 def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
@@ -422,6 +425,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfoDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "assertion failed"
+        print(f"error: internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -20,6 +22,8 @@ def example_marginal_yt(example_model):
 
 
 # Property tests draw the same examples on every run, and exact arithmetic
-# has long-tailed timings, so no per-example deadline applies.
+# has long-tailed timings, so no per-example deadline applies. The "ci"
+# profile draws ten times as many examples; HYPOTHESIS_PROFILE=ci selects it.
 settings.register_profile("infodesign", derandomize=True, deadline=None)
-settings.load_profile("infodesign")
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "infodesign"))

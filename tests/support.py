@@ -10,6 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 import infodesign as idg
 from infodesign import lp
 from infodesign.causal import _compile_problem, _motivating_raw
@@ -49,6 +51,43 @@ def random_program(rng: random.Random) -> lp.LinearProgram:
         lower_bounds=tuple(
             rng.choice([F0, F0, None, Fraction(rng.randint(-3, 3))]) for _ in range(n)
         ),
+    )
+
+
+@st.composite
+def rational_programs(draw) -> lp.LinearProgram:
+    """A small LP with rational data (denominators up to 12), either sense.
+
+    Variables are free, nonnegative or shifted by a rational lower bound.
+    Constraint rows may repeat an earlier row with its right-hand side, or
+    be all zero, so redundant and contradictory rows both occur.
+    """
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+    def rows(count):
+        out = []
+        for _ in range(count):
+            kind = draw(st.sampled_from(("random", "random", "zero", "duplicate")))
+            if kind == "duplicate" and out:
+                out.append(out[draw(st.integers(0, len(out) - 1))])
+            elif kind == "zero":
+                out.append(((F0,) * n, draw(entry)))
+            else:
+                out.append((tuple(draw(entry) for _ in range(n)), draw(entry)))
+        return tuple(row for row, _ in out), tuple(b for _, b in out)
+
+    eq_matrix, eq_rhs = rows(draw(st.integers(0, 3)))
+    ub_matrix, ub_rhs = rows(draw(st.integers(0, 4)))
+    bound = st.one_of(st.just(F0), st.none(), entry)
+    return lp.LinearProgram(
+        objective=tuple(draw(entry) for _ in range(n)),
+        sense=draw(st.sampled_from(("min", "max"))),
+        eq_matrix=eq_matrix,
+        eq_rhs=eq_rhs,
+        ub_matrix=ub_matrix,
+        ub_rhs=ub_rhs,
+        lower_bounds=tuple(draw(bound) for _ in range(n)),
     )
 
 

@@ -274,6 +274,19 @@ def test_assumption_violation_exits_six(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_internal_assertion_exits_seven(example_files, capsys, monkeypatch):
+    # a failed check inside the library is reported, not dumped as a traceback
+    def broken(problem, structure):
+        raise AssertionError("saddle certificate\nfailed to verify")
+
+    monkeypatch.setattr("infodesign.cli.maxmin", broken)
+    prob, marg = example_files
+    code, out, err = run(capsys, "solve", str(prob), str(marg))
+    assert code == 7
+    assert "Traceback" not in out + err
+    assert err.splitlines() == ["error: internal error: saddle certificate failed to verify"]
+
+
 def test_check_orders_and_maximality(example_files, tmp_path, capsys):
     prob, marg = example_files
     out_path = tmp_path / "constructed.json"

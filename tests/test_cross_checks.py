@@ -11,6 +11,11 @@ constructed implementing experiments are maximal in the informativeness
 order, and compares the maximality decision with a program over the
 kernel coordinate of a one-direction kernel.
 
+``lp.solve_lp`` pivots on a tableau of integer rows, each over one row
+denominator. The oracle is the earlier simplex over a tableau of Fractions,
+with the same standard form and the same Bland's rule: outcomes and
+certificates must be ``==``.
+
 ``nullspace`` reads its canonical basis off one column-reversed
 elimination. Two oracles recompute it: the earlier two-pass routine (kernel
 vectors from a forward elimination, then a second elimination into
@@ -26,14 +31,16 @@ from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
-from infodesign.numerics import rref
+from infodesign.numerics import dot, rref
 
 from support import (
     paired_problem,
     rand_distribution,
     random_mixed,
+    random_program,
     random_treatment_model,
     random_zero_sum_subspace,
+    rational_programs,
 )
 
 
@@ -425,3 +432,117 @@ def test_orthogonal_complement_round_trip(m):
     assert s.dim + complement.dim == m.cols
     assert all(_dot(w, v) == 0 for w in complement.basis for v in s.basis)
     assert idg.orthogonal_complement(complement) == s
+
+
+def _fraction_pivot(table, z, basis, r, c):
+    prow = table[r]
+    head = prow[c]
+    if head != 1:
+        prow = [x / head if x else x for x in prow]
+        table[r] = prow
+    for i in range(len(table)):
+        if i == r:
+            continue
+        f = table[i][c]
+        if f:
+            table[i] = [a - f * b if b else a for a, b in zip(table[i], prow)]
+    f = z[c]
+    if f:
+        z[:] = [a - f * b if b else a for a, b in zip(z, prow)]
+    basis[r] = c
+
+
+def _fraction_run(table, z, basis, n_allowed):
+    """Bland's rule: lowest eligible column enters, ratio ties leave by lowest basic index."""
+    while True:
+        enter = next((j for j in range(n_allowed) if z[j] < 0), None)
+        if enter is None:
+            return "optimal", None
+        leave = None
+        best = None
+        for i, row in enumerate(table):
+            t = row[enter]
+            if t > 0:
+                ratio = row[-1] / t
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded", enter
+        _fraction_pivot(table, z, basis, leave, enter)
+
+
+def _fraction_simplex(program):
+    """The two-phase simplex over a tableau of Fractions."""
+    std = lp._Standard(program)
+    m = len(std.rows)
+    n_struct = std.n_struct
+    table = []
+    for i in range(m):
+        row = std.rows[i] + [F(0)] * m + [std.rhs[i]]
+        row[n_struct + i] = F(1)
+        table.append(row)
+    basis = [n_struct + i for i in range(m)]
+
+    z = [F(0)] * n_struct + [F(1)] * m + [F(0)]
+    for row in table:
+        z = [a - b if b else a for a, b in zip(z, row)]
+    status, _ = _fraction_run(table, z, basis, n_struct)
+    assert status == "optimal"
+    if -z[-1] > 0:
+        y = [1 - z[n_struct + i] for i in range(m)]
+        return lp.LpOutcome(
+            status=lp.LpStatus.INFEASIBLE,
+            certificate=lp.FarkasCertificate(*lp._split_duals(std, y, z)),
+        )
+    for r in range(m):
+        if basis[r] >= n_struct:
+            col = next((j for j in range(n_struct) if table[r][j]), None)
+            if col is not None:
+                _fraction_pivot(table, z, basis, r, col)
+
+    z = std.cost + [F(0)] * (m + 1)
+    for i, row in enumerate(table):
+        if basis[i] < n_struct:
+            cb = std.cost[basis[i]]
+            if cb:
+                z = [a - cb * b if b else a for a, b in zip(z, row)]
+    status, enter = _fraction_run(table, z, basis, n_struct)
+    z_by_col = {basis[i]: table[i][-1] for i in range(m)}
+    if status == "unbounded":
+        d_by_col = {enter: F(1)}
+        for i in range(m):
+            if table[i][enter]:
+                d_by_col[basis[i]] = -table[i][enter]
+        ray = lp.ImprovingRay(
+            direction=std.point_from(d_by_col, shift=False),
+            base_point=std.point_from(z_by_col),
+        )
+        return lp.LpOutcome(status=lp.LpStatus.UNBOUNDED, certificate=ray)
+    point = std.point_from(z_by_col)
+    y = [-z[n_struct + i] for i in range(m)]
+    duals = lp._split_duals(std, y, z)
+    if program.sense == "max":
+        duals = tuple(tuple(-v for v in part) for part in duals)
+    return lp.LpOutcome(
+        status=lp.LpStatus.OPTIMAL,
+        optimal_point=point,
+        optimal_value=dot(program.objective, point),
+        certificate=lp.DualCertificate(*duals),
+    )
+
+
+def test_simplex_matches_fraction_oracle_on_seeded_programs():
+    rng = random.Random("fraction-oracle")
+    counts = {status: 0 for status in lp.LpStatus}
+    for _ in range(3000):
+        program = random_program(rng)
+        outcome = lp.solve_lp(program)
+        assert outcome == _fraction_simplex(program)
+        counts[outcome.status] += 1
+    assert all(count >= 500 for count in counts.values()), counts
+
+
+@given(rational_programs())
+def test_simplex_matches_fraction_oracle(program):
+    assert lp.solve_lp(program) == _fraction_simplex(program)

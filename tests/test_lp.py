@@ -5,11 +5,12 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
 
 import infodesign as idg
 from infodesign import lp
 
-from support import random_program
+from support import random_program, rational_programs
 
 
 def test_bounded_maximum():
@@ -132,8 +133,16 @@ def test_malformed_dimensions_rejected():
         lp.LinearProgram(objective=())
 
 
-def _negated(cert):
-    return type(cert)(*(tuple(-v for v in part) for part in (cert.eq, cert.ub, cert.lb)))
+def _tampered(outcome: lp.LpOutcome) -> lp.LpOutcome:
+    """A copy that must fail verification: the optimal value off by one, or
+    the Farkas certificate or the ray direction negated."""
+    cert = outcome.certificate
+    if outcome.status is lp.LpStatus.OPTIMAL:
+        return replace(outcome, optimal_value=outcome.optimal_value + 1)
+    if outcome.status is lp.LpStatus.INFEASIBLE:
+        negated = (tuple(-v for v in part) for part in (cert.eq, cert.ub, cert.lb))
+        return replace(outcome, certificate=type(cert)(*negated))
+    return replace(outcome, certificate=replace(cert, direction=tuple(-v for v in cert.direction)))
 
 
 def test_verify_rejects_tampered_certificates():
@@ -144,15 +153,29 @@ def test_verify_rejects_tampered_certificates():
     for _ in range(500):
         program = random_program(rng)
         outcome = lp.solve_lp(program)
-        cert = outcome.certificate
-        if outcome.status is lp.LpStatus.OPTIMAL:
-            tampered = replace(outcome, optimal_value=outcome.optimal_value + 1)
-        elif outcome.status is lp.LpStatus.INFEASIBLE:
-            tampered = replace(outcome, certificate=_negated(cert))
-        else:
-            ray = replace(cert, direction=tuple(-v for v in cert.direction))
-            tampered = replace(outcome, certificate=ray)
         counts[outcome.status] += 1
         assert lp.verify_outcome(program, outcome)
-        assert not lp.verify_outcome(program, tampered)
+        assert not lp.verify_outcome(program, _tampered(outcome))
     assert all(count >= 25 for count in counts.values()), counts
+
+
+@given(rational_programs())
+def test_certificates_verify_on_rational_programs(program):
+    outcome = lp.solve_lp(program)
+    assert lp.verify_outcome(program, outcome)
+    assert not lp.verify_outcome(program, _tampered(outcome))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(objective=(0.1, F(1)), eq_matrix=((F(1), 0.3),), eq_rhs=(F(1),)),
+        dict(objective=(F(1), F(1)), ub_matrix=((F(1), F(1)),), ub_rhs=(0.5,)),
+        dict(objective=(F(1), F(1)), eq_matrix=((F(1), 1.0),), eq_rhs=(F(1),)),
+        dict(objective=(F(1), F(1)), lower_bounds=(None, 0.5)),
+    ],
+)
+def test_float_data_rejected(fields):
+    # a float would make the exact outcome and its verification inexact
+    with pytest.raises(TypeError, match="int or Fraction"):
+        lp.LinearProgram(**fields)
