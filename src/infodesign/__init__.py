@@ -27,11 +27,13 @@ from .design import (
     ConstructionTrace,
     InformativenessOrder,
     KernelSpec,
+    ResearcherOptimum,
     boundary_adjust,
     extremal_reach,
     implementing_structure,
     is_maximally_informative,
     kernel_to_experiment,
+    researcher_optimum,
     robustly_more_informative,
 )
 from .errors import (
@@ -87,13 +89,11 @@ from .numerics import (
     vector,
 )
 from .solver import (
-    ResearcherOptimum,
     SaddleCertificate,
     SupportingPrior,
     best_responses,
     is_implementable,
     maxmin,
-    researcher_optimum,
     supporting_prior,
     worst_case,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .design import implement_at_prior
+from .design import _optimal_at_mu, implement_at_prior
 from .errors import (
     AssignmentMismatch,
     DimensionMismatch,
@@ -34,7 +34,7 @@ from .model import (
     payoff_equivalence_classes,
 )
 from .numerics import Vector, dot, vector
-from .solver import SaddleCertificate, best_responses
+from .solver import SaddleCertificate
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -48,7 +48,9 @@ class TreatmentModel:
     lexicographically over the covariate domains) and one column per
     treatment; each row is the treatment distribution in that cell. ``mu``
     is the observed joint distribution over states ordered lexicographically
-    by (outcome, covariates, treatment).
+    by (outcome, covariates, treatment). That state layout lives here:
+    ``iter_states`` enumerates it, ``state_index`` indexes it and
+    ``state_labels`` names it.
     """
 
     outcomes: Vector
@@ -112,12 +114,9 @@ class TreatmentModel:
                     yield y, cell, t
 
     def state_labels(self) -> tuple[str, ...]:
-        cells = self.covariate_cells()
-        labels = []
-        for y, cell, t in self.iter_states():
-            parts = [str(self.outcomes[y]), *cells[cell], self.treatments[t]]
-            labels.append("(" + ",".join(parts) + ")")
-        return tuple(labels)
+        return tuple(
+            "(" + ",".join(values) + ")" for values in itertools.product(*_domains(self).values())
+        )
 
     def cell_mass(self, cell: int) -> Fraction:
         total = F0
@@ -127,14 +126,10 @@ class TreatmentModel:
         return total
 
 
-def _cell_indices(model: TreatmentModel) -> tuple[tuple[int, ...], ...]:
-    """Covariate cells as tuples of value indices, in assignment-row order."""
-    return tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
-
-
 def _irrelevant_covariates(model: TreatmentModel) -> tuple[int, ...]:
     """Covariates the assignment mechanism provably ignores."""
-    cells = _cell_indices(model)
+    # covariate cells as tuples of value indices, in assignment-row order
+    cells = tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
     out = []
     for j in range(len(model.covariate_domains)):
         groups: dict[tuple, Vector] = {}
@@ -154,18 +149,16 @@ def _irrelevant_covariates(model: TreatmentModel) -> tuple[int, ...]:
 
 
 def _compile_problem(model: TreatmentModel) -> DecisionProblem:
-    """Assemble the decision problem without the irrelevant-covariate check."""
+    """Assemble the decision problem without the irrelevant-covariate check.
+
+    Raises AssignmentMismatch, naming the cell, when mu breaks an assignment row.
+    """
     n = model.n_states
-    utility_rows = []
-    for a in range(model.n_treatments):
-        row = [F0] * n
-        for y, cell, t in model.iter_states():
-            if t == a and model.outcomes[y]:
-                row[model.state_index(y, cell, t)] = (
-                    model.outcomes[y] / model.assignment.entries[cell][t]
-                )
-        utility_rows.append(tuple(row))
-    utility = Matrix(model.n_treatments, n, tuple(utility_rows))
+    utility_rows = [[F0] * n for _ in model.treatments]
+    for s, (y, cell, t) in enumerate(model.iter_states()):
+        if model.outcomes[y]:
+            utility_rows[t][s] = model.outcomes[y] / model.assignment.entries[cell][t]
+    utility = Matrix(model.n_treatments, n, tuple(tuple(row) for row in utility_rows))
 
     eq_rows = []
     for c in range(model.n_cells):
@@ -175,6 +168,10 @@ def _compile_problem(model: TreatmentModel) -> DecisionProblem:
             for y in range(model.n_outcomes):
                 for tau in range(model.n_treatments):
                     row[model.state_index(y, c, tau)] = (F1 if tau == t else F0) - p
+            if dot(row, model.mu):
+                raise AssignmentMismatch(
+                    f"observed treatment share in cell {c} contradicts the assignment row"
+                )
             eq_rows.append(tuple(row))
     priors = PriorPolytope(
         n,
@@ -198,7 +195,8 @@ def build_treatment_problem(model: TreatmentModel) -> DecisionProblem:
     inverse-propensity-weighted outcome y 1{a=t} / P(t|x). The prior set
     pins the treatment share of every covariate cell to the assignment
     mechanism via homogeneous rows, which leaves the constraint vacuous on
-    cells a prior assigns no mass.
+    cells a prior assigns no mass. The checks run in the order
+    InteriorSupportViolation, AssignmentMismatch, NoIrrelevantCovariate.
     """
     for c in range(model.n_cells):
         for t in range(model.n_treatments):
@@ -208,22 +206,12 @@ def build_treatment_problem(model: TreatmentModel) -> DecisionProblem:
                     f"assignment probability {p} for cell {c}, treatment {t} "
                     "must lie strictly between 0 and 1"
                 )
-    for c in range(model.n_cells):
-        mass = model.cell_mass(c)
-        for t in range(model.n_treatments):
-            observed = sum(
-                model.mu[model.state_index(y, c, t)] for y in range(model.n_outcomes)
-            )
-            if observed != model.assignment.entries[c][t] * mass:
-                raise AssignmentMismatch(
-                    f"observed treatment share in cell {c} contradicts the assignment row"
-                )
+    problem = _compile_problem(model)
     if not _irrelevant_covariates(model):
         raise NoIrrelevantCovariate(
             "assignment depends on every covariate; add an independent signal "
             "covariate (see add_irrelevant_signal) to restore payoff redundancy"
         )
-    problem = _compile_problem(model)
     if not payoff_equivalence_classes(problem).all_nontrivial:
         raise AssertionError("an ignored covariate must make every payoff class nontrivial")
     return problem
@@ -354,7 +342,7 @@ def implement_treatment(
     if len(alpha) != model.n_treatments:
         raise DimensionMismatch("mixed action length does not match the treatments")
     mu = problem.mu
-    if set(alpha.support) <= set(best_responses(problem, mu)):
+    if _optimal_at_mu(problem, alpha):
         return implement_at_prior(problem, alpha, mu)
 
     means = [
@@ -418,14 +406,12 @@ def marginal_structure(model: TreatmentModel, spec) -> InformationStructure:
         ",".join(domains[v][val] for v, val in zip(chosen, vals)) for vals in message_values
     )
 
-    cells = _cell_indices(model)
+    # _domains is in state order, so this product enumerates the states by index
+    picked = [i for i, v in enumerate(domains) if v in chosen]
+    states = itertools.product(*(range(len(d)) for d in domains.values()))
     rows = [[F0] * model.n_states for _ in message_values]
-    for y, cell, t in model.iter_states():
-        components = {"Y": y, "T": t}
-        for j, val in enumerate(cells[cell]):
-            components[f"X{j + 1}"] = val
-        key = tuple(components[v] for v in chosen)
-        rows[message_index[key]][model.state_index(y, cell, t)] = F1
+    for s, values in enumerate(states):
+        rows[message_index[tuple(values[i] for i in picked)]][s] = F1
     matrix = Matrix(len(rows), model.n_states, tuple(tuple(r) for r in rows))
     return InformationStructure(labels, matrix)
 
@@ -438,6 +424,7 @@ class MarginalReport:
     kernel_dim: int
     dimension_bound: Fraction  # best structural lower bound on the kernel dimension
     never_maximal: bool  # kernel dimension exceeds one
+    structure: InformationStructure  # the marginal disclosure that was checked
 
 
 def check_marginal_not_maximal(model: TreatmentModel, spec) -> MarginalReport:
@@ -454,6 +441,7 @@ def check_marginal_not_maximal(model: TreatmentModel, spec) -> MarginalReport:
         kernel_dim=kernel_dim,
         dimension_bound=bound,
         never_maximal=kernel_dim > 1,
+        structure=structure,
     )
 
 
@@ -466,30 +454,24 @@ def add_irrelevant_signal(
     every assignment row is duplicated, so the extended model carries the
     same observable content while guaranteeing an ignorable covariate.
     """
-    n_sig = len(labels)
-    if n_sig < 2:
+    if len(labels) < 2:
         raise DimensionMismatch("signal covariate needs at least two values")
-    new_domains = model.covariate_domains + (tuple(labels),)
-    new_assignment_rows = []
-    for c in range(model.n_cells):
-        for _ in range(n_sig):
-            new_assignment_rows.append(model.assignment.row(c))
-    new_mu = [F0] * (model.n_states * n_sig)
-    share = F1 / n_sig
+    share = F1 / len(labels)
     n_treat = model.n_treatments
-    new_cells = model.n_cells * n_sig
-    for y, cell, t in model.iter_states():
-        mass = model.mu[model.state_index(y, cell, t)]
-        if mass:
-            for s in range(n_sig):
-                new_cell = cell * n_sig + s
-                new_mu[(y * new_cells + new_cell) * n_treat + t] = mass * share
+    mu = tuple(
+        model.mu[model.state_index(y, cell, t)] * share
+        for y in range(model.n_outcomes)
+        for cell in range(model.n_cells)
+        for _ in labels
+        for t in range(n_treat)
+    )
+    rows = tuple(row for row in model.assignment.entries for _ in labels)
     return TreatmentModel(
         outcomes=model.outcomes,
-        covariate_domains=new_domains,
+        covariate_domains=model.covariate_domains + (tuple(labels),),
         treatments=model.treatments,
-        assignment=Matrix(new_cells, n_treat, tuple(new_assignment_rows)),
-        mu=tuple(new_mu),
+        assignment=Matrix(len(rows), n_treat, rows),
+        mu=mu,
     )
 
 

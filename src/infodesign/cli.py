@@ -255,16 +255,13 @@ def _cmd_example(args) -> int:
     model = motivating_example()
     problem = build_treatment_problem(model)
     yt = marginal_structure(model, ["Y", "T"])
+    yxt = marginal_structure(model, ["Y", "X1", "T"])
     nu_star = motivating_worst_case_prior(model)
 
     def cells_by_xt(values) -> dict:
         # collapse the signal covariate for display on (y, x, t) cells
-        collapsed: dict[str, Fraction] = {}
-        for label, v in zip(problem.states, values):
-            y, x, _, t = label.strip("()").split(",")
-            key = f"(y={y},x={x},t={t})"
-            collapsed[key] = collapsed.get(key, Fraction(0)) + v
-        return {k: format_scalar(v) for k, v in collapsed.items()}
+        cells = zip(yxt.messages, push_forward(yxt, values))
+        return {"(y={},x={},t={})".format(*m.split(",")): format_scalar(v) for m, v in cells}
 
     full = InformationStructure.identity(problem.n_states)
     cert_full = maxmin(problem, full)
@@ -343,8 +340,8 @@ def _cmd_treatment_marginal(args) -> int:
     loaded = _load_problem(args.problem)
     model = _require_treatment(loaded, args.problem)
     variables = [v.strip() for v in args.variables.split(",") if v.strip()]
-    structure = marginal_structure(model, variables)
     check = check_marginal_not_maximal(model, variables)
+    structure = check.structure
     report = {
         "command": "treatment marginal",
         "variables": list(check.variables),

@@ -4,8 +4,9 @@ Given any zero-sum subspace D there is an experiment whose kernel is exactly
 D; this module builds one deterministically, adjusts supporting priors to
 the boundary of the prior set, assembles implementing experiments that
 conceal at most one dimension through one adjust-construct-certify tail,
-and decides the informativeness order by kernel inclusion and maximality by
-kernel dimension.
+picks the researcher's best implementable action, and decides the
+informativeness order by kernel inclusion and maximality by kernel
+dimension.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import lp, solver
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
+    NoImplementableActionError,
     NotImplementableError,
     NotImplementingError,
     ZeroSumViolation,
@@ -39,7 +41,14 @@ from .numerics import (
     subspace_contains,
     vec_sub,
 )
-from .solver import SaddleCertificate, best_responses, maxmin, supporting_prior_program, worst_case
+from .solver import (
+    SaddleCertificate,
+    SupportingPrior,
+    best_responses,
+    maxmin,
+    supporting_prior_program,
+    worst_case,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -171,6 +180,11 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
     )
 
 
+def _optimal_at_mu(problem: DecisionProblem, alpha: MixedAction) -> bool:
+    """Whether every action alpha plays is a best response to mu."""
+    return set(alpha.support) <= set(best_responses(problem, problem.mu))
+
+
 def implement_at_prior(
     problem: DecisionProblem, alpha: MixedAction, nu: Vector
 ) -> tuple[InformationStructure, SaddleCertificate]:
@@ -204,15 +218,45 @@ def implementing_structure(
     prior exists, and propagates AssumptionViolation when the prior set
     cannot absorb the boundary move.
     """
-    mu = problem.mu
-    if set(alpha.support) <= set(best_responses(problem, mu)):
-        return implement_at_prior(problem, alpha, mu)
+    if _optimal_at_mu(problem, alpha):
+        return implement_at_prior(problem, alpha, problem.mu)
     outcome = lp.feasible_point(supporting_prior_program(problem, alpha))
     if outcome.status is not lp.LpStatus.OPTIMAL:
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate
         )
     return implement_at_prior(problem, alpha, outcome.optimal_point)
+
+
+@dataclass(frozen=True)
+class ResearcherOptimum:
+    action: int
+    supporting: SupportingPrior
+    structure: InformationStructure
+    certificate: SaddleCertificate
+
+
+def researcher_optimum(
+    problem: DecisionProblem, researcher_values: Sequence[Fraction]
+) -> ResearcherOptimum:
+    """Best implementable pure action for the researcher, with its experiment.
+
+    Only pure actions are tried, in decreasing researcher value with ties
+    toward the earlier action; the first one ``implementing_structure``
+    implements wins, so each supporting prior is solved for at most once.
+    """
+    if len(researcher_values) != problem.n_actions:
+        raise AssertionError("researcher values must cover every action")
+    for a in sorted(range(problem.n_actions), key=lambda a: (-researcher_values[a], a)):
+        alpha = MixedAction.pure(a, problem.n_actions)
+        try:
+            structure, certificate = implementing_structure(problem, alpha)
+        except NotImplementableError:
+            continue
+        slack = dot(problem.mixed_utility(alpha), problem.mu) - certificate.value
+        supporting = SupportingPrior(nu=certificate.nu_star, slack=slack)
+        return ResearcherOptimum(a, supporting, structure, certificate)
+    raise NoImplementableActionError("no pure action is implementable")
 
 
 class InformativenessOrder(Enum):
@@ -256,7 +300,4 @@ def is_maximally_informative(
     value = worst_case(problem, structure, alpha)[0]
     if maxmin(problem, structure).value != value:
         raise NotImplementingError("structure does not implement the action")
-    kernel = kernel_of(structure)
-    if set(alpha.support) <= set(best_responses(problem, problem.mu)):
-        return kernel.dim == 0
-    return kernel.dim == 1
+    return kernel_of(structure).dim == (0 if _optimal_at_mu(problem, alpha) else 1)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .causal import TreatmentModel, build_treatment_problem, marginal_structure
 from .design import KernelSpec, kernel_to_experiment
-from .errors import DocumentError, InfoDesignError
+from .errors import DimensionMismatch, DocumentError, InfoDesignError
 from .model import DecisionProblem, InformationStructure, PriorPolytope
 from .numerics import Matrix, Subspace, Vector, format_scalar, scalar
 
@@ -143,7 +143,12 @@ def _parse_generic_problem(data: dict, where: str) -> DecisionProblem:
 
     eq_rows, eq_rhs = block("equalities")
     ub_rows, ub_rhs = block("inequalities")
-    priors = PriorPolytope(n, eq_rows, eq_rhs, ub_rows, ub_rhs)
+    try:
+        priors = PriorPolytope(n, eq_rows, eq_rhs, ub_rows, ub_rhs, known_member=mu)
+    except DimensionMismatch:
+        raise
+    except ValueError:
+        raise DocumentError(f"{where}.mu: mu lies outside the prior set") from None
     return DecisionProblem(
         states=states,
         actions=actions,

@@ -1,4 +1,4 @@
-"""Worst cases, saddle points, supporting priors, and the researcher's pick.
+"""Worst cases, saddle points and supporting priors.
 
 The identified set of an experiment is the prior polytope intersected with
 the affine slice mu + ker(experiment). Minimizations over it split on k, the
@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lp
-from .errors import NoImplementableActionError
 from .model import (
     DecisionProblem,
     InformationStructure,
@@ -249,40 +248,3 @@ def supporting_prior(problem: DecisionProblem, alpha: MixedAction) -> Optional[S
 def is_implementable(problem: DecisionProblem, alpha: MixedAction) -> bool:
     """Whether some experiment makes alpha worst-case optimal."""
     return supporting_prior(problem, alpha) is not None
-
-
-@dataclass(frozen=True)
-class ResearcherOptimum:
-    action: int
-    supporting: SupportingPrior
-    structure: InformationStructure
-    certificate: "SaddleCertificate"
-
-
-def researcher_optimum(
-    problem: DecisionProblem, researcher_values: Sequence[Fraction]
-) -> ResearcherOptimum:
-    """Best implementable pure action for the researcher, with its experiment.
-
-    Only pure actions are scanned; ties break toward the earlier action.
-    """
-    from .design import implementing_structure  # local import, design builds on solver
-
-    if len(researcher_values) != problem.n_actions:
-        raise AssertionError("researcher values must cover every action")
-    candidates = [
-        a
-        for a in range(problem.n_actions)
-        if is_implementable(problem, MixedAction.pure(a, problem.n_actions))
-    ]
-    if not candidates:
-        raise NoImplementableActionError("no pure action is implementable")
-    best = max(candidates, key=lambda a: (researcher_values[a], -a))
-    alpha = MixedAction.pure(best, problem.n_actions)
-    structure, certificate = implementing_structure(problem, alpha)
-    u_alpha = problem.mixed_utility(alpha)
-    supporting = SupportingPrior(
-        nu=certificate.nu_star,
-        slack=dot(u_alpha, problem.mu) - certificate.value,
-    )
-    return ResearcherOptimum(best, supporting, structure, certificate)

@@ -6,8 +6,10 @@ import random
 import pytest
 
 import infodesign as idg
-from infodesign import documents
+from infodesign import documents, lp, model, numerics
 from infodesign.cli import main
+
+from support import paired_problem
 
 
 def run(capsys, *argv):
@@ -41,6 +43,115 @@ def test_example_report(capsys):
     assert payload["policy_reversal"] is True
     assert payload["maxmin_marginal_disclosure"]["alpha_star"] == {"t0": "0", "t1": "1"}
     assert payload["maxmin_full_information"]["alpha_star"] == {"t0": "1", "t1": "0"}
+
+
+# The whole `infodesign example` report. The display cells (y, x, t) sum the
+# extended example's distributions over its signal covariate.
+EXAMPLE_REPORT = {
+    "command": "example",
+    "observed_distribution": {
+        "(y=0,x=x0,t=t0)": "2/5",
+        "(y=0,x=x0,t=t1)": "1/10",
+        "(y=0,x=x1,t=t0)": "1/20",
+        "(y=0,x=x1,t=t1)": "3/10",
+        "(y=1,x=x0,t=t0)": "0",
+        "(y=1,x=x0,t=t1)": "0",
+        "(y=1,x=x1,t=t0)": "1/20",
+        "(y=1,x=x1,t=t1)": "1/10",
+    },
+    "disclosed_marginal": {
+        "0,t0": "9/20",
+        "0,t1": "2/5",
+        "1,t0": "1/20",
+        "1,t1": "1/10",
+    },
+    "worst_case_joint": {
+        "(y=0,x=x0,t=t0)": "7/20",
+        "(y=0,x=x0,t=t1)": "1/10",
+        "(y=0,x=x1,t=t0)": "1/10",
+        "(y=0,x=x1,t=t1)": "3/10",
+        "(y=1,x=x0,t=t0)": "1/20",
+        "(y=1,x=x0,t=t1)": "0",
+        "(y=1,x=x1,t=t0)": "0",
+        "(y=1,x=x1,t=t1)": "1/10",
+    },
+    "full_information_means": {
+        "t0": "1/4",
+        "t1": "1/8",
+    },
+    "worst_case_payoffs": {
+        "t0": "1/16",
+        "t1": "1/8",
+    },
+    "maxmin_full_information": {
+        "alpha_star": {
+            "t0": "1",
+            "t1": "0",
+        },
+        "value": "1/4",
+    },
+    "maxmin_marginal_disclosure": {
+        "alpha_star": {
+            "t0": "0",
+            "t1": "1",
+        },
+        "value": "1/8",
+    },
+    "policy_reversal": True,
+}
+
+EXAMPLE_TABLE = """\
+command: example
+observed_distribution:
+  (y=0,x=x0,t=t0): 2/5
+  (y=0,x=x0,t=t1): 1/10
+  (y=0,x=x1,t=t0): 1/20
+  (y=0,x=x1,t=t1): 3/10
+  (y=1,x=x0,t=t0): 0
+  (y=1,x=x0,t=t1): 0
+  (y=1,x=x1,t=t0): 1/20
+  (y=1,x=x1,t=t1): 1/10
+disclosed_marginal:
+  0,t0: 9/20
+  0,t1: 2/5
+  1,t0: 1/20
+  1,t1: 1/10
+worst_case_joint:
+  (y=0,x=x0,t=t0): 7/20
+  (y=0,x=x0,t=t1): 1/10
+  (y=0,x=x1,t=t0): 1/10
+  (y=0,x=x1,t=t1): 3/10
+  (y=1,x=x0,t=t0): 1/20
+  (y=1,x=x0,t=t1): 0
+  (y=1,x=x1,t=t0): 0
+  (y=1,x=x1,t=t1): 1/10
+full_information_means:
+  t0: 1/4
+  t1: 1/8
+worst_case_payoffs:
+  t0: 1/16
+  t1: 1/8
+maxmin_full_information:
+  alpha_star:
+    t0: 1
+    t1: 0
+  value: 1/4
+maxmin_marginal_disclosure:
+  alpha_star:
+    t0: 0
+    t1: 1
+  value: 1/8
+policy_reversal: True
+"""
+
+
+def test_example_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "machine", "example")
+    assert code == 0
+    assert out == json.dumps(EXAMPLE_REPORT, indent=2) + "\n"
+    code, out, _ = run(capsys, "example")
+    assert code == 0
+    assert out == EXAMPLE_TABLE
 
 
 def test_solve_marginal(example_files, capsys):
@@ -392,3 +503,63 @@ def test_table_format_prints_lines(example_files, capsys):
     code, out, _ = run(capsys, "solve", str(prob), str(marg))
     assert code == 0
     assert "value: 1/8" in out
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_parsing_a_problem_solves_no_program(example_files, tmp_path, capsys, monkeypatch):
+    # mu is a declared member of the prior set, so checking it replaces a feasibility solve
+    prob, _ = example_files
+    generic = tmp_path / "generic.json"
+    assert main(["treatment", "build", str(prob), "--out", str(generic)]) == 0
+    capsys.readouterr()
+    docs = [documents.load_json(str(prob)), documents.load_json(str(generic))]
+    docs += [documents.serialize_problem(paired_problem(f"parse-{i}")[0]) for i in range(6)]
+    solves = _counting(monkeypatch, lp, "solve_lp")
+    for doc in docs:
+        documents.parse_problem_document(doc)
+    assert solves == []
+
+
+def test_treatment_marginal_computes_one_kernel(example_files, capsys, monkeypatch):
+    prob, _ = example_files
+    # structures take their kernel from model.nullspace; numerics counts any other caller
+    kernels = _counting(monkeypatch, model, "nullspace")
+    others = _counting(monkeypatch, numerics, "nullspace")
+    code, payload, _ = machine(capsys, "treatment", "marginal", str(prob), "--variables", "Y,T")
+    assert code == 0
+    assert payload["kernel_dim"] == payload["structure"]["kernel_dim"] == 12
+    assert len(kernels) + len(others) == 1
+
+
+@pytest.mark.parametrize(
+    "mu, inequalities",
+    [
+        (["1/2", "1/2"], {"matrix": [["1", "0"]], "rhs": ["1/4"]}),  # breaks a row
+        (["1/2", "1/2"], {"matrix": [["1", "1"]], "rhs": ["1/2"]}),  # empty prior set
+        (["3/4", "3/4"], {"matrix": [], "rhs": []}),  # not a distribution
+    ],
+)
+def test_mu_outside_the_prior_set_exits_two(tmp_path, capsys, mu, inequalities):
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps({
+        "states": ["s0", "s1"],
+        "actions": ["a0", "a1"],
+        "utility": [["1", "0"], ["0", "1"]],
+        "mu": mu,
+        "prior_constraints": {"inequalities": inequalities},
+    }))
+    code, out, err = run(capsys, "implement", str(path), "a0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}.mu: mu lies outside the prior set\n"

@@ -21,8 +21,19 @@ elimination. Two oracles recompute it: the earlier two-pass routine (kernel
 vectors from a forward elimination, then a second elimination into
 canonical form) and, where installed, sympy's exact ``nullspace`` and
 ``rref``, which share no code with infodesign.
+
+The treatment state layout, states ordered by (outcome, covariates,
+treatment), lives in ``TreatmentModel`` and its enumeration. The oracles are
+the earlier constructions that re-derived it by hand: labels from covariate
+cells, utility rows one treatment at a time, an observed-share loop, a
+per-state components dict for marginals, index arithmetic for the signal
+extension and label splitting for the example's display. Labels, problems,
+marginal structures, extensions and errors must be ``==``. The researcher's
+pick is compared with the earlier scan that tested every action for a
+supporting prior first.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -31,6 +42,7 @@ from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
+from infodesign.causal import _irrelevant_covariates
 from infodesign.numerics import dot, rref
 
 from support import (
@@ -41,6 +53,7 @@ from support import (
     random_treatment_model,
     random_zero_sum_subspace,
     rational_programs,
+    raw_motivating_model,
 )
 
 
@@ -546,3 +559,217 @@ def test_simplex_matches_fraction_oracle_on_seeded_programs():
 @given(rational_programs())
 def test_simplex_matches_fraction_oracle(program):
     assert lp.solve_lp(program) == _fraction_simplex(program)
+
+
+def _oracle_labels(model):
+    cells = model.covariate_cells()
+    return tuple(
+        "(" + ",".join([str(model.outcomes[y]), *cells[cell], model.treatments[t]]) + ")"
+        for y, cell, t in model.iter_states()
+    )
+
+
+def _oracle_problem(model):
+    """Interior support, observed shares, an ignored covariate, then the rows."""
+    n = model.n_states
+    for c in range(model.n_cells):
+        for t in range(model.n_treatments):
+            p = model.assignment.entries[c][t]
+            if not 0 < p < 1:
+                raise idg.InteriorSupportViolation(
+                    f"assignment probability {p} for cell {c}, treatment {t} "
+                    "must lie strictly between 0 and 1"
+                )
+    for c in range(model.n_cells):
+        mass = model.cell_mass(c)
+        for t in range(model.n_treatments):
+            observed = sum(model.mu[model.state_index(y, c, t)] for y in range(model.n_outcomes))
+            if observed != model.assignment.entries[c][t] * mass:
+                raise idg.AssignmentMismatch(
+                    f"observed treatment share in cell {c} contradicts the assignment row"
+                )
+    if not _irrelevant_covariates(model):
+        raise idg.NoIrrelevantCovariate(
+            "assignment depends on every covariate; add an independent signal "
+            "covariate (see add_irrelevant_signal) to restore payoff redundancy"
+        )
+    utility = []
+    for a in range(model.n_treatments):
+        row = [F(0)] * n
+        for y, cell, t in model.iter_states():
+            if t == a and model.outcomes[y]:
+                row[model.state_index(y, cell, t)] = (
+                    model.outcomes[y] / model.assignment.entries[cell][t]
+                )
+        utility.append(tuple(row))
+    eq_rows = []
+    for c in range(model.n_cells):
+        for t in range(model.n_treatments):
+            p = model.assignment.entries[c][t]
+            row = [F(0)] * n
+            for y in range(model.n_outcomes):
+                for tau in range(model.n_treatments):
+                    row[model.state_index(y, c, tau)] = (1 if tau == t else 0) - p
+            eq_rows.append(tuple(row))
+    priors = idg.PriorPolytope(
+        n, eq_matrix=tuple(eq_rows), eq_rhs=(F(0),) * len(eq_rows), known_member=model.mu
+    )
+    utility = idg.Matrix(model.n_treatments, n, tuple(utility))
+    return idg.DecisionProblem(_oracle_labels(model), model.treatments, utility, model.mu, priors)
+
+
+def _variables(model):
+    """Each observable variable with its value labels, in the order Y, X1..Xl, T."""
+    out = {"Y": tuple(str(y) for y in model.outcomes)}
+    for j, domain in enumerate(model.covariate_domains):
+        out[f"X{j + 1}"] = domain
+    out["T"] = model.treatments
+    return out
+
+
+def _oracle_marginal(model, chosen):
+    """Message labels and matrix rows of a marginal, read off a components dict per state."""
+    domains = _variables(model)
+    message_values = tuple(itertools.product(*(range(len(domains[v])) for v in chosen)))
+    message_index = {vals: i for i, vals in enumerate(message_values)}
+    labels = tuple(
+        ",".join(domains[v][val] for v, val in zip(chosen, vals)) for vals in message_values
+    )
+    cells = tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
+    rows = [[F(0)] * model.n_states for _ in message_values]
+    for y, cell, t in model.iter_states():
+        components = {"Y": y, "T": t}
+        for j, val in enumerate(cells[cell]):
+            components[f"X{j + 1}"] = val
+        key = tuple(components[v] for v in chosen)
+        rows[message_index[key]][model.state_index(y, cell, t)] = F(1)
+    return labels, idg.Matrix(len(rows), model.n_states, tuple(tuple(r) for r in rows))
+
+
+def _oracle_extension(model, labels):
+    """The signal extension, placing mu by index arithmetic."""
+    n_sig = len(labels)
+    rows = []
+    for c in range(model.n_cells):
+        rows += [model.assignment.row(c)] * n_sig
+    n_treat = model.n_treatments
+    new_cells = model.n_cells * n_sig
+    new_mu = [F(0)] * (model.n_states * n_sig)
+    for y, cell, t in model.iter_states():
+        mass = model.mu[model.state_index(y, cell, t)]
+        for s in range(n_sig):
+            new_mu[(y * new_cells + cell * n_sig + s) * n_treat + t] = mass / n_sig
+    return idg.TreatmentModel(
+        outcomes=model.outcomes,
+        covariate_domains=model.covariate_domains + (tuple(labels),),
+        treatments=model.treatments,
+        assignment=idg.Matrix(new_cells, n_treat, tuple(rows)),
+        mu=tuple(new_mu),
+    )
+
+
+def _oracle_collapse(states, values):
+    """Sum a distribution over the signal covariate by splitting (y,x,s,t) labels."""
+    collapsed = {}
+    for label, v in zip(states, values):
+        y, x, _, t = label.strip("()").split(",")
+        key = f"(y={y},x={x},t={t})"
+        collapsed[key] = collapsed.get(key, F(0)) + v
+    return collapsed
+
+
+def _outcome(build, model):
+    """A compiled problem, or the type and message of the error it raised."""
+    try:
+        return build(model)
+    except idg.InfoDesignError as exc:
+        return type(exc), str(exc)
+
+
+def _with_mu(model, mu):
+    return idg.TreatmentModel(
+        model.outcomes, model.covariate_domains, model.treatments, model.assignment, tuple(mu)
+    )
+
+
+def _assert_layout_matches_oracles(model, swaps, marginals=True):
+    assert model.state_labels() == _oracle_labels(model)
+    assert _outcome(idg.build_treatment_problem, model) == _outcome(_oracle_problem, model)
+    variables = tuple(_variables(model)) if marginals else ()
+    for k in range(1, len(variables)):
+        for chosen in itertools.combinations(variables, k):
+            structure = idg.marginal_structure(model, chosen[::-1])
+            assert (structure.messages, structure.experiment) == _oracle_marginal(model, chosen)
+    for a, b in swaps:
+        mu = list(model.mu)
+        mu[a], mu[b] = mu[b], mu[a]
+        bad = _with_mu(model, mu)
+        assert _outcome(idg.build_treatment_problem, bad) == _outcome(_oracle_problem, bad)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 2**32))
+def test_treatment_layout_matches_oracles(seed, draw_seed):
+    base = random_treatment_model(f"layout-{seed}")
+    rng = random.Random(draw_seed)
+    models = [base]
+    for labels in (("s0", "s1"), ("a", "b", "c")):
+        extended = idg.add_irrelevant_signal(base, labels)
+        assert extended == _oracle_extension(base, labels)
+        models.append(extended)
+    for model in models:
+        swaps = [rng.sample(range(model.n_states), 2)]
+        # the sweep over every marginal is the costly part; the three-valued
+        # signal's extension skips it
+        _assert_layout_matches_oracles(model, swaps, marginals=model is not models[2])
+    # the display collapse of a one-covariate model's signal extension
+    if len(base.covariate_domains) == 1:
+        extended = models[1]
+        yxt = idg.marginal_structure(extended, ["Y", "X1", "T"])
+        nu = rand_distribution(rng, extended.n_states)
+        displayed = {
+            "(y={},x={},t={})".format(*m.split(",")): v
+            for m, v in zip(yxt.messages, idg.push_forward(yxt, nu))
+        }
+        assert displayed == _oracle_collapse(extended.state_labels(), nu)
+
+
+def test_treatment_layout_matches_oracles_on_fixed_models():
+    raw = raw_motivating_model()  # assignment varies with its only covariate
+    interior = idg.TreatmentModel(
+        raw.outcomes,
+        raw.covariate_domains,
+        raw.treatments,
+        idg.Matrix.from_rows([["1", "0"], ["1/5", "4/5"]]),
+        idg.vector(["1/2", "0", "0", "0", "1/2", "0", "0", "0"]),
+    )
+    example = idg.motivating_example()
+    assert example == _oracle_extension(raw, ("s0", "s1"))
+    every_pair = list(itertools.combinations(range(raw.n_states), 2))
+    for model in (raw, interior, example):
+        _assert_layout_matches_oracles(model, every_pair)
+
+
+def _oracle_researcher_optimum(problem, values):
+    """Test every pure action for a supporting prior, then implement the best."""
+    pure = [idg.MixedAction.pure(a, problem.n_actions) for a in range(problem.n_actions)]
+    candidates = [a for a in range(problem.n_actions) if idg.is_implementable(problem, pure[a])]
+    best = max(candidates, key=lambda a: (values[a], -a))
+    structure, certificate = idg.implementing_structure(problem, pure[best])
+    slack = dot(problem.mixed_utility(pure[best]), problem.mu) - certificate.value
+    return idg.ResearcherOptimum(
+        best, idg.SupportingPrior(certificate.nu_star, slack), structure, certificate
+    )
+
+
+def test_researcher_optimum_matches_scan(monkeypatch):
+    solves = []
+    solve_lp = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda program: solves.append(1) or solve_lp(program))
+    for seed in range(40):
+        problem, r = paired_problem(f"researcher-{seed}")
+        values = idg.vector([r.randint(-2, 2) for _ in range(problem.n_actions)])
+        expected = _oracle_researcher_optimum(problem, values)
+        solves.clear()
+        assert idg.researcher_optimum(problem, values) == expected
+        # each supporting prior is solved for at most once
+        assert len(solves) <= problem.n_actions

@@ -1,12 +1,16 @@
 """Maxmin solves, saddle certificates, supporting priors, researcher's pick."""
 
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+
+from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
 
-from support import paired_problem, random_mixed
+from support import paired_problem, random_mixed, random_zero_sum_subspace
 
 
 def _pure(problem, i):
@@ -153,6 +157,49 @@ def test_monotonicity_in_information_smoke():
     e_small, _ = idg.kernel_to_experiment(idg.KernelSpec(small))
     e_big, _ = idg.kernel_to_experiment(idg.KernelSpec(big))
     assert idg.maxmin(problem, e_small).value >= idg.maxmin(problem, e_big).value
+
+
+@given(st.integers(0, 10**9), st.data())
+def test_smaller_kernel_never_lowers_worst_cases(seed, data):
+    problem, r = paired_problem(f"monotone-{seed}")
+    n = problem.n_states
+    big = random_zero_sum_subspace(r, n, data.draw(st.integers(0, n - 1)))
+    small = idg.Subspace.from_vectors(n, big.basis[: data.draw(st.integers(0, big.dim))])
+    e_small, _ = idg.kernel_to_experiment(idg.KernelSpec(small))
+    e_big, _ = idg.kernel_to_experiment(idg.KernelSpec(big))
+    for a in range(problem.n_actions):
+        alpha = _pure(problem, a)
+        assert idg.worst_case(problem, e_small, alpha)[0] >= idg.worst_case(problem, e_big, alpha)[0]
+    assert idg.maxmin(problem, e_small).value >= idg.maxmin(problem, e_big).value
+
+
+@given(st.integers(0, 10**9), st.data())
+def test_saddle_certificate_rejects_tampered_witnesses(seed, data):
+    problem, r = paired_problem(f"tamper-{seed}")
+    n = problem.n_states
+    kernel = random_zero_sum_subspace(r, n, data.draw(st.integers(0, n - 1)))
+    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(kernel))
+    cert = idg.maxmin(problem, structure)
+    assert cert.verify(problem, structure)
+    assert not replace(cert, value=cert.value + 1).verify(problem, structure)
+
+    def tampered(alpha, nu):
+        return idg.SaddleCertificate(alpha, nu, idg.payoff(alpha, nu, problem))
+
+    # nu* moved off the identified set: all of one state's mass moved to
+    # another state, along a direction outside the kernel
+    for i, j in itertools.permutations(range(n), 2):
+        d = tuple(F(int(s == i) - int(s == j)) for s in range(n))
+        if cert.nu_star[j] and not kernel.contains_vector(d):
+            moved = list(cert.nu_star)
+            moved[i], moved[j] = moved[i] + moved[j], F(0)
+            assert not tampered(cert.alpha_star, tuple(moved)).verify(problem, structure)
+            break
+    # alpha* replaced by a pure action that is not a best response to nu*
+    best = idg.best_responses(problem, cert.nu_star)
+    for a in range(problem.n_actions):
+        if a not in best:
+            assert not tampered(_pure(problem, a), cert.nu_star).verify(problem, structure)
 
 
 def test_researcher_optimum(example_problem):
