@@ -10,11 +10,17 @@ reallocation keeps it inside the prior set, 7 an internal error (a failed
 assertion inside the library, reported in one line without a traceback).
 ``--format machine`` prints one JSON document with every number as an
 exact string; ``table`` prints the same content for humans.
+
+The argument parser is built once per process and reused by every ``main``
+call (parsing leaves it unchanged). That saves time only for callers that run
+``main`` several times in one process; a command-line run builds it once
+either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -357,6 +363,7 @@ def _cmd_treatment_marginal(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infodesign",

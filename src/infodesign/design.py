@@ -7,6 +7,10 @@ conceal at most one dimension through one adjust-construct-certify tail,
 picks the researcher's best implementable action, and decides the
 informativeness order by kernel inclusion and maximality by kernel
 dimension.
+
+The construction computes on integers: the complement basis is scaled by its
+common denominator, and a Fraction is built only for each returned entry,
+shift and normalizer, equal to what the rational formulas give.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import lp, solver
@@ -51,7 +56,6 @@ from .solver import (
 )
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -105,16 +109,23 @@ def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, Constr
     if subspace.dim in (0, n - 1):
         trace = ConstructionTrace(ws, (), (), None, Matrix(len(ws), n, ws))
     else:
-        xs = tuple(F1 - min(w) for w in ws)
-        ys = tuple(F1 + max(w) for w in ws)
-        lam = F1 / sum(x + y for x, y in zip(xs, ys))
+        # scaled = den * ws is integral, x_i = x_num[i] / den, y_i = y_num[i] / den
+        # and lam = den / total, so lam (x_i +- w_ij) = (x_num[i] +- scaled_ij) / total
+        den = lcm(*(wj.denominator for w in ws for wj in w))
+        scaled = [[wj.numerator * (den // wj.denominator) for wj in w] for w in ws]
+        x_num = [den - min(w) for w in scaled]
+        y_num = [den + max(w) for w in scaled]
+        total = sum(x_num) + sum(y_num)
         rows: list[Vector] = []
-        for x, w in zip(xs, ws):
-            flat = lam * x
-            rows.append(tuple(flat + lam * wj if wj else flat for wj in w))
-        for y, w in zip(ys, ws):
-            flat = lam * y
-            rows.append(tuple(flat - lam * wj if wj else flat for wj in w))
+        for x, w in zip(x_num, scaled):
+            flat = Fraction(x, total)
+            rows.append(tuple(Fraction(x + wj, total) if wj else flat for wj in w))
+        for y, w in zip(y_num, scaled):
+            flat = Fraction(y, total)
+            rows.append(tuple(Fraction(y - wj, total) if wj else flat for wj in w))
+        xs = tuple(Fraction(x, den) for x in x_num)
+        ys = tuple(Fraction(y, den) for y in y_num)
+        lam = Fraction(den, total)
         trace = ConstructionTrace(ws, xs, ys, lam, Matrix(len(rows), n, tuple(rows)))
 
     messages = tuple(f"m{i}" for i in range(trace.matrix.rows))

@@ -8,9 +8,10 @@ the polytope that reproduces that message distribution as plausible.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
@@ -22,7 +23,27 @@ F1 = Fraction(1)
 
 
 def _is_distribution(values: Sequence[Fraction]) -> bool:
-    return all(v >= 0 for v in values) and sum(values) == 1
+    """Whether every entry is nonnegative and the entries sum to exactly one.
+
+    The sum is kept as one integer numerator over the least common
+    denominator seen so far, so no Fraction is built. An entry that is not an
+    exact rational raises TypeError.
+    """
+    num, den = 0, 1
+    for v in values:
+        try:
+            n, d = v.numerator, v.denominator
+        except AttributeError:
+            raise TypeError(f"not an exact number: {v!r}") from None
+        if n < 0:
+            return False
+        if d == den:
+            num += n
+        elif n:
+            g = gcd(d, den)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return num == den
 
 
 @dataclass(frozen=True)
@@ -41,6 +62,9 @@ class PriorPolytope:
     ub_matrix: tuple[Vector, ...] = ()
     ub_rhs: Vector = ()
     known_member: InitVar[Optional[Sequence[Fraction]]] = None
+    # the declared member checked at construction; a DecisionProblem whose mu
+    # equals it skips checking mu again
+    _verified_member: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, known_member) -> None:
         if self.dimension < 1:
@@ -53,8 +77,10 @@ class PriorPolytope:
                     f"constraint row of length {len(row)} over {self.dimension} states"
                 )
         if known_member is not None:
-            if not self.contains(vector(known_member)):
+            member = vector(known_member)
+            if not self.contains(member):
                 raise ValueError("declared member lies outside the prior set")
+            object.__setattr__(self, "_verified_member", member)
         else:
             probe = lp.feasible_point(self.feasibility_program())
             if probe.status is not lp.LpStatus.OPTIMAL:
@@ -193,7 +219,7 @@ class DecisionProblem:
             raise DimensionMismatch("prior set dimension does not match the state count")
         if not _is_distribution(self.mu):
             raise ValueError("mu must be a probability vector")
-        if not self.priors.contains(self.mu):
+        if self.mu != self.priors._verified_member and not self.priors.contains(self.mu):
             raise ValueError("mu lies outside the prior set")
 
     @property

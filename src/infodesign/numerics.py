@@ -1,6 +1,11 @@
 """Exact rational scalars, small dense matrices, and canonical-form subspaces.
 
 Everything here computes over ``fractions.Fraction``; no operation rounds.
+``dot`` sums on integers internally: it keeps one numerator over the least
+common denominator of the products seen so far and builds a single Fraction
+for the result. Its entries must be exact rationals (with integer
+``numerator`` and ``denominator``); a float raises TypeError.
+
 Subspace bases are stored in reduced row echelon form, which is unique for a
 given row space, so two subspaces are equal exactly when their stored bases
 are identical entry for entry.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import DigitLimitExceeded, DimensionMismatch
@@ -61,11 +67,22 @@ def vector(values: Sequence[ScalarLike]) -> Vector:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot product of lengths {len(u)} and {len(v)}")
-    total = F0
+    num, den = 0, 1
     for a, b in zip(u, v):
         if a and b:
-            total += a * b
-    return total
+            try:
+                n = a.numerator * b.numerator
+                d = a.denominator * b.denominator
+            except AttributeError:
+                bad = b if hasattr(a, "numerator") and hasattr(a, "denominator") else a
+                raise TypeError(f"not an exact number: {bad!r}") from None
+            if d == den:
+                num += n
+            else:
+                g = gcd(d, den)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+    return Fraction(num, den)
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:

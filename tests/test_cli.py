@@ -6,7 +6,7 @@ import random
 import pytest
 
 import infodesign as idg
-from infodesign import documents, lp, model, numerics
+from infodesign import cli, documents, lp, model, numerics
 from infodesign.cli import main
 
 from support import paired_problem
@@ -496,6 +496,35 @@ def test_machine_output_is_idempotent(example_files, capsys):
     _, first, _ = run(capsys, "--format", "machine", "solve", str(prob), str(marg))
     _, second, _ = run(capsys, "--format", "machine", "solve", str(prob), str(marg))
     assert first == second
+
+
+def test_repeated_calls_in_one_process_match_the_first(example_files, capsys):
+    # the parser is built once per process; reusing it must not change any call
+    prob, marg = example_files
+    calls = [
+        ["--format", "machine", "solve", str(prob), str(marg)],
+        ["solve", str(prob), str(marg)],
+        ["--format", "machine", "treatment", "implement", str(prob), "t1"],
+        ["treatment", "marginal", str(prob), "--variables", "Y,T"],
+        ["implement", str(prob), "no-such-action"],  # exit 2 from the library
+        ["solve", str(prob)],  # exit 2 from argparse: a missing argument
+        ["--format", "xml", "example"],  # exit 2 from argparse: a bad choice
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2]
+    assert all(err.startswith("usage: infodesign") for _, _, err in first[-2:])
+    for _ in range(2):
+        assert [outcome(argv) for argv in calls] == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_table_format_prints_lines(example_files, capsys):

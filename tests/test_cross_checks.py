@@ -31,6 +31,13 @@ extension and label splitting for the example's display. Labels, problems,
 marginal structures, extensions and errors must be ``==``. The researcher's
 pick is compared with the earlier scan that tested every action for a
 supporting prior first.
+
+``dot``, the probability-vector check behind every ``InformationStructure``
+column and ``kernel_to_experiment`` compute on integers over one common
+denominator. Their oracles are the earlier Fraction bodies: a running
+Fraction sum, ``all(v >= 0) and sum == 1``, and the construction from the
+Fraction shifts x_i, y_i and normalizer lam. Values, decisions, matrices and
+every trace field must be ``==``.
 """
 
 import itertools
@@ -43,6 +50,7 @@ from hypothesis import given, strategies as st
 import infodesign as idg
 from infodesign import lp
 from infodesign.causal import _irrelevant_covariates
+from infodesign.model import _is_distribution
 from infodesign.numerics import dot, rref
 
 from support import (
@@ -78,7 +86,12 @@ def _direct_worst_case(problem, structure, alpha):
 
 
 def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), F(0))
+    """The Fraction dot product: one Fraction addition per nonzero product."""
+    total = F(0)
+    for a, b in zip(u, v):
+        if a and b:
+            total += a * b
+    return total
 
 
 def _kernel_region(problem, structure):
@@ -773,3 +786,112 @@ def test_researcher_optimum_matches_scan(monkeypatch):
         assert idg.researcher_optimum(problem, values) == expected
         # each supporting prior is solved for at most once
         assert len(solves) <= problem.n_actions
+
+
+# ---------------------------------------------------------------- integer sums and construction
+
+rationals = st.builds(F, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 9, 10, 12)))
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def rational_vector_pairs(draw):
+    """Equal-length vectors, empty ones included, with zeros and mismatched denominators."""
+    n = draw(st.integers(0, 12))
+    u = draw(st.lists(sparse_rationals, min_size=n, max_size=n))
+    v = draw(st.lists(sparse_rationals, min_size=n, max_size=n))
+    return tuple(u), tuple(v)
+
+
+@given(rational_vector_pairs())
+def test_dot_matches_fraction_oracle(pair):
+    u, v = pair
+    value = dot(u, v)
+    assert type(value) is F
+    assert value == _dot(u, v)
+
+
+def _fraction_is_distribution(values):
+    return all(v >= 0 for v in values) and sum(values) == 1
+
+
+@st.composite
+def near_distributions(draw):
+    """Probability vectors and near misses: a negative entry, a sum of 1 +- 1/q, ()."""
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if not any(weights):
+        weights[0] = 1
+    values = [F(w, sum(weights)) for w in weights]
+    kind = draw(st.sampled_from(("exact", "negative", "over", "under", "empty")))
+    i = draw(st.integers(0, n - 1))
+    q = draw(st.integers(1, 50))
+    if kind == "negative" and n >= 2:
+        j = (i + 1) % n
+        shift = values[i] + F(1, q)
+        values[i] -= shift
+        values[j] += shift
+    elif kind == "over":
+        values[i] += F(1, q)
+    elif kind == "under":
+        values[i] -= F(1, q)
+    elif kind == "empty":
+        values = []
+    return tuple(values)
+
+
+@given(near_distributions())
+def test_distribution_check_matches_fraction_oracle(values):
+    assert _is_distribution(values) == _fraction_is_distribution(values)
+
+
+def _fraction_kernel_to_experiment(sub):
+    """The construction over Fractions: (messages, matrix rows, trace fields)."""
+    n = sub.ambient_dim
+    ws = _two_pass_nullspace(sub.basis_matrix()).basis
+    if sub.dim in (0, n - 1):
+        rows, xs, ys, lam = ws, (), (), None
+    else:
+        xs = tuple(F(1) - min(w) for w in ws)
+        ys = tuple(F(1) + max(w) for w in ws)
+        lam = F(1) / sum(x + y for x, y in zip(xs, ys))
+        rows = tuple(tuple(lam * (x + wj) for wj in w) for x, w in zip(xs, ws))
+        rows += tuple(tuple(lam * (y - wj) for wj in w) for y, w in zip(ys, ws))
+    for column in zip(*rows):
+        assert _fraction_is_distribution(column)
+    return tuple(f"m{i}" for i in range(len(rows))), rows, (ws, xs, ys, lam)
+
+
+@st.composite
+def rational_zero_sum_subspaces(draw):
+    """Spans of up to n-1 centred rational vectors over n <= 12, so every k occurs."""
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(0, n - 1))
+    vector = st.lists(sparse_rationals, min_size=n, max_size=n)
+    raws = draw(st.lists(vector, min_size=count, max_size=count))
+    vectors = [tuple(x - sum(raw) / n for x in raw) for raw in raws]
+    return idg.Subspace.from_vectors(n, vectors)
+
+
+@given(rational_zero_sum_subspaces())
+def test_kernel_to_experiment_matches_fraction_oracle(sub):
+    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    messages, rows, fields = _fraction_kernel_to_experiment(sub)
+    matrix = idg.Matrix(len(rows), sub.ambient_dim, rows)
+    assert structure == idg.InformationStructure(messages, matrix)
+    assert trace.matrix.entries == rows
+    assert (trace.complement_basis, trace.x_shifts, trace.y_shifts, trace.normalizer) == fields
+    assert idg.nullspace(structure.experiment) == sub == idg.kernel_of(structure)
+
+
+def test_hand_built_non_stochastic_matrices_are_refused():
+    off_columns = [
+        ("-1/2", "3/2"),  # a negative entry in a column summing to one
+        ("1/2", "1/3"),  # sums to 1 - 1/6
+        ("1/2", "2/3"),  # sums to 1 + 1/6
+    ]
+    for column in off_columns:
+        rows = (idg.vector(["1/2", column[0]]), idg.vector(["1/2", column[1]]))
+        assert not _fraction_is_distribution(idg.vector(column))
+        with pytest.raises(ValueError, match="column 1"):
+            idg.InformationStructure(("m0", "m1"), idg.Matrix(2, 2, rows))

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import infodesign as idg
-from infodesign import lp
+from infodesign import documents, lp
 from infodesign.model import PayoffPartition
 
 from support import paired_problem, random_member, raw_motivating_model
@@ -192,19 +192,46 @@ def test_example_problem_classes_pair_signal_states(example_problem):
 
 
 def test_mu_outside_priors_rejected():
-    priors = idg.PriorPolytope(
-        2,
-        ub_matrix=(idg.vector([1, 0]),),
-        ub_rhs=idg.vector(["1/4"]),
-        known_member=idg.vector(["1/4", "3/4"]),
-    )
-    with pytest.raises(ValueError):
+    rows = dict(ub_matrix=(idg.vector([1, 0]),), ub_rhs=idg.vector(["1/4"]))
+    # with another declared member, and with none (nonempty by a feasibility solve)
+    for member in (idg.vector(["1/4", "3/4"]), None):
+        priors = idg.PriorPolytope(2, **rows, known_member=member)
+        with pytest.raises(ValueError, match="mu lies outside the prior set"):
+            idg.DecisionProblem(
+                ("s0", "s1"),
+                ("a0",),
+                idg.Matrix.from_rows([[1, 0]]),
+                idg.vector(["1/2", "1/2"]),
+                priors,
+            )
+
+
+def test_mu_declared_as_member_is_checked_once(example_model, monkeypatch):
+    checks = []
+    point_feasible = lp._point_feasible
+    monkeypatch.setattr(lp, "_point_feasible", lambda *a: checks.append(1) or point_feasible(*a))
+    generic, _ = paired_problem("checked-once")
+    docs = [documents.serialize_problem(generic), documents.serialize_treatment(example_model)]
+    builds = [lambda: idg.build_treatment_problem(example_model)]
+    builds += [lambda doc=doc: documents.parse_problem_document(doc) for doc in docs]
+    for build in builds:
+        checks.clear()
+        build()
+        assert len(checks) == 1
+
+
+def test_inexact_entries_are_refused():
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.MixedAction((0.5, 0.5))
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.InformationStructure(("m0",), idg.Matrix(1, 2, ((1.0, F(1)),)))
+    with pytest.raises(TypeError, match="not an exact number"):
         idg.DecisionProblem(
             ("s0", "s1"),
             ("a0",),
             idg.Matrix.from_rows([[1, 0]]),
-            idg.vector(["1/2", "1/2"]),
-            priors,
+            (0.5, 0.5),
+            idg.PriorPolytope.simplex(2),
         )
 
 

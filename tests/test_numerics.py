@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, nullspace, complements, canonical subspaces."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,14 @@ def test_scalar_parsing_is_exact():
         idg.scalar(0.05)
     with pytest.raises(ValueError):
         idg.scalar("not-a-number")
+
+
+def test_dot_is_exact_and_refuses_inexact_entries():
+    assert dot((1, F(1, 2), 0), (F(1, 3), F(1, 6), "x")) == F(5, 12)
+    assert type(dot((), ())) is F
+    for u, v in [((F(1, 2),), (0.5,)), ((0.5, F(1)), (F(1), F(1))), ((Decimal("0.5"),), (F(1),))]:
+        with pytest.raises(TypeError, match="not an exact number"):
+            dot(u, v)
 
 
 def test_rank_identity_and_row():
