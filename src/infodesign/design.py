@@ -8,9 +8,13 @@ picks the researcher's best implementable action, and decides the
 informativeness order by kernel inclusion and maximality by kernel
 dimension.
 
-The construction computes on integers: the complement basis is scaled by its
-common denominator, and a Fraction is built only for each returned entry,
-shift and normalizer, equal to what the rational formulas give.
+The construction is one formula for every kernel dimension k: over the
+canonical basis w_1..w_{n-k} of the kernel's orthogonal complement, message i
+sends (x_i + w_i) / (1 + sum_j x_j) with x_i = max(0, -min w_i), so n - k
+messages, the fewest any experiment with that kernel can have. It computes on
+integers: the complement basis is scaled by its common denominator, and a
+Fraction is built only for each returned entry, shift and normalizer, equal to
+what the rational formula gives.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import lp, solver
 from .errors import (
@@ -74,28 +78,26 @@ class KernelSpec:
 class ConstructionTrace:
     """Intermediate data of the kernel-to-experiment construction.
 
-    For the generic case the matrix rows are lam*(x_i + w_i) and
-    lam*(y_i - w_i) over the orthogonal-complement basis w_1..w_l, with
-    x_i > -min(w_i), y_i > max(w_i), and lam = 1 / sum_i (x_i + y_i). The
-    degenerate cases (identity, single message) carry no shifts and no
-    normalizer.
+    Row i of the matrix is normalizer * (x_i + w_i) over the canonical
+    orthogonal-complement basis w_1..w_{n-k}, with x_i = max(0, -min w_i) and
+    normalizer = 1 / (1 + sum_i x_i).
     """
 
     complement_basis: tuple[Vector, ...]
     x_shifts: Vector
-    y_shifts: Vector
-    normalizer: Optional[Fraction]
+    normalizer: Fraction
     matrix: Matrix
 
 
 def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, ConstructionTrace]:
-    """Build a column-stochastic experiment whose kernel is exactly the spec.
+    """Build a column-stochastic experiment with n - k messages whose kernel is the spec.
 
-    The construction starts from the canonical basis ws of the spec's
-    orthogonal complement. The zero kernel's ws is the identity and a fully
-    concealing kernel's (dimension n-1) is the all-ones row; both are
-    column-stochastic, so ws is the matrix. Otherwise each direction of ws
-    gives two messages, as ConstructionTrace describes.
+    The canonical basis ws of the spec's orthogonal complement spans the
+    all-ones vector 1 (the spec is zero-sum), and 1 is 1 at every pivot, so
+    the vectors of ws sum to 1. The matrix (I + x 1^T) ws / (1 + 1^T x) thus
+    has columns summing to one, entries nonnegative by the choice of x, and
+    row space exactly the complement, as I + x 1^T is invertible. The zero
+    kernel gives the identity and a fully concealing kernel the all-ones row.
 
     The construction's row space is the orthogonal complement of the spec by
     design, so the returned structure's kernel cache is filled in directly;
@@ -106,29 +108,20 @@ def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, Constr
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least one")
     ws = orthogonal_complement(subspace).basis
-    if subspace.dim in (0, n - 1):
-        trace = ConstructionTrace(ws, (), (), None, Matrix(len(ws), n, ws))
-    else:
-        # scaled = den * ws is integral, x_i = x_num[i] / den, y_i = y_num[i] / den
-        # and lam = den / total, so lam (x_i +- w_ij) = (x_num[i] +- scaled_ij) / total
-        den = lcm(*(wj.denominator for w in ws for wj in w))
-        scaled = [[wj.numerator * (den // wj.denominator) for wj in w] for w in ws]
-        x_num = [den - min(w) for w in scaled]
-        y_num = [den + max(w) for w in scaled]
-        total = sum(x_num) + sum(y_num)
-        rows: list[Vector] = []
-        for x, w in zip(x_num, scaled):
-            flat = Fraction(x, total)
-            rows.append(tuple(Fraction(x + wj, total) if wj else flat for wj in w))
-        for y, w in zip(y_num, scaled):
-            flat = Fraction(y, total)
-            rows.append(tuple(Fraction(y - wj, total) if wj else flat for wj in w))
-        xs = tuple(Fraction(x, den) for x in x_num)
-        ys = tuple(Fraction(y, den) for y in y_num)
-        lam = Fraction(den, total)
-        trace = ConstructionTrace(ws, xs, ys, lam, Matrix(len(rows), n, tuple(rows)))
+    # scaled = den * ws is integral, x_i = x_num[i] / den and the normalizer
+    # is den / total, so normalizer * (x_i + w_ij) = (x_num[i] + scaled_ij) / total
+    den = lcm(*(wj.denominator for w in ws for wj in w))
+    scaled = [[wj.numerator * (den // wj.denominator) for wj in w] for w in ws]
+    x_num = [max(0, -min(w)) for w in scaled]
+    total = den + sum(x_num)
+    rows: list[Vector] = []
+    for x, w in zip(x_num, scaled):
+        flat = Fraction(x, total)
+        rows.append(tuple(Fraction(x + wj, total) if wj else flat for wj in w))
+    xs = tuple(Fraction(x, den) for x in x_num)
+    trace = ConstructionTrace(ws, xs, Fraction(den, total), Matrix(len(rows), n, tuple(rows)))
 
-    messages = tuple(f"m{i}" for i in range(trace.matrix.rows))
+    messages = tuple(f"m{i}" for i in range(len(rows)))
     structure = InformationStructure(messages, trace.matrix)
     structure.__dict__["kernel"] = subspace
     return structure, trace

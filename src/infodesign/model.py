@@ -242,6 +242,8 @@ class DecisionProblem:
             if not w:
                 continue
             row = self.utility.row(a)
+            if w == 1:  # the weights sum to one, so every other weight is zero
+                return row
             for s in range(self.n_states):
                 if row[s]:
                     out[s] += w * row[s]

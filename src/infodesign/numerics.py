@@ -199,10 +199,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, Matrix.identity(ambient_dim).entries)
-
     @property
     def dim(self) -> int:
         return len(self.basis)

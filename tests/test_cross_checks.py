@@ -36,8 +36,10 @@ supporting prior first.
 column and ``kernel_to_experiment`` compute on integers over one common
 denominator. Their oracles are the earlier Fraction bodies: a running
 Fraction sum, ``all(v >= 0) and sum == 1``, and the construction from the
-Fraction shifts x_i, y_i and normalizer lam. Values, decisions, matrices and
-every trace field must be ``==``.
+Fraction shifts x_i and normalizer lam. Values, decisions, matrices and
+every trace field must be ``==``. The paper's two-sided construction, with
+2(n - k) messages x_i + w_i and y_i - w_i, is kept as a second oracle that
+must have the same kernel.
 """
 
 import itertools
@@ -847,19 +849,29 @@ def test_distribution_check_matches_fraction_oracle(values):
 
 def _fraction_kernel_to_experiment(sub):
     """The construction over Fractions: (messages, matrix rows, trace fields)."""
+    ws = _two_pass_nullspace(sub.basis_matrix()).basis
+    xs = tuple(max(F(0), -min(w)) for w in ws)
+    lam = F(1) / (1 + sum(xs))
+    rows = tuple(tuple(lam * (x + wj) for wj in w) for x, w in zip(xs, ws))
+    for column in zip(*rows):
+        assert _fraction_is_distribution(column)
+    return tuple(f"m{i}" for i in range(len(rows))), rows, (ws, xs, lam)
+
+
+def _two_sided_kernel_to_experiment(sub):
+    """The paper's construction: rows lam (x_i + w_i) and lam (y_i - w_i) for 0 < k < n - 1."""
     n = sub.ambient_dim
     ws = _two_pass_nullspace(sub.basis_matrix()).basis
     if sub.dim in (0, n - 1):
-        rows, xs, ys, lam = ws, (), (), None
-    else:
-        xs = tuple(F(1) - min(w) for w in ws)
-        ys = tuple(F(1) + max(w) for w in ws)
-        lam = F(1) / sum(x + y for x, y in zip(xs, ys))
-        rows = tuple(tuple(lam * (x + wj) for wj in w) for x, w in zip(xs, ws))
-        rows += tuple(tuple(lam * (y - wj) for wj in w) for y, w in zip(ys, ws))
+        return ws
+    xs = tuple(F(1) - min(w) for w in ws)
+    ys = tuple(F(1) + max(w) for w in ws)
+    lam = F(1) / sum(x + y for x, y in zip(xs, ys))
+    rows = tuple(tuple(lam * (x + wj) for wj in w) for x, w in zip(xs, ws))
+    rows += tuple(tuple(lam * (y - wj) for wj in w) for y, w in zip(ys, ws))
     for column in zip(*rows):
         assert _fraction_is_distribution(column)
-    return tuple(f"m{i}" for i in range(len(rows))), rows, (ws, xs, ys, lam)
+    return rows
 
 
 @st.composite
@@ -880,8 +892,20 @@ def test_kernel_to_experiment_matches_fraction_oracle(sub):
     matrix = idg.Matrix(len(rows), sub.ambient_dim, rows)
     assert structure == idg.InformationStructure(messages, matrix)
     assert trace.matrix.entries == rows
-    assert (trace.complement_basis, trace.x_shifts, trace.y_shifts, trace.normalizer) == fields
+    assert (trace.complement_basis, trace.x_shifts, trace.normalizer) == fields
+    assert len(rows) == idg.rank(structure.experiment) == sub.ambient_dim - sub.dim
     assert idg.nullspace(structure.experiment) == sub == idg.kernel_of(structure)
+
+
+@given(rational_zero_sum_subspaces())
+def test_two_sided_construction_has_the_same_kernel(sub):
+    n, k = sub.ambient_dim, sub.dim
+    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    rows = _two_sided_kernel_to_experiment(sub)
+    two_sided = idg.Matrix(len(rows), n, rows)
+    assert idg.nullspace(two_sided) == idg.nullspace(structure.experiment) == sub
+    if 0 < k < n - 1:
+        assert len(rows) == 2 * (n - k)
 
 
 def test_hand_built_non_stochastic_matrices_are_refused():

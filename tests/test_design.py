@@ -21,11 +21,35 @@ from support import (
 )
 
 
+def _assert_single_formula(sub, structure, trace):
+    """n - k independent messages, row i = normalizer (x_i + w_i), recomputed over Fractions.
+
+    The kernel is recomputed from the matrix, independent of the construction.
+    """
+    n, k = sub.ambient_dim, sub.dim
+    ws = trace.complement_basis
+    assert ws == idg.orthogonal_complement(sub).basis
+    assert len(structure.messages) == structure.experiment.rows == n - k
+    assert idg.rank(structure.experiment) == n - k
+    assert trace.x_shifts == tuple(max(F(0), -min(w)) for w in ws)
+    assert trace.normalizer == 1 / (1 + sum(trace.x_shifts))
+    assert trace.matrix == structure.experiment
+    for x, w, row in zip(trace.x_shifts, ws, structure.experiment.entries):
+        assert row == tuple(trace.normalizer * (x + wj) for wj in w)
+    for j in range(n):
+        column = structure.experiment.column(j)
+        assert all(v >= 0 for v in column) and sum(column) == 1
+    assert idg.nullspace(structure.experiment) == sub == idg.kernel_of(structure)
+
+
 def test_zero_kernel_gives_identity():
-    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(idg.Subspace.zero(4)))
+    sub = idg.Subspace.zero(4)
+    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
     assert structure.experiment == idg.Matrix.identity(4)
     assert idg.nullspace(structure.experiment).dim == 0
-    assert trace.normalizer is None
+    assert trace.x_shifts == (F(0),) * 4
+    assert trace.normalizer == 1
+    _assert_single_formula(sub, structure, trace)
 
 
 def test_full_zero_sum_kernel_gives_single_message():
@@ -40,17 +64,9 @@ def test_display_direction_construction():
     d = display_direction()
     sub = idg.Subspace.from_vectors(8, [d])
     structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
-    assert idg.nullspace(structure.experiment) == sub
-    assert len(structure.messages) == 2 * 7
-    # trace invariants of the generic construction
-    assert trace.normalizer == 1 / sum(x + y for x, y in zip(trace.x_shifts, trace.y_shifts))
-    for x, y, w in zip(trace.x_shifts, trace.y_shifts, trace.complement_basis):
-        assert x > -min(w)
-        assert y > max(w)
-    for row in trace.matrix.entries:
-        assert all(v >= 0 for v in row)
-    for j in range(trace.matrix.cols):
-        assert sum(trace.matrix.column(j)) == 1
+    assert len(structure.messages) == 7
+    assert any(trace.x_shifts)
+    _assert_single_formula(sub, structure, trace)
 
 
 def test_zero_sum_violation():
@@ -64,11 +80,8 @@ def test_kernel_round_trip_random():
         n = rng.randint(2, 10)
         k = rng.randint(0, n - 1)
         sub = random_zero_sum_subspace(rng, n, k)
-        structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
-        # recompute the kernel from the matrix, independent of construction
-        assert idg.nullspace(structure.experiment) == sub
-        if 0 < k < n - 1:
-            assert len(structure.messages) == 2 * (n - k)
+        structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
+        _assert_single_formula(sub, structure, trace)
 
 
 @st.composite
@@ -82,24 +95,8 @@ def zero_sum_subspaces(draw):
 
 @given(zero_sum_subspaces())
 def test_kernel_round_trip_property(sub):
-    n, k = sub.ambient_dim, sub.dim
-    spec = idg.KernelSpec(sub)
-    structure, trace = idg.kernel_to_experiment(spec)
-    assert idg.nullspace(structure.experiment) == spec.subspace == idg.kernel_of(structure)
-    assert trace.matrix == structure.experiment
-    for j in range(n):
-        column = structure.experiment.column(j)
-        assert all(v >= 0 for v in column) and sum(column) == 1
-    if k == n - 1:
-        assert len(structure.messages) == 1
-    elif k == 0:
-        assert len(structure.messages) == n
-    else:
-        assert len(structure.messages) == 2 * (n - k)
-        assert trace.normalizer == 1 / sum(x + y for x, y in zip(trace.x_shifts, trace.y_shifts))
-        for x, y, w in zip(trace.x_shifts, trace.y_shifts, trace.complement_basis):
-            assert x > -min(w)
-            assert y > max(w)
+    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    _assert_single_formula(sub, structure, trace)
 
 
 def test_boundary_adjust_leaves_boundary_prior_alone():

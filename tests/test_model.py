@@ -51,6 +51,13 @@ def test_payoff_is_bilinear():
         left = idg.payoff(mixed, nu, problem)
         right = lam * idg.payoff(a, nu, problem) + (1 - lam) * idg.payoff(b, nu, problem)
         assert left == right
+        # a pure action's utility, returned as its row, is the weighted sum of rows
+        for alpha in (a, b, mixed):
+            weighted = tuple(
+                sum(w * problem.utility.row(i)[s] for i, w in enumerate(alpha.weights))
+                for s in range(problem.n_states)
+            )
+            assert problem.mixed_utility(alpha) == weighted
 
 
 def test_push_forward_examples(example_problem, example_marginal_yt):
