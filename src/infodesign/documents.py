@@ -30,6 +30,10 @@ SCHEMA_VERSION = "1"
 # "1e1000000" alone would build a megabit integer.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**MAX_DIGITS
+# A treatment prior's equality block is dense, one row per (covariate cell,
+# treatment) over every state, so its size grows with the square of the state
+# count; a block with more states is refused before its numbers are parsed.
+MAX_STATES = 2048
 _EXPONENT = re.compile(r"[eE][+-]?(\d[\d_]*)\s*\Z")
 
 
@@ -170,6 +174,10 @@ def _parse_treatment_block(data, where: str) -> TreatmentModel:
     n_cells = 1
     for d in domains:
         n_cells *= len(d)
+    if len(outcomes) * n_cells * len(treatments) > MAX_STATES:
+        raise DocumentError(
+            f"{where}: more than {MAX_STATES} states (outcomes x covariate cells x treatments)"
+        )
     assignment = _exact_matrix(data.get("assignment"), f"{where}.assignment", cols=len(treatments))
     if len(assignment) != n_cells:
         raise DocumentError(

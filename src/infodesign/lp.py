@@ -425,33 +425,23 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome against the raw program data, exactly."""
     n = program.n_vars
     bounds = program.bounds()
+    rows = program.eq_matrix + program.ub_matrix
 
     def stationarity(cert, target: Sequence[Fraction]) -> bool:
         if len(cert.eq) != len(program.eq_matrix) or len(cert.ub) != len(program.ub_matrix):
             return False
         if len(cert.lb) != n:
             return False
-        for j in range(n):
-            total = cert.lb[j]
-            for row, yv in zip(program.eq_matrix, cert.eq):
-                if yv and row[j]:
-                    total += yv * row[j]
-            for row, wv in zip(program.ub_matrix, cert.ub):
-                if wv and row[j]:
-                    total += wv * row[j]
-            if total != target[j]:
-                return False
-        return True
+        multipliers = (*cert.eq, *cert.ub)
+        return all(
+            cert.lb[j] + dot([row[j] for row in rows], multipliers) == target[j] for j in range(n)
+        )
 
     def bound_value(cert) -> Optional[Fraction]:
-        total = dot(cert.eq, program.eq_rhs) + dot(cert.ub, program.ub_rhs)
-        for j in range(n):
-            if bounds[j] is None:
-                if cert.lb[j]:
-                    return None
-            elif cert.lb[j]:
-                total += cert.lb[j] * bounds[j]
-        return total
+        if any(s for s, lb in zip(cert.lb, bounds) if lb is None):
+            return None
+        lows = tuple(F0 if lb is None else lb for lb in bounds)
+        return dot(cert.eq, program.eq_rhs) + dot(cert.ub, program.ub_rhs) + dot(cert.lb, lows)
 
     if outcome.status is LpStatus.OPTIMAL:
         cert = outcome.certificate

@@ -134,11 +134,9 @@ class Matrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], cols: Optional[int] = None) -> tuple[list[Vector], list[int]]:
+def rref(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form: (nonzero rows, pivot column indices)."""
     work = [list(r) for r in rows]
-    if cols is None:
-        cols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -207,17 +205,12 @@ class Subspace:
         return Matrix(len(self.basis), self.ambient_dim, self.basis)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
+        """Whether v lies in the span: adding it to the basis leaves the rank at dim."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        residual = list(v)
-        for row in self.basis:
-            c = next(j for j, x in enumerate(row) if x)
-            f = residual[c]
-            if f:
-                residual = [a - f * b if b else a for a, b in zip(residual, row)]
-        return not any(residual)
+        return len(rref(self.basis + (tuple(v),), self.ambient_dim)[1]) == self.dim
 
 
 def nullspace(m: Matrix) -> Subspace:
@@ -249,9 +242,9 @@ def orthogonal_complement(s: Subspace) -> Subspace:
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subset of a (decided exactly). Ambient dims must match."""
+    """True iff b is a subset of a: adding b's basis to a's leaves the rank at a.dim."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"comparing subspaces of ambient dimensions {a.ambient_dim} and {b.ambient_dim}"
         )
-    return all(a.contains_vector(v) for v in b.basis)
+    return len(rref(a.basis + b.basis, a.ambient_dim)[1]) == a.dim

@@ -306,6 +306,24 @@ def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accept
 
 
 
+def test_oversized_treatment_block_exits_two(tmp_path, capsys):
+    # 2 outcomes x 2**10 covariate cells x 2 treatments = 4096 states; the cap
+    # is checked before the (absent) assignment and mu are read
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"treatment": {
+        "outcomes": ["0", "1"],
+        "covariates": [["a", "b"]] * 10,
+        "treatments": ["t0", "t1"],
+    }}))
+    assert len(path.read_bytes()) < 300
+    code, out, err = run(capsys, "implement", str(path), "t0")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}.treatment: more than {documents.MAX_STATES} states"
+        " (outcomes x covariate cells x treatments)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "action, outcome",
     [

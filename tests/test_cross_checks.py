@@ -40,10 +40,19 @@ Fraction shifts x_i and normalizer lam. Values, decisions, matrices and
 every trace field must be ``==``. The paper's two-sided construction, with
 2(n - k) messages x_i + w_i and y_i - w_i, is kept as a second oracle that
 must have the same kernel.
+
+``lp.verify_outcome`` and ``DecisionProblem.mixed_utility`` compute their
+sums of products with ``dot``, and ``Subspace.contains_vector`` and
+``subspace_contains`` decide membership by the rank of one ``rref``. Their
+oracles are the earlier loops: per-column Fraction sums for stationarity
+and the bound value, weighted Fraction rows, and subtracting each basis row
+at its pivot. Decisions and vectors must be ``==``, on untouched and
+tampered certificates and on vectors inside and outside a span.
 """
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -919,3 +928,160 @@ def test_hand_built_non_stochastic_matrices_are_refused():
         assert not _fraction_is_distribution(idg.vector(column))
         with pytest.raises(ValueError, match="column 1"):
             idg.InformationStructure(("m0", "m1"), idg.Matrix(2, 2, rows))
+
+
+def _fraction_stationarity(program, cert, target):
+    """A_eq^T y + A_ub^T w + s == target, one running Fraction sum per column."""
+    if len(cert.eq) != len(program.eq_matrix) or len(cert.ub) != len(program.ub_matrix):
+        return False
+    if len(cert.lb) != program.n_vars:
+        return False
+    for j in range(program.n_vars):
+        total = cert.lb[j]
+        for row, yv in zip(program.eq_matrix, cert.eq):
+            if yv and row[j]:
+                total += yv * row[j]
+        for row, wv in zip(program.ub_matrix, cert.ub):
+            if wv and row[j]:
+                total += wv * row[j]
+        if total != target[j]:
+            return False
+    return True
+
+
+def _fraction_bound_value(program, cert):
+    """b_eq.y + b_ub.w + l.s, or None when s is nonzero on a free variable."""
+    bounds = program.bounds()
+    total = _dot(cert.eq, program.eq_rhs) + _dot(cert.ub, program.ub_rhs)
+    for j in range(program.n_vars):
+        if bounds[j] is None:
+            if cert.lb[j]:
+                return None
+        elif cert.lb[j]:
+            total += cert.lb[j] * bounds[j]
+    return total
+
+
+def _fraction_verify_outcome(program, outcome):
+    """The dual and Farkas checks over Fraction loops; a ray's check has no loop and is shared."""
+    cert = outcome.certificate
+    if outcome.status is lp.LpStatus.UNBOUNDED:
+        return lp.verify_outcome(program, outcome)
+    if outcome.status is lp.LpStatus.INFEASIBLE:
+        if any(v > 0 for v in cert.ub) or any(v < 0 for v in cert.lb):
+            return False
+        if not _fraction_stationarity(program, cert, (F(0),) * program.n_vars):
+            return False
+        value = _fraction_bound_value(program, cert)
+        return value is not None and value > 0
+    if not lp._point_feasible(program, outcome.optimal_point):
+        return False
+    if _dot(program.objective, outcome.optimal_point) != outcome.optimal_value:
+        return False
+    sign = 1 if program.sense == "min" else -1
+    if any(sign * v > 0 for v in cert.ub) or any(sign * v < 0 for v in cert.lb):
+        return False
+    if not _fraction_stationarity(program, cert, program.objective):
+        return False
+    return _fraction_bound_value(program, cert) == outcome.optimal_value
+
+
+@st.composite
+def tampered_outcomes(draw):
+    """An LP, its outcome, and a copy whose dual or Farkas certificate may be tampered.
+
+    "entry" moves one multiplier; "row" moves the multiplier of row i by d
+    and every lower-bound multiplier by -d A[i], which keeps stationarity, so
+    the sign and bound-value checks decide (a free variable's multiplier
+    turns nonzero); "value" moves the optimal value.
+    """
+    program = draw(rational_programs())
+    outcome = lp.solve_lp(program)
+    cert = outcome.certificate
+    if outcome.status is lp.LpStatus.UNBOUNDED:
+        return program, outcome, outcome
+    delta = draw(st.one_of(st.just(F(0)), rationals))
+    parts = {"eq": list(cert.eq), "ub": list(cert.ub), "lb": list(cert.lb)}
+    kind = draw(st.sampled_from(("entry", "row", "value")))
+    if kind == "value" and outcome.status is lp.LpStatus.OPTIMAL:
+        return program, outcome, replace(outcome, optimal_value=outcome.optimal_value + delta)
+    part = draw(st.sampled_from([p for p in ("eq", "ub", "lb") if parts[p]]))
+    i = draw(st.integers(0, len(parts[part]) - 1))
+    parts[part][i] += delta
+    if kind == "row" and part != "lb":
+        row = (program.eq_matrix if part == "eq" else program.ub_matrix)[i]
+        parts["lb"] = [s - delta * a for s, a in zip(parts["lb"], row)]
+    tampered = type(cert)(**{p: tuple(v) for p, v in parts.items()})
+    return program, outcome, replace(outcome, certificate=tampered)
+
+
+@given(tampered_outcomes())
+def test_verify_outcome_matches_fraction_oracle(case):
+    program, outcome, tampered = case
+    assert lp.verify_outcome(program, outcome)
+    assert lp.verify_outcome(program, tampered) == _fraction_verify_outcome(program, tampered)
+
+
+def _fraction_mixed_utility(problem, alpha):
+    """Per-state expected utility as running Fraction sums over the weighted rows."""
+    out = [F(0)] * problem.n_states
+    for a, w in enumerate(alpha.weights):
+        if not w:
+            continue
+        row = problem.utility.row(a)
+        if w == 1:
+            return row
+        for s in range(problem.n_states):
+            if row[s]:
+                out[s] += w * row[s]
+    return tuple(out)
+
+
+@given(st.integers(0, 10**6), st.lists(st.integers(0, 9), min_size=4, max_size=4))
+def test_mixed_utility_matches_fraction_oracle(seed, raw_weights):
+    problem, _ = paired_problem(seed)
+    weights = raw_weights[: problem.n_actions]
+    if not any(weights):
+        weights[seed % len(weights)] = 1
+    alpha = idg.MixedAction(tuple(F(w, sum(weights)) for w in weights))
+    utility = problem.mixed_utility(alpha)
+    assert all(type(u) is F for u in utility)
+    assert utility == _fraction_mixed_utility(problem, alpha)
+
+
+def _fraction_contains_vector(sub, v):
+    """Subtract each basis row at its pivot; v is in the span iff nothing is left."""
+    residual = list(v)
+    for row in sub.basis:
+        c = next(j for j, x in enumerate(row) if x)
+        f = residual[c]
+        if f:
+            residual = [a - f * b if b else a for a, b in zip(residual, row)]
+    return not any(residual)
+
+
+@st.composite
+def subspace_probes(draw):
+    """A canonical subspace and vectors in its span, some nudged off it."""
+    m = draw(rational_matrices())
+    sub = idg.Subspace.from_vectors(m.cols, m.entries)
+    probes = []
+    for _ in range(draw(st.integers(0, 4))):
+        coefficients = [draw(sparse_rationals) for _ in sub.basis]
+        v = [_dot(coefficients, column) for column in zip(*sub.basis)] or [F(0)] * m.cols
+        if draw(st.booleans()):
+            v[draw(st.integers(0, m.cols - 1))] += draw(rationals)
+        probes.append(tuple(v))
+    return sub, probes
+
+
+@given(subspace_probes())
+def test_subspace_membership_matches_fraction_oracle(case):
+    sub, probes = case
+    for v in probes:
+        assert sub.contains_vector(v) == _fraction_contains_vector(sub, v)
+    n = sub.ambient_dim
+    for other in (idg.Subspace.from_vectors(n, probes), idg.Subspace.from_vectors(n, sub.basis + tuple(probes))):
+        for a, b in ((sub, other), (other, sub)):
+            expected = all(_fraction_contains_vector(a, v) for v in b.basis)
+            assert idg.subspace_contains(a, b) == expected

@@ -166,6 +166,31 @@ def test_certificates_verify_on_rational_programs(program):
     assert not lp.verify_outcome(program, _tampered(outcome))
 
 
+def test_verify_rejects_a_bound_multiplier_on_a_free_variable():
+    # min 0 s.t. x = 0 with x free: y = -1, s = 1 meets stationarity and the
+    # value, but a free variable has no bound for s to price
+    program = lp.LinearProgram(
+        objective=(F(0),), eq_matrix=((F(1),),), eq_rhs=(F(0),), lower_bounds=(None,)
+    )
+    outcome = lp.solve_lp(program)
+    forged = lp.DualCertificate(eq=(F(-1),), ub=(), lb=(F(1),))
+    assert lp.verify_outcome(program, outcome)
+    assert not lp.verify_outcome(program, replace(outcome, certificate=forged))
+
+
+def test_verify_rejects_float_certificate_entries():
+    # max x s.t. x <= 0: the row's right-hand side is zero, so the float
+    # multiplier reaches a nonzero product only in the stationarity check
+    program = lp.LinearProgram(
+        objective=(F(1),), sense="max", ub_matrix=((F(1),),), ub_rhs=(F(0),)
+    )
+    outcome = lp.solve_lp(program)
+    assert outcome.certificate == lp.DualCertificate(eq=(), ub=(F(1),), lb=(F(0),))
+    floated = replace(outcome.certificate, ub=(1.0,))
+    with pytest.raises(TypeError, match="not an exact number"):
+        lp.verify_outcome(program, replace(outcome, certificate=floated))
+
+
 @pytest.mark.parametrize(
     "fields",
     [
