@@ -24,7 +24,6 @@ from .causal import (
     prior_from_marginals,
 )
 from .design import (
-    ConstructionTrace,
     InformativenessOrder,
     KernelSpec,
     ResearcherOptimum,
@@ -77,7 +76,6 @@ from .model import (
 )
 from .numerics import (
     Matrix,
-    Scalar,
     Subspace,
     Vector,
     format_scalar,

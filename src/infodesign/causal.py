@@ -354,7 +354,7 @@ def implement_treatment(
         floor if t in alpha.support else bottom for t in range(model.n_treatments)
     )
     pi = outcome_marginals_for_targets(model, targets)
-    nu = prior_from_marginals(model, pi, problem).nu
+    nu = _factorized(model, pi, [model.cell_mass(c) for c in range(model.n_cells)])
     if not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
         nu = _concentrated_prior(model, targets)
     return implement_at_prior(problem, alpha, nu)

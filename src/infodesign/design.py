@@ -12,9 +12,9 @@ The construction is one formula for every kernel dimension k: over the
 canonical basis w_1..w_{n-k} of the kernel's orthogonal complement, message i
 sends (x_i + w_i) / (1 + sum_j x_j) with x_i = max(0, -min w_i), so n - k
 messages, the fewest any experiment with that kernel can have. It computes on
-integers: the complement basis is scaled by its common denominator, and a
-Fraction is built only for each returned entry, shift and normalizer, equal to
-what the rational formula gives.
+integers: the nonzero entries of the complement basis are scaled by their
+common denominator, and a Fraction is built only for each returned entry,
+equal to what the rational formula gives.
 """
 
 from __future__ import annotations
@@ -74,22 +74,7 @@ class KernelSpec:
                 raise ZeroSumViolation("kernel directions must have zero coordinate sum")
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    """Intermediate data of the kernel-to-experiment construction.
-
-    Row i of the matrix is normalizer * (x_i + w_i) over the canonical
-    orthogonal-complement basis w_1..w_{n-k}, with x_i = max(0, -min w_i) and
-    normalizer = 1 / (1 + sum_i x_i).
-    """
-
-    complement_basis: tuple[Vector, ...]
-    x_shifts: Vector
-    normalizer: Fraction
-    matrix: Matrix
-
-
-def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, ConstructionTrace]:
+def kernel_to_experiment(spec: KernelSpec) -> InformationStructure:
     """Build a column-stochastic experiment with n - k messages whose kernel is the spec.
 
     The canonical basis ws of the spec's orthogonal complement spans the
@@ -108,23 +93,22 @@ def kernel_to_experiment(spec: KernelSpec) -> tuple[InformationStructure, Constr
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least one")
     ws = orthogonal_complement(subspace).basis
-    # scaled = den * ws is integral, x_i = x_num[i] / den and the normalizer
-    # is den / total, so normalizer * (x_i + w_ij) = (x_num[i] + scaled_ij) / total
-    den = lcm(*(wj.denominator for w in ws for wj in w))
-    scaled = [[wj.numerator * (den // wj.denominator) for wj in w] for w in ws]
+    # scaled = den * ws is integral and x_i = x_num[i] / den, so the entry
+    # (x_i + w_ij) / (1 + sum_j x_j) is (x_num[i] + scaled_ij) / total; zero
+    # entries, most of a sparse basis, are neither read nor scaled
+    den = lcm(*(wj.denominator for w in ws for wj in w if wj))
+    scaled = [[wj.numerator * (den // wj.denominator) if wj else 0 for wj in w] for w in ws]
     x_num = [max(0, -min(w)) for w in scaled]
     total = den + sum(x_num)
     rows: list[Vector] = []
     for x, w in zip(x_num, scaled):
         flat = Fraction(x, total)
         rows.append(tuple(Fraction(x + wj, total) if wj else flat for wj in w))
-    xs = tuple(Fraction(x, den) for x in x_num)
-    trace = ConstructionTrace(ws, xs, Fraction(den, total), Matrix(len(rows), n, tuple(rows)))
 
     messages = tuple(f"m{i}" for i in range(len(rows)))
-    structure = InformationStructure(messages, trace.matrix)
+    structure = InformationStructure(messages, Matrix(len(rows), n, tuple(rows)))
     structure.__dict__["kernel"] = subspace
-    return structure, trace
+    return structure
 
 
 def extremal_reach(problem: DecisionProblem, nu: Sequence[Fraction]) -> Fraction:
@@ -202,7 +186,7 @@ def implement_at_prior(
     if nu != mu:
         nu = boundary_adjust(problem, nu)
     spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
-    structure, _ = kernel_to_experiment(spec)
+    structure = kernel_to_experiment(spec)
     certificate = SaddleCertificate(alpha, nu, dot(problem.mixed_utility(alpha), nu))
     if not certificate.verify(problem, structure):
         raise AssertionError("constructed structure failed its own saddle check")

@@ -217,7 +217,7 @@ def parse_structure_document(
                 raise DocumentError(f"{where}.kernel: expected an object")
             basis = _exact_matrix(block.get("basis", []), f"{where}.kernel.basis", cols=n)
             spec = KernelSpec(Subspace.from_vectors(n, basis))
-            return kernel_to_experiment(spec)[0]
+            return kernel_to_experiment(spec)
         if loaded.treatment is None:
             raise DocumentError(f"{where}.marginal: requires a treatment problem")
         block = data["marginal"]

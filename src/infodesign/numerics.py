@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import DigitLimitExceeded, DimensionMismatch
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 ScalarLike = Union[Fraction, int, str]
 

@@ -107,7 +107,7 @@ def test_criterion_5_kernel_round_trip():
         else:
             k = rng.randint(0, n - 1)
         sub = random_zero_sum_subspace(rng, n, k)
-        structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+        structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
         for j in range(structure.experiment.cols):
             col = structure.experiment.column(j)
             assert all(v >= 0 for v in col) and sum(col) == 1
@@ -227,7 +227,7 @@ def test_criterion_11_informativeness_monotonicity():
         small_dim = rng.randint(0, big_dim)
         small = idg.Subspace.from_vectors(n, big.basis[:small_dim])
         assert idg.subspace_contains(big, small)
-        fine, _ = idg.kernel_to_experiment(idg.KernelSpec(small))
-        coarse, _ = idg.kernel_to_experiment(idg.KernelSpec(big))
+        fine = idg.kernel_to_experiment(idg.KernelSpec(small))
+        coarse = idg.kernel_to_experiment(idg.KernelSpec(big))
         assert idg.maxmin(problem, fine).value >= idg.maxmin(problem, coarse).value
     _ok(11, "maxmin value is weakly higher under every nested finer kernel on 60 pairs")

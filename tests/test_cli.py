@@ -1,7 +1,12 @@
 """Command-line interface: reports, documents, exit codes, round-trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -610,3 +615,63 @@ def test_mu_outside_the_prior_set_exits_two(tmp_path, capsys, mu, inequalities):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}.mu: mu lies outside the prior set\n"
+
+
+# Every change to the exported names or the exit codes shows up here.
+PUBLIC_NAMES = [
+    "AssignmentMismatch", "AssumptionViolation", "DecisionProblem", "DigitLimitExceeded",
+    "DimensionMismatch", "DocumentError", "DualCertificate", "EmptyOrFullVariableSet",
+    "FarkasCertificate", "IdentifiedSet", "ImprovingRay", "InfoDesignError",
+    "InformationStructure", "InformativenessOrder", "InteriorSupportViolation", "KernelSpec",
+    "LinearProgram", "LpOutcome", "LpStatus", "MarginalReport", "MarginalSpec", "Matrix",
+    "MixedAction", "NoImplementableActionError", "NoIrrelevantCovariate",
+    "NotImplementableError", "NotImplementingError", "OutcomeMarginalPrior",
+    "PayoffPartition", "PriorPolytope", "ResearcherOptimum", "SaddleCertificate", "Subspace",
+    "SupportingPrior", "TreatmentModel", "Vector", "ZeroSumViolation",
+    "add_irrelevant_signal", "best_responses", "boundary_adjust", "build_treatment_problem",
+    "check_marginal_not_maximal", "counterfactual_mean", "extremal_reach", "feasible_point",
+    "format_scalar", "identified_set", "implement_treatment", "implementing_structure",
+    "is_implementable", "is_maximally_informative", "kernel_of", "kernel_to_experiment",
+    "marginal_structure", "maxmin", "motivating_example", "motivating_worst_case_prior",
+    "nullspace", "orthogonal_complement", "outcome_marginals_for_targets", "payoff",
+    "payoff_equivalence_classes", "prior_from_marginals", "push_forward", "rank",
+    "researcher_optimum", "robustly_more_informative", "scalar", "solve_lp",
+    "subspace_contains", "supporting_prior", "vector", "verify_outcome", "worst_case",
+]
+
+
+def test_public_surface_is_pinned():
+    # submodules are attributes of the package once imported, so they are left out
+    names = sorted(
+        name for name, value in vars(idg).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes == {
+        "EXIT_OK": 0, "EXIT_PARSE": 2, "EXIT_NOT_IMPLEMENTABLE": 3, "EXIT_NOT_IMPLEMENTING": 4,
+        "EXIT_DIGIT_LIMIT": 5, "EXIT_ASSUMPTION": 6, "EXIT_INTERNAL": 7,
+    }
+
+
+def _cli_process(*argv):
+    """Run ``python -m infodesign.cli`` in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "infodesign.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_cli_process_runs_end_to_end(tmp_path, capsys):
+    done = _cli_process("--format", "machine", "example")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run(capsys, "--format", "machine", "example")[1]
+    missing = tmp_path / "missing.json"
+    done = _cli_process("implement", str(missing), "t0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {missing}: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -36,10 +36,10 @@ supporting prior first.
 column and ``kernel_to_experiment`` compute on integers over one common
 denominator. Their oracles are the earlier Fraction bodies: a running
 Fraction sum, ``all(v >= 0) and sum == 1``, and the construction from the
-Fraction shifts x_i and normalizer lam. Values, decisions, matrices and
-every trace field must be ``==``. The paper's two-sided construction, with
-2(n - k) messages x_i + w_i and y_i - w_i, is kept as a second oracle that
-must have the same kernel.
+Fraction shifts x_i and normalizer lam. Values, decisions and whole
+structures (messages and matrix) must be ``==``. The paper's two-sided
+construction, with 2(n - k) messages x_i + w_i and y_i - w_i, is kept as a
+second oracle that must have the same kernel.
 
 ``lp.verify_outcome`` and ``DecisionProblem.mixed_utility`` compute their
 sums of products with ``dot``, and ``Subspace.contains_vector`` and
@@ -204,7 +204,7 @@ def test_worst_case_matches_direct_formulation():
         n = problem.n_states
         k = rng.randint(0, n - 1)
         sub = random_zero_sum_subspace(rng, n, k)
-        structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+        structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
         alpha = random_mixed(r, problem.n_actions)
         value, minimizer = idg.worst_case(problem, structure, alpha)
         assert idg.identified_set(problem, structure).contains(minimizer)
@@ -230,7 +230,7 @@ def test_maxmin_matches_kernel_oracle_on_paired_problems():
         n = problem.n_states
         for k in range(n):
             sub = random_zero_sum_subspace(r, n, k)
-            structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+            structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
             _assert_matches_kernel_oracle(problem, structure)
             dims.add(k)
     assert dims == set(range(8))
@@ -289,7 +289,7 @@ def segment_games(draw):
         mu,
         priors,
     )
-    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(idg.Subspace.from_vectors(n, [d])))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(idg.Subspace.from_vectors(n, [d])))
     return problem, structure
 
 
@@ -857,14 +857,14 @@ def test_distribution_check_matches_fraction_oracle(values):
 
 
 def _fraction_kernel_to_experiment(sub):
-    """The construction over Fractions: (messages, matrix rows, trace fields)."""
+    """The construction over Fractions: (messages, matrix rows)."""
     ws = _two_pass_nullspace(sub.basis_matrix()).basis
     xs = tuple(max(F(0), -min(w)) for w in ws)
     lam = F(1) / (1 + sum(xs))
     rows = tuple(tuple(lam * (x + wj) for wj in w) for x, w in zip(xs, ws))
     for column in zip(*rows):
         assert _fraction_is_distribution(column)
-    return tuple(f"m{i}" for i in range(len(rows))), rows, (ws, xs, lam)
+    return tuple(f"m{i}" for i in range(len(rows))), rows
 
 
 def _two_sided_kernel_to_experiment(sub):
@@ -896,12 +896,10 @@ def rational_zero_sum_subspaces(draw):
 
 @given(rational_zero_sum_subspaces())
 def test_kernel_to_experiment_matches_fraction_oracle(sub):
-    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
-    messages, rows, fields = _fraction_kernel_to_experiment(sub)
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    messages, rows = _fraction_kernel_to_experiment(sub)
     matrix = idg.Matrix(len(rows), sub.ambient_dim, rows)
     assert structure == idg.InformationStructure(messages, matrix)
-    assert trace.matrix.entries == rows
-    assert (trace.complement_basis, trace.x_shifts, trace.normalizer) == fields
     assert len(rows) == idg.rank(structure.experiment) == sub.ambient_dim - sub.dim
     assert idg.nullspace(structure.experiment) == sub == idg.kernel_of(structure)
 
@@ -909,7 +907,7 @@ def test_kernel_to_experiment_matches_fraction_oracle(sub):
 @given(rational_zero_sum_subspaces())
 def test_two_sided_construction_has_the_same_kernel(sub):
     n, k = sub.ambient_dim, sub.dim
-    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
     rows = _two_sided_kernel_to_experiment(sub)
     two_sided = idg.Matrix(len(rows), n, rows)
     assert idg.nullspace(two_sided) == idg.nullspace(structure.experiment) == sub

@@ -21,21 +21,21 @@ from support import (
 )
 
 
-def _assert_single_formula(sub, structure, trace):
+def _assert_single_formula(sub, structure):
     """n - k independent messages, row i = normalizer (x_i + w_i), recomputed over Fractions.
 
-    The kernel is recomputed from the matrix, independent of the construction.
+    The complement basis w, the shifts x_i = max(0, -min w_i) and the
+    normalizer 1 / (1 + sum x) are recomputed here; the kernel is recomputed
+    from the matrix, independent of the construction.
     """
     n, k = sub.ambient_dim, sub.dim
-    ws = trace.complement_basis
-    assert ws == idg.orthogonal_complement(sub).basis
+    ws = idg.orthogonal_complement(sub).basis
+    xs = tuple(max(F(0), -min(w)) for w in ws)
+    normalizer = 1 / (1 + sum(xs))
     assert len(structure.messages) == structure.experiment.rows == n - k
     assert idg.rank(structure.experiment) == n - k
-    assert trace.x_shifts == tuple(max(F(0), -min(w)) for w in ws)
-    assert trace.normalizer == 1 / (1 + sum(trace.x_shifts))
-    assert trace.matrix == structure.experiment
-    for x, w, row in zip(trace.x_shifts, ws, structure.experiment.entries):
-        assert row == tuple(trace.normalizer * (x + wj) for wj in w)
+    for x, w, row in zip(xs, ws, structure.experiment.entries, strict=True):
+        assert row == tuple(normalizer * (x + wj) for wj in w)
     for j in range(n):
         column = structure.experiment.column(j)
         assert all(v >= 0 for v in column) and sum(column) == 1
@@ -44,17 +44,17 @@ def _assert_single_formula(sub, structure, trace):
 
 def test_zero_kernel_gives_identity():
     sub = idg.Subspace.zero(4)
-    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
     assert structure.experiment == idg.Matrix.identity(4)
     assert idg.nullspace(structure.experiment).dim == 0
-    assert trace.x_shifts == (F(0),) * 4
-    assert trace.normalizer == 1
-    _assert_single_formula(sub, structure, trace)
+    # the identity rows are the complement basis: every shift is 0, the normalizer 1
+    assert idg.orthogonal_complement(sub).basis == structure.experiment.entries
+    _assert_single_formula(sub, structure)
 
 
 def test_full_zero_sum_kernel_gives_single_message():
     hyper = idg.nullspace(idg.Matrix.from_rows([[1, 1, 1, 1]]))
-    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(hyper))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(hyper))
     assert len(structure.messages) == 1
     assert structure.experiment.entries == ((F(1),) * 4,)
     assert idg.nullspace(structure.experiment) == hyper
@@ -63,10 +63,11 @@ def test_full_zero_sum_kernel_gives_single_message():
 def test_display_direction_construction():
     d = display_direction()
     sub = idg.Subspace.from_vectors(8, [d])
-    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
     assert len(structure.messages) == 7
-    assert any(trace.x_shifts)
-    _assert_single_formula(sub, structure, trace)
+    # some complement vector has a negative entry, so some shift x_i is positive
+    assert any(min(w) < 0 for w in idg.orthogonal_complement(sub).basis)
+    _assert_single_formula(sub, structure)
 
 
 def test_zero_sum_violation():
@@ -80,8 +81,8 @@ def test_kernel_round_trip_random():
         n = rng.randint(2, 10)
         k = rng.randint(0, n - 1)
         sub = random_zero_sum_subspace(rng, n, k)
-        structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
-        _assert_single_formula(sub, structure, trace)
+        structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
+        _assert_single_formula(sub, structure)
 
 
 @st.composite
@@ -95,8 +96,8 @@ def zero_sum_subspaces(draw):
 
 @given(zero_sum_subspaces())
 def test_kernel_round_trip_property(sub):
-    structure, trace = idg.kernel_to_experiment(idg.KernelSpec(sub))
-    _assert_single_formula(sub, structure, trace)
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    _assert_single_formula(sub, structure)
 
 
 def test_boundary_adjust_leaves_boundary_prior_alone():
@@ -237,8 +238,8 @@ def test_informativeness_order():
     assert idg.robustly_more_informative(identity, identity) is InformativenessOrder.EQUAL
     s1 = idg.Subspace.from_vectors(4, [idg.vector([1, -1, 0, 0])])
     s2 = idg.Subspace.from_vectors(4, [idg.vector([0, 0, 1, -1])])
-    e1, _ = idg.kernel_to_experiment(idg.KernelSpec(s1))
-    e2, _ = idg.kernel_to_experiment(idg.KernelSpec(s2))
+    e1 = idg.kernel_to_experiment(idg.KernelSpec(s1))
+    e2 = idg.kernel_to_experiment(idg.KernelSpec(s2))
     assert idg.robustly_more_informative(e1, e2) is InformativenessOrder.INCOMPARABLE
 
 
@@ -246,7 +247,7 @@ def test_display_structure_more_informative_than_marginal():
     raw = raw_motivating_model()
     marg = idg.marginal_structure(raw, ["Y", "T"])
     sub = idg.Subspace.from_vectors(8, [display_direction()])
-    display, _ = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    display = idg.kernel_to_experiment(idg.KernelSpec(sub))
     assert idg.robustly_more_informative(display, marg) is InformativenessOrder.MORE
     # and it implements the treated action on the raw eight-state problem
     problem = raw_motivating_problem()

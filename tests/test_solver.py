@@ -105,7 +105,7 @@ def test_maxmin_agrees_with_direct_minmax_formulation():
         )
         zero_sum = [tuple(v - sum(vec) / n for v in vec) for vec in sub.basis]
         spec_sub = idg.Subspace.from_vectors(n, zero_sum)
-        structure, _ = idg.kernel_to_experiment(idg.KernelSpec(spec_sub))
+        structure = idg.kernel_to_experiment(idg.KernelSpec(spec_sub))
         cert = idg.maxmin(problem, structure)
         assert cert.verify(problem, structure)
 
@@ -154,8 +154,8 @@ def test_monotonicity_in_information_smoke():
 
     big = random_zero_sum_subspace(rng, n, min(3, n - 1))
     small = idg.Subspace.from_vectors(n, big.basis[:1])
-    e_small, _ = idg.kernel_to_experiment(idg.KernelSpec(small))
-    e_big, _ = idg.kernel_to_experiment(idg.KernelSpec(big))
+    e_small = idg.kernel_to_experiment(idg.KernelSpec(small))
+    e_big = idg.kernel_to_experiment(idg.KernelSpec(big))
     assert idg.maxmin(problem, e_small).value >= idg.maxmin(problem, e_big).value
 
 
@@ -165,8 +165,8 @@ def test_smaller_kernel_never_lowers_worst_cases(seed, data):
     n = problem.n_states
     big = random_zero_sum_subspace(r, n, data.draw(st.integers(0, n - 1)))
     small = idg.Subspace.from_vectors(n, big.basis[: data.draw(st.integers(0, big.dim))])
-    e_small, _ = idg.kernel_to_experiment(idg.KernelSpec(small))
-    e_big, _ = idg.kernel_to_experiment(idg.KernelSpec(big))
+    e_small = idg.kernel_to_experiment(idg.KernelSpec(small))
+    e_big = idg.kernel_to_experiment(idg.KernelSpec(big))
     for a in range(problem.n_actions):
         alpha = _pure(problem, a)
         assert idg.worst_case(problem, e_small, alpha)[0] >= idg.worst_case(problem, e_big, alpha)[0]
@@ -178,7 +178,7 @@ def test_saddle_certificate_rejects_tampered_witnesses(seed, data):
     problem, r = paired_problem(f"tamper-{seed}")
     n = problem.n_states
     kernel = random_zero_sum_subspace(r, n, data.draw(st.integers(0, n - 1)))
-    structure, _ = idg.kernel_to_experiment(idg.KernelSpec(kernel))
+    structure = idg.kernel_to_experiment(idg.KernelSpec(kernel))
     cert = idg.maxmin(problem, structure)
     assert cert.verify(problem, structure)
     assert not replace(cert, value=cert.value + 1).verify(problem, structure)
