@@ -39,13 +39,13 @@ from .model import (
     InformationStructure,
     MixedAction,
     kernel_of,
+    payoff,
     payoff_equivalence_classes,
 )
 from .numerics import (
     Matrix,
     Subspace,
     Vector,
-    dot,
     orthogonal_complement,
     subspace_contains,
     vec_sub,
@@ -93,17 +93,24 @@ def kernel_to_experiment(spec: KernelSpec) -> InformationStructure:
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least one")
     ws = orthogonal_complement(subspace).basis
-    # scaled = den * ws is integral and x_i = x_num[i] / den, so the entry
-    # (x_i + w_ij) / (1 + sum_j x_j) is (x_num[i] + scaled_ij) / total; zero
-    # entries, most of a sparse basis, are neither read nor scaled
-    den = lcm(*(wj.denominator for w in ws for wj in w if wj))
-    scaled = [[wj.numerator * (den // wj.denominator) if wj else 0 for wj in w] for w in ws]
-    x_num = [max(0, -min(w)) for w in scaled]
+    # den * w_i is integral and x_i = x_num[i] / den, so the entry
+    # (x_i + w_ij) / (1 + sum_j x_j) is (x_num[i] + den * w_ij) / total; the
+    # basis is walked once, to find each row's nonzero entries, only those are
+    # scaled, and every other entry of row i is x_num[i] / total
+    support = [[j for j, wj in enumerate(w) if wj] for w in ws]
+    den = lcm(*[w[j].denominator for w, nonzero in zip(ws, support) for j in nonzero])
+    scaled = [
+        [w[j].numerator * (den // w[j].denominator) for j in nonzero]
+        for w, nonzero in zip(ws, support)
+    ]
+    x_num = [max(0, -min(values)) for values in scaled]
     total = den + sum(x_num)
     rows: list[Vector] = []
-    for x, w in zip(x_num, scaled):
-        flat = Fraction(x, total)
-        rows.append(tuple(Fraction(x + wj, total) if wj else flat for wj in w))
+    for x, nonzero, values in zip(x_num, support, scaled):
+        row = [Fraction(x, total)] * n
+        for j, wj in zip(nonzero, values):
+            row[j] = Fraction(x + wj, total)
+        rows.append(tuple(row))
 
     messages = tuple(f"m{i}" for i in range(len(rows)))
     structure = InformationStructure(messages, Matrix(len(rows), n, tuple(rows)))
@@ -187,7 +194,7 @@ def implement_at_prior(
         nu = boundary_adjust(problem, nu)
     spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
     structure = kernel_to_experiment(spec)
-    certificate = SaddleCertificate(alpha, nu, dot(problem.mixed_utility(alpha), nu))
+    certificate = SaddleCertificate(alpha, nu, payoff(alpha, nu, problem))
     if not certificate.verify(problem, structure):
         raise AssertionError("constructed structure failed its own saddle check")
     return structure, certificate
@@ -241,7 +248,7 @@ def researcher_optimum(
             structure, certificate = implementing_structure(problem, alpha)
         except NotImplementableError:
             continue
-        slack = dot(problem.mixed_utility(alpha), problem.mu) - certificate.value
+        slack = payoff(alpha, problem.mu, problem) - certificate.value
         supporting = SupportingPrior(nu=certificate.nu_star, slack=slack)
         return ResearcherOptimum(a, supporting, structure, certificate)
     raise NoImplementableActionError("no pure action is implementable")

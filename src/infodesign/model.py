@@ -4,6 +4,12 @@ A decision maker with utility u over actions and finitely many states faces
 an unknown state distribution. They observe only the message distribution an
 experiment induces from the true distribution mu, and treat every prior in
 the polytope that reproduces that message distribution as plausible.
+
+The rows a problem reads again and again, the prior set's constraints and
+the actions' utilities, are compiled once per object into sparse integer
+form (``numerics.SparseRow``) and cached on it: membership tests, payoffs
+and best responses walk only their nonzero entries and compare integers by
+cross-multiplying.
 """
 
 from __future__ import annotations
@@ -11,12 +17,22 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatch
-from .numerics import Matrix, Subspace, Vector, dot, nullspace, vector
+from .numerics import (
+    Matrix,
+    SparseRow,
+    Subspace,
+    Vector,
+    dot,
+    nullspace,
+    sparse_dot,
+    sparse_row,
+    vector,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -76,6 +92,9 @@ class PriorPolytope:
                 raise DimensionMismatch(
                     f"constraint row of length {len(row)} over {self.dimension} states"
                 )
+        for b in self.eq_rhs + self.ub_rhs:
+            if not isinstance(b, (int, Fraction)):
+                raise TypeError(f"not an exact number: {b!r}")
         if known_member is not None:
             member = vector(known_member)
             if not self.contains(member):
@@ -96,10 +115,27 @@ class PriorPolytope:
             raise DimensionMismatch(
                 f"point of length {len(point)} in a {self.dimension}-state prior set"
             )
-        return lp._point_feasible(self._feasibility, point)
+        if not _is_distribution(point):
+            return False
+        eq_rows, ub_rows = self._sparse_rows
+        for row, b in zip(eq_rows, self.eq_rhs):
+            num, den = sparse_dot(row, point)
+            if num * b.denominator != b.numerator * den:
+                return False
+        for row, b in zip(ub_rows, self.ub_rhs):
+            num, den = sparse_dot(row, point)
+            if num * b.denominator > b.numerator * den:
+                return False
+        return True
 
     def feasibility_program(self) -> lp.LinearProgram:
         return self._feasibility
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
+        """The eq and ub rows, compiled once for membership tests and segment cuts."""
+        eq_rows = tuple([sparse_row(row) for row in self.eq_matrix])
+        return eq_rows, tuple([sparse_row(row) for row in self.ub_matrix])
 
     @cached_property
     def _feasibility(self) -> lp.LinearProgram:
@@ -233,6 +269,11 @@ class DecisionProblem:
     def utility_row(self, action: int) -> Vector:
         return self.utility.row(action)
 
+    @cached_property
+    def _utility_rows(self) -> tuple[SparseRow, ...]:
+        """Each action's utility row, compiled once for payoffs and best responses."""
+        return tuple([sparse_row(row) for row in self.utility.entries])
+
     def mixed_utility(self, alpha: MixedAction) -> Vector:
         """Per-state expected utility of a mixed action."""
         if len(alpha) != self.n_actions:
@@ -240,7 +281,18 @@ class DecisionProblem:
         support = alpha.support
         if len(support) == 1:  # a pure action: its weight is one
             return self.utility.row(support[0])
-        return tuple(dot(alpha.weights, column) for column in zip(*self.utility.entries))
+        # w_a u_a over the common denominator of every w_a and row denominator
+        rows = self._utility_rows
+        weights = alpha.weights
+        scales = [weights[a].denominator * rows[a].denominator for a in support]
+        den = lcm(*scales)
+        sums = [0] * self.n_states
+        for a, scale in zip(support, scales):
+            factor = weights[a].numerator * (den // scale)
+            row = rows[a]
+            for j, x in zip(row.indices, row.numerators):
+                sums[j] += factor * x
+        return tuple([Fraction(x, den) if x else F0 for x in sums])
 
     def action_index(self, action) -> int:
         if isinstance(action, int):
@@ -257,6 +309,9 @@ def payoff(alpha: MixedAction, nu: Sequence[Fraction], problem: DecisionProblem)
     """Expected utility sum_a sum_s alpha(a) u(a,s) nu(s), exactly."""
     if len(nu) != problem.n_states:
         raise DimensionMismatch("state distribution length does not match the problem")
+    support = alpha.support
+    if len(support) == 1 and len(alpha) == problem.n_actions:  # a pure action: its compiled row
+        return Fraction(*sparse_dot(problem._utility_rows[support[0]], nu))
     return dot(problem.mixed_utility(alpha), nu)
 
 

@@ -4,7 +4,15 @@ Everything here computes over ``fractions.Fraction``; no operation rounds.
 ``dot`` sums on integers internally: it keeps one numerator over the least
 common denominator of the products seen so far and builds a single Fraction
 for the result. Its entries must be exact rationals (with integer
-``numerator`` and ``denominator``); a float raises TypeError.
+``numerator`` and ``denominator``); a float raises TypeError. ``dot`` serves
+data that is built fresh and read once, such as a linear program's rows.
+
+A fixed row that is read again and again (a prior set's constraint, an
+action's utility) is compiled once into a ``SparseRow``: the indices of its
+nonzero entries and their integer numerators over one row denominator.
+``sparse_dot`` multiplies it with a vector of exact rationals and returns
+the unreduced ``(numerator, denominator)`` pair, so a comparison can
+cross-multiply without building a Fraction.
 
 Subspace bases are stored in reduced row echelon form, which is unique for a
 given row space, so two subspaces are equal exactly when their stored bases
@@ -20,8 +28,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DigitLimitExceeded, DimensionMismatch
 
@@ -82,6 +90,53 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
                 num = num * (d // g) + n * (den // g)
                 den = den // g * d
     return Fraction(num, den)
+
+
+class SparseRow(NamedTuple):
+    """A fixed rational row: entry ``indices[i]`` is ``numerators[i] / denominator``.
+
+    Every other entry is zero, and the denominator is positive.
+    """
+
+    indices: tuple[int, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+
+def sparse_row(values: Sequence[Fraction]) -> SparseRow:
+    """Compile a row of exact rationals; an inexact entry raises TypeError."""
+    try:
+        indices = [j for j, v in enumerate(values) if v.numerator]
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "numerator"))
+        raise TypeError(f"not an exact number: {bad!r}") from None
+    den = lcm(*[values[j].denominator for j in indices])
+    numerators = [values[j].numerator * (den // values[j].denominator) for j in indices]
+    return SparseRow(tuple(indices), tuple(numerators), den)
+
+
+def sparse_dot(row: SparseRow, v: Sequence[Fraction]) -> tuple[int, int]:
+    """row . v as an unreduced (numerator, denominator) pair, the denominator positive.
+
+    Only the row's nonzero positions of v are read, and zeros among them are
+    skipped by their numerator. An inexact entry read raises TypeError.
+    """
+    num, den = 0, 1
+    try:
+        for j, a in zip(row.indices, row.numerators):
+            x = v[j]
+            n = x.numerator
+            if n:
+                d = x.denominator
+                if d == den:
+                    num += a * n
+                else:
+                    g = gcd(d, den)
+                    num = num * (d // g) + a * n * (den // g)
+                    den = den // g * d
+    except AttributeError:
+        raise TypeError(f"not an exact number: {x!r}") from None
+    return num, den * row.denominator
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:

@@ -27,7 +27,7 @@ from .model import (
     kernel_of,
     payoff,
 )
-from .numerics import Subspace, Vector, dot, vec_sub
+from .numerics import Subspace, Vector, dot, sparse_dot, vec_sub
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -36,24 +36,43 @@ F1 = Fraction(1)
 def _segment(problem: DecisionProblem, d: Vector) -> tuple[Fraction, Fraction]:
     """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
 
-    [0, 0] when d is zero or breaks an equality of the prior set.
+    [0, 0] when d is zero or breaks an equality of the prior set. Each cut
+    c lam <= b (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept as
+    the integer ratio b / c = p / q, q of the sign of c, and the cuts are
+    compared by cross-multiplying; only lo and hi become Fractions.
     """
     mu = problem.mu
     priors = problem.priors
-    if not any(d) or any(dot(row, d) for row in priors.eq_matrix):
+    eq_rows, ub_rows = priors._sparse_rows
+    if any([sparse_dot(row, d)[0] for row in eq_rows]):
         return F0, F0
-    cuts = [(dot(row, d), b - dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
-    cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for c, b in cuts:  # c * lam <= b
-        if c > 0:
-            hi = b / c if hi is None else min(hi, b / c)
-        elif c < 0:
-            lo = b / c if lo is None else max(lo, b / c)
-    if lo is None or hi is None or lo > F0 or hi < F0:
+    ratios = []
+    try:
+        for ds, ms in zip(d, mu):  # -d_s lam <= mu_s
+            dn = ds.numerator
+            if dn:
+                ratios.append((ms.numerator * ds.denominator, -ms.denominator * dn))
+    except AttributeError:
+        raise TypeError(f"not an exact number: {ds!r}") from None
+    if not ratios:
+        return F0, F0
+    for row, b in zip(ub_rows, priors.ub_rhs):  # (row . d) lam <= b - row . mu
+        c_num, c_den = sparse_dot(row, d)
+        if c_num:
+            m_num, m_den = sparse_dot(row, mu)
+            slack = b.numerator * m_den - m_num * b.denominator
+            ratios.append((slack * c_den, b.denominator * m_den * c_num))
+    lo: Optional[tuple[int, int]] = None
+    hi: Optional[tuple[int, int]] = None
+    for p, q in ratios:
+        if q > 0:  # lam <= p / q
+            if hi is None or p * hi[1] < hi[0] * q:
+                hi = (p, q)
+        elif lo is None or p * lo[1] > lo[0] * q:  # lam >= p / q, q < 0
+            lo = (p, q)
+    if lo is None or hi is None or lo[0] < 0 or hi[0] < 0:  # lo > 0 or hi < 0
         raise AssertionError("kernel segment must be bounded and contain zero")
-    return lo, hi
+    return Fraction(*lo), Fraction(*hi)
 
 
 def worst_case(
@@ -98,8 +117,10 @@ class SaddleCertificate:
     def verify(self, problem: DecisionProblem, structure: InformationStructure) -> bool:
         if payoff(self.alpha_star, self.nu_star, problem) != self.value:
             return False
-        for a in range(problem.n_actions):
-            if dot(problem.utility_row(a), self.nu_star) > self.value:
+        value = self.value
+        for row in problem._utility_rows:
+            num, den = sparse_dot(row, self.nu_star)
+            if num * value.denominator > value.numerator * den:
                 return False
         # membership in the identified set: inside the prior set and shifted
         # from mu along the experiment's kernel
@@ -210,9 +231,12 @@ def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[in
     """Indices of pure actions maximizing expected utility under nu, exactly."""
     if len(nu) != problem.n_states:
         raise AssertionError("state distribution length does not match the problem")
-    payoffs = [dot(problem.utility_row(a), nu) for a in range(problem.n_actions)]
-    top = max(payoffs)
-    return tuple(a for a, v in enumerate(payoffs) if v == top)
+    payoffs = [sparse_dot(row, nu) for row in problem._utility_rows]
+    top_num, top_den = payoffs[0]
+    for num, den in payoffs:
+        if num * top_den > top_num * den:
+            top_num, top_den = num, den
+    return tuple([a for a, (num, den) in enumerate(payoffs) if num * top_den == top_num * den])
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,20 @@ structures (messages and matrix) must be ``==``. The paper's two-sided
 construction, with 2(n - k) messages x_i + w_i and y_i - w_i, is kept as a
 second oracle that must have the same kernel.
 
-``lp.verify_outcome`` and ``DecisionProblem.mixed_utility`` compute their
-sums of products with ``dot``, and ``Subspace.contains_vector`` and
-``subspace_contains`` decide membership by the rank of one ``rref``. Their
-oracles are the earlier loops: per-column Fraction sums for stationarity
-and the bound value, weighted Fraction rows, and subtracting each basis row
-at its pivot. Decisions and vectors must be ``==``, on untouched and
-tampered certificates and on vectors inside and outside a span.
+``lp.verify_outcome`` computes its sums of products with ``dot``, and
+``Subspace.contains_vector`` and ``subspace_contains`` decide membership by
+the rank of one ``rref``. Their oracles are the earlier loops: per-column
+Fraction sums for stationarity and the bound value, and subtracting each
+basis row at its pivot. Decisions must be ``==``, on untouched and tampered
+certificates and on vectors inside and outside a span.
+
+A problem's fixed rows are compiled once into sparse integer rows:
+``PriorPolytope.contains``, ``solver._segment``, ``best_responses``, pure
+payoffs and ``DecisionProblem.mixed_utility`` read them. Their oracles are
+the earlier dense bodies: ``lp._point_feasible`` on the feasibility program,
+the segment's cuts as Fractions, ``dot`` over each utility row, and weighted
+Fraction rows. Decisions, segments (or the error raised) and values must be
+``==``, on members, near misses and points off the simplex.
 """
 
 import itertools
@@ -59,10 +66,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infodesign as idg
-from infodesign import lp
+from infodesign import lp, solver
 from infodesign.causal import _irrelevant_covariates
 from infodesign.model import _is_distribution
-from infodesign.numerics import dot, rref
+from infodesign.numerics import dot, rref, sparse_dot
 
 from support import (
     paired_problem,
@@ -1083,3 +1090,165 @@ def test_subspace_membership_matches_fraction_oracle(case):
         for a, b in ((sub, other), (other, sub)):
             expected = all(_fraction_contains_vector(a, v) for v in b.basis)
             assert idg.subspace_contains(a, b) == expected
+
+
+# ---------------------------------------------------------------- compiled problem rows
+
+
+@st.composite
+def prior_sets(draw, min_states=1):
+    """A prior set with up to two equality and three <= rows through a member mu."""
+    n = draw(st.integers(min_states, 6))
+    mu = rand_distribution(random.Random(draw(st.integers(0, 2**32))), n)
+    row = st.lists(sparse_rationals, min_size=n, max_size=n).map(tuple)
+    eq_rows = draw(st.lists(row, max_size=2))
+    ub_rows = draw(st.lists(row, max_size=3))
+    slacks = [F(draw(st.integers(0, 2)), draw(st.integers(1, 3))) for _ in ub_rows]
+    priors = idg.PriorPolytope(
+        n,
+        eq_matrix=tuple(eq_rows),
+        eq_rhs=tuple(_dot(r, mu) for r in eq_rows),
+        ub_matrix=tuple(ub_rows),
+        ub_rhs=tuple(_dot(r, mu) + slack for r, slack in zip(ub_rows, slacks)),
+        known_member=mu,
+    )
+    return priors, mu
+
+
+@st.composite
+def prior_probes(draw):
+    """A prior set and points: mu, other distributions, +-1/97 nudges, negative entries."""
+    priors, mu = draw(prior_sets())
+    n = priors.dimension
+    r = random.Random(draw(st.integers(0, 2**32)))
+    points = [mu]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("distribution", "nudge", "transfer", "negative", "any")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        step = draw(st.sampled_from((F(1, 97), F(-1, 97))))
+        point = list(mu)
+        if kind == "distribution":
+            point = list(rand_distribution(r, n))
+        elif kind == "nudge":  # the sum moves off one
+            point[i] += step
+        elif kind == "transfer":  # the sum stays one; a row or a sign may break
+            point[i] += step
+            point[j] -= step
+        elif kind == "negative":  # a negative entry, the sum kept at one when n > 1
+            low = -abs(draw(rationals)) - F(1, 97)
+            if i != j:
+                point[j] += point[i] - low
+            point[i] = low
+        else:
+            point = draw(st.lists(sparse_rationals, min_size=n, max_size=n))
+        points.append(tuple(point))
+    return priors, points
+
+
+@given(prior_probes())
+def test_compiled_contains_matches_dense_point_check(case):
+    priors, points = case
+    program = priors.feasibility_program()
+    for point in points:
+        assert priors.contains(point) == lp._point_feasible(program, point)
+
+
+def _fraction_segment(problem, d):
+    """The segment's cuts c lam <= b as Fractions, tightened one Fraction division at a time."""
+    mu = problem.mu
+    priors = problem.priors
+    if not any(d) or any(_dot(row, d) for row in priors.eq_matrix):
+        return F(0), F(0)
+    cuts = [(_dot(row, d), b - _dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
+    cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
+    lo = hi = None
+    for c, b in cuts:
+        if c > 0:
+            hi = b / c if hi is None else min(hi, b / c)
+        elif c < 0:
+            lo = b / c if lo is None else max(lo, b / c)
+    if lo is None or hi is None or lo > 0 or hi < 0:
+        raise AssertionError("kernel segment must be bounded and contain zero")
+    return lo, hi
+
+
+@st.composite
+def segment_probes(draw):
+    """A problem over a drawn prior set and a direction d.
+
+    d is zero, in the kernel of the equality rows and the all-ones row (a
+    nontrivial segment, drawn most often), zero-sum (which almost always
+    breaks an equality row, if there is one) or arbitrary (often unbounded
+    on one side).
+    """
+    priors, mu = draw(prior_sets(min_states=2))
+    n = priors.dimension
+    problem = idg.DecisionProblem(
+        tuple(f"s{i}" for i in range(n)), ("a0",), idg.Matrix(1, n, ((F(0),) * n,)), mu, priors
+    )
+    raw = draw(st.lists(sparse_rationals, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("zero", "kernel", "kernel", "kernel", "zero-sum", "any")))
+    if kind == "zero":
+        d = (F(0),) * n
+    elif kind == "kernel":
+        rows = priors.eq_matrix + ((F(1),) * n,)
+        basis = idg.nullspace(idg.Matrix(len(rows), n, rows)).basis
+        d = tuple(_dot(raw[: len(basis)], column) for column in zip(*basis)) or (F(0),) * n
+    elif kind == "zero-sum":
+        d = tuple(x - sum(raw) / n for x in raw)
+    else:
+        d = tuple(raw)
+    return problem, d
+
+
+def _segment_or_error(segment, problem, d):
+    try:
+        return segment(problem, d)
+    except AssertionError as exc:
+        return type(exc), str(exc)
+
+
+@given(segment_probes())
+def test_integer_segment_matches_fraction_segment(case):
+    problem, d = case
+    segment = _segment_or_error(solver._segment, problem, d)
+    assert segment == _segment_or_error(_fraction_segment, problem, d)
+    if any(_dot(row, d) for row in problem.priors.eq_matrix):
+        assert segment == (F(0), F(0))
+
+
+def _fraction_best_responses(problem, nu):
+    payoffs = [_dot(problem.utility_row(a), nu) for a in range(problem.n_actions)]
+    return tuple(a for a, v in enumerate(payoffs) if v == max(payoffs))
+
+
+@st.composite
+def payoff_probes(draw):
+    """A problem with small rational utilities, so that payoffs often tie, and priors."""
+    n = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-2, 2).map(F), sparse_rationals)
+    rows = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n_actions))
+    r = random.Random(draw(st.integers(0, 2**32)))
+    mu = rand_distribution(r, n)
+    problem = idg.DecisionProblem(
+        tuple(f"s{i}" for i in range(n)),
+        tuple(f"a{i}" for i in range(n_actions)),
+        idg.Matrix(n_actions, n, rows),
+        mu,
+        idg.PriorPolytope.simplex(n),
+    )
+    priors = [mu, (F(1, n),) * n] + [rand_distribution(r, n) for _ in range(3)]
+    return problem, priors
+
+
+@given(payoff_probes())
+def test_compiled_payoffs_match_dense_rows(case):
+    problem, priors = case
+    for nu in priors:
+        assert idg.best_responses(problem, nu) == _fraction_best_responses(problem, nu)
+        for a in range(problem.n_actions):
+            expected = _dot(problem.utility_row(a), nu)
+            assert F(*sparse_dot(problem._utility_rows[a], nu)) == expected
+            value = idg.payoff(idg.MixedAction.pure(a, problem.n_actions), nu, problem)
+            assert type(value) is F and value == expected

@@ -215,8 +215,8 @@ def test_mu_outside_priors_rejected():
 
 def test_mu_declared_as_member_is_checked_once(example_model, monkeypatch):
     checks = []
-    point_feasible = lp._point_feasible
-    monkeypatch.setattr(lp, "_point_feasible", lambda *a: checks.append(1) or point_feasible(*a))
+    contains = idg.PriorPolytope.contains
+    monkeypatch.setattr(idg.PriorPolytope, "contains", lambda *a: checks.append(1) or contains(*a))
     generic, _ = paired_problem("checked-once")
     docs = [documents.serialize_problem(generic), documents.serialize_treatment(example_model)]
     builds = [lambda: idg.build_treatment_problem(example_model)]
@@ -240,6 +240,22 @@ def test_inexact_entries_are_refused():
             (0.5, 0.5),
             idg.PriorPolytope.simplex(2),
         )
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.PriorPolytope.simplex(2).contains((0.5, 0.5))
+    half = (F(1, 2), F(1, 2))
+    for row, rhs in (((1.0, F(0)), F(1)), ((F(1), F(0)), 0.5)):
+        with pytest.raises(TypeError, match="not an exact number"):
+            idg.PriorPolytope(2, ub_matrix=(row,), ub_rhs=(rhs,), known_member=half)
+    # no prior rows: the segment's coordinate cuts are the first to read nu
+    problem = idg.DecisionProblem(
+        ("s0", "s1"),
+        ("a0",),
+        idg.Matrix.from_rows([[1, 0]]),
+        (F(1, 2), F(1, 2)),
+        idg.PriorPolytope.simplex(2),
+    )
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.extremal_reach(problem, (0.25, 0.75))
 
 
 def test_empty_prior_polytope_rejected():
