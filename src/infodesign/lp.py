@@ -17,8 +17,18 @@ denominator is positive, a stored entry has the sign of the value it
 stands for, and the ratio rhs/t of a row is ``row[-1] / row[enter]`` (the
 row's denominator cancels), compared by cross-multiplying. So Bland's rule
 sees the same signs and the same ratios as over a Fraction tableau, makes
-the same choices, and returns the same outcomes and certificates. Fractions
-are built only for the returned point, value and certificate.
+the same choices, and returns the same outcomes and certificates. Each
+standard-form row is built directly as integers over the least common
+denominator of its nonzero entries and rhs. Fractions are built only for the
+returned point, value and certificate.
+
+Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
+artificials out, returning the feasible tableau (or a Farkas certificate);
+``_phase_two`` prices one objective and runs Bland's phase 2 from a copy of
+that tableau, and ``solve_lp`` is the one composed with the other.
+``model.IdentifiedSet`` caches its phase 1, so the worst cases over one
+identified set each run only phase 2. Bland's rule is deterministic, so
+each returns exactly what a fresh solve would.
 
 Certificate conventions, writing y for equality multipliers, w for
 inequality multipliers, and s for lower-bound multipliers (s is zero on
@@ -40,8 +50,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import gcd
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
 from .numerics import Vector, dot
@@ -79,6 +89,15 @@ class ImprovingRay:
 Certificate = Union[DualCertificate, FarkasCertificate, ImprovingRay]
 
 
+def _check_exact(values: Iterable) -> None:
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"LinearProgram numbers must be int or Fraction, got {v!r} of type"
+                f" {type(v).__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     objective: Vector
@@ -106,12 +125,7 @@ class LinearProgram:
         if self.lower_bounds is not None and len(self.lower_bounds) != n:
             raise DimensionMismatch("lower_bounds length differs from variable count")
         bounded = [lb for lb in self.lower_bounds or () if lb is not None]
-        for v in chain(self.objective, *rows, self.eq_rhs, self.ub_rhs, bounded):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(
-                    f"LinearProgram numbers must be int or Fraction, got {v!r} of type"
-                    f" {type(v).__name__}"
-                )
+        _check_exact(chain(self.objective, *rows, self.eq_rhs, self.ub_rhs, bounded))
 
     @property
     def n_vars(self) -> int:
@@ -132,7 +146,13 @@ class LpOutcome:
 
 
 class _Standard:
-    """Standard form min cost.z, rows z = rhs (rhs >= 0), z >= 0."""
+    """Standard form rows z = rhs (rhs >= 0), z >= 0, held as integer rows.
+
+    Each row is built directly as integers over the least common denominator
+    of its nonzero entries and its rhs, with its slack (for a <= row) and its
+    artificial column: [structural | artificial identity | rhs]. The
+    objective is not read; ``cost_row`` lays one out over the same columns.
+    """
 
     def __init__(self, program: LinearProgram) -> None:
         self.program = program
@@ -147,51 +167,52 @@ class _Standard:
             n_base += 2 if lb is None else 1
         self.var_cols = var_cols
         self.n_base = n_base
-        self.n_struct = n_base + len(program.ub_matrix)
-
-        def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-            out = [F0] * self.n_struct
-            delta = F0
-            for j, a in enumerate(coeffs):
-                if not a:
-                    continue
-                col = var_cols[j]
-                lb = bounds[j]
-                out[col] = a
-                if lb is None:
-                    out[col + 1] = -a
-                elif lb:
-                    delta += a * lb
-            return out, delta
-
-        objective = program.objective
-        if program.sense == "max":
-            objective = [-c for c in objective]
-        self.cost = expand(objective)[0]
+        n_eq = len(program.eq_matrix)
+        lhs = program.eq_matrix + program.ub_matrix
+        n_struct = self.n_struct = n_base + len(program.ub_matrix)
+        self.width = n_struct + len(lhs) + 1
 
         # Equality rows first, then <= rows with their slacks; a row whose
         # shifted rhs is negative is negated (sign -1 in meta).
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.meta: list[tuple[str, int, int]] = []  # (kind, original index, sign)
-        n_eq = len(program.eq_matrix)
-        lhs = program.eq_matrix + program.ub_matrix
         for i, (coeffs, b) in enumerate(zip(lhs, (*program.eq_rhs, *program.ub_rhs))):
-            out, delta = expand(coeffs)
+            nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
+            r = b
+            for j, a in nonzero:
+                if bounds[j]:
+                    r -= a * bounds[j]
+            sign = -1 if r < 0 else 1
+            den = lcm(r.denominator, *[a.denominator for _, a in nonzero])
+            row = self._place(nonzero, sign, den)
             if i < n_eq:
                 kind, orig = "eq", i
             else:
                 kind, orig = "ub", i - n_eq
-                out[n_base + orig] = F1
-            r = b - delta
-            sign = 1
-            if r < 0:
-                out = [-x for x in out]
-                r = -r
-                sign = -1
-            self.rows.append(out)
-            self.rhs.append(r)
+                row[n_base + orig] = sign * den
+            row[n_struct + i] = den
+            row[-1] = sign * r.numerator * (den // r.denominator)
+            self.rows.append(row)
+            self.dens.append(den)
             self.meta.append((kind, orig, sign))
+
+    def _place(self, nonzero: list[tuple[int, Fraction]], sign: int, den: int) -> list[int]:
+        """A zero row of the tableau's width with sign * a * den at each variable's column(s)."""
+        row = [0] * self.width
+        for j, a in nonzero:
+            x = sign * a.numerator * (den // a.denominator)
+            col = self.var_cols[j]
+            row[col] = x
+            if self.bounds[j] is None:
+                row[col + 1] = -x
+        return row
+
+    def cost_row(self, objective: Sequence[Fraction], sense: str) -> tuple[list[int], int]:
+        """The objective to minimize (negated for max) as one integer row over its lcm."""
+        nonzero = [(j, c) for j, c in enumerate(objective) if c]
+        den = lcm(*[c.denominator for _, c in nonzero])
+        return self._place(nonzero, -1 if sense == "max" else 1, den), den
 
     def point_from(self, by_col: dict[int, Fraction], shift: bool = True) -> Vector:
         """Program variables from column values; points are shifted by the bounds, rays not."""
@@ -217,19 +238,6 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return [x // g for x in row], den // g
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """values as integers over their least common denominator."""
-    nums = [v.numerator for v in values]
-    denominators = [v.denominator for v in values]
-    den = 1
-    for d in denominators:
-        if den % d:
-            den = den // gcd(den, d) * d
-    if den == 1:
-        return nums, 1
-    return [a * (den // d) for a, d in zip(nums, denominators)], den
-
-
 def _eliminate(
     row: list[int], den: int, prow: list[int], pden: int, c: int
 ) -> tuple[list[int], int]:
@@ -241,7 +249,11 @@ def _eliminate(
 
 
 def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, c: int) -> None:
-    """Pivot on (r, c) in every row, the cost row (last) included."""
+    """Pivot on (r, c) in every row, the cost row (last) included.
+
+    Rows are replaced, never written into, so a copy of the outer lists is
+    an independent tableau.
+    """
     prow = rows[r]
     head = prow[c]
     if head < 0:
@@ -295,28 +307,25 @@ def _run(rows: list[list[int]], dens: list[int], basis: list[int], n_allowed: in
         _pivot(rows, dens, basis, leave, enter)
 
 
-def solve_lp(program: LinearProgram) -> LpOutcome:
-    """Solve exactly; the outcome always carries a checkable certificate."""
-    std = _Standard(program)
+class _Feasible(NamedTuple):
+    """Phase 1's final tableau: a feasible basis, no objective read yet."""
+
+    std: _Standard
+    rows: list[list[int]]  # the constraint rows, without a cost row
+    dens: list[int]
+    basis: list[int]
+
+
+def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
+    """Phase 1 and the drive-out of artificials, or a Farkas certificate of emptiness."""
     m = len(std.rows)
     n_struct = std.n_struct
-    width = n_struct + m + 1
-
-    # Constraint rows [structural | artificial identity | rhs], then the cost row.
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for i in range(m):
-        row, den = _integer_row(std.rows[i] + [std.rhs[i]])
-        rhs = row.pop()
-        row += [0] * m
-        row[n_struct + i] = den
-        row.append(rhs)
-        rows.append(row)
-        dens.append(den)
+    rows = list(std.rows)
+    dens = list(std.dens)
     basis = [n_struct + i for i in range(m)]
 
-    # Phase 1: minimize the sum of artificials, priced out from the start.
-    cost = [0] * width
+    # Minimize the sum of artificials, priced out from the start.
+    cost = [0] * std.width
     cost[n_struct:-1] = [1] * m
     z, zden = _price(cost, 1, rows, dens, basis)
     rows.append(z)
@@ -326,8 +335,7 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
     if status != "optimal":
         raise AssertionError("phase 1 cannot be unbounded")
     if rows[-1][-1] < 0:
-        farkas = _row_duals(std, rows[-1], dens[-1], 1)
-        return LpOutcome(status=LpStatus.INFEASIBLE, certificate=FarkasCertificate(*farkas))
+        return FarkasCertificate(*_row_duals(std, rows[-1], dens[-1], 1))
 
     # Drive basic artificials out where a structural pivot exists; rows with
     # no structural entry are redundant and stay inert at zero.
@@ -336,12 +344,20 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
             col = next((j for j in range(n_struct) if rows[r][j]), None)
             if col is not None:
                 _pivot(rows, dens, basis, r, col)
+    return _Feasible(std, rows[:m], dens[:m], basis)
 
-    # Phase 2 on the real objective.
-    cost, den = _integer_row(std.cost)
-    rows[-1], dens[-1] = _price(cost + [0] * (m + 1), den, rows, dens, basis)
 
-    status, enter = _run(rows, dens, basis, n_struct)
+def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> LpOutcome:
+    """Bland's phase 2 for one objective, from a copy of phase 1's tableau."""
+    _check_exact(objective)
+    std = start.std
+    m = len(start.basis)
+    cost, den = _price(*std.cost_row(objective, sense), start.rows, start.dens, start.basis)
+    rows = start.rows + [cost]
+    dens = start.dens + [den]
+    basis = list(start.basis)
+
+    status, enter = _run(rows, dens, basis, std.n_struct)
     z_by_col = {basis[i]: Fraction(rows[i][-1], dens[i]) for i in range(m)}
 
     if status == "unbounded":
@@ -357,9 +373,9 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
         return LpOutcome(status=LpStatus.UNBOUNDED, certificate=ray)
 
     point = std.point_from(z_by_col)
-    value = dot(program.objective, point)
+    value = dot(objective, point)
     duals = _row_duals(std, rows[-1], dens[-1], 0)
-    if program.sense == "max":
+    if sense == "max":
         # tuples of lists, not of generators: see _split_duals
         duals = tuple([tuple([-v for v in part]) for part in duals])
     return LpOutcome(
@@ -370,10 +386,18 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
     )
 
 
+def solve_lp(program: LinearProgram) -> LpOutcome:
+    """Solve exactly; the outcome always carries a checkable certificate."""
+    start = _phase_one(_Standard(program))
+    if isinstance(start, FarkasCertificate):
+        return LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
+    return _phase_two(start, program.objective, program.sense)
+
+
 def _row_duals(std: _Standard, z: list[int], den: int, unit: int) -> tuple[Vector, Vector, Vector]:
     """Multipliers read off the cost row z/den: row i's is unit minus its artificial's cost."""
     n_struct = std.n_struct
-    y = [Fraction(unit * den - z[n_struct + i], den) for i in range(len(std.rows))]
+    y = [Fraction(unit * den - z[n_struct + i], den) for i in range(len(std.meta))]
     return _split_duals(std, y, [Fraction(x, den) for x in z[: std.n_base]])
 
 

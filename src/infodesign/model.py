@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import lp
 from .errors import DimensionMismatch
@@ -306,13 +306,22 @@ class DecisionProblem:
 
 
 def payoff(alpha: MixedAction, nu: Sequence[Fraction], problem: DecisionProblem) -> Fraction:
-    """Expected utility sum_a sum_s alpha(a) u(a,s) nu(s), exactly."""
+    """Expected utility sum_a sum_s alpha(a) u(a,s) nu(s), exactly.
+
+    nu need not be a distribution: the solver also takes the payoff's slope
+    along a kernel direction.
+    """
     if len(nu) != problem.n_states:
         raise DimensionMismatch("state distribution length does not match the problem")
+    if len(alpha) != problem.n_actions:
+        raise DimensionMismatch("mixed action length does not match the action count")
+    rows = problem._utility_rows
     support = alpha.support
-    if len(support) == 1 and len(alpha) == problem.n_actions:  # a pure action: its compiled row
-        return Fraction(*sparse_dot(problem._utility_rows[support[0]], nu))
-    return dot(problem.mixed_utility(alpha), nu)
+    if len(support) == 1:  # a pure action: its compiled row
+        return Fraction(*sparse_dot(rows[support[0]], nu))
+    # sum_a w_a (u_a . nu) over the support, with no per-state mixed row
+    weights = alpha.weights
+    return dot([weights[a] for a in support], [Fraction(*sparse_dot(rows[a], nu)) for a in support])
 
 
 def push_forward(structure: InformationStructure, nu: Sequence[Fraction]) -> Vector:
@@ -340,14 +349,42 @@ class IdentifiedSet:
     def inequality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
         return self.base.ub_matrix, self.base.ub_rhs
 
+    @cached_property
+    def _phase_one(self) -> Union[lp._Feasible, lp.FarkasCertificate]:
+        """The simplex's phase 1 over these rows, shared by every objective minimized on the set.
+
+        Phase 1 does not read the objective, so each worst case runs only
+        phase 2 from this tableau (``lp._phase_two``).
+        """
+        eq, eq_rhs = self.equality_rows()
+        ub, ub_rhs = self.inequality_rows()
+        program = lp.LinearProgram(
+            objective=(F0,) * self.base.dimension,
+            eq_matrix=eq,
+            eq_rhs=eq_rhs,
+            ub_matrix=ub,
+            ub_rhs=ub_rhs,
+        )
+        return lp._phase_one(lp._Standard(program))
+
 
 def identified_set(problem: DecisionProblem, structure: InformationStructure) -> IdentifiedSet:
+    """The identified set of mu under the structure; the same object again for the same problem.
+
+    The structure remembers the last (problem, set) pair, compared by
+    identity, so the worst cases of one problem share one phase 1.
+    """
+    memo = structure.__dict__.get("_identified")
+    if memo is not None and memo[0] is problem:
+        return memo[1]
     if structure.n_states != problem.n_states:
         raise DimensionMismatch("experiment columns do not match the problem's states")
     # contains mu: DecisionProblem checked that mu is in the prior set, and
     # mu pushes forward to the pinned distribution by definition
     pinned = push_forward(structure, problem.mu)
-    return IdentifiedSet(problem.priors, pinned, structure)
+    iset = IdentifiedSet(problem.priors, pinned, structure)
+    structure.__dict__["_identified"] = (problem, iset)
+    return iset
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ kernel's dimension:
   gives both the worst case of an action and the saddle point.
 * k >= 2: one linear program over the state distribution nu >= 0, with the
   prior set's rows and the experiment's pinning rows. The experiment's rows
-  sum to the all-ones row, so pinning them also makes nu sum to one.
+  sum to the all-ones row, so pinning them also makes nu sum to one. Its
+  phase 1 reads no objective, so the identified set solves it once for the
+  worst cases of every action.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lp
+from .errors import DimensionMismatch
 from .model import (
     DecisionProblem,
     InformationStructure,
@@ -82,21 +85,20 @@ def worst_case(
 
     For k <= 1 the minimizer is the end of the segment the payoff falls
     towards, the smallest lam when the payoff is flat along it; for k >= 2
-    the optimal point of one LP.
+    the optimal point of one LP, whose phase 1 the identified set solves
+    once for every action (see ``model.IdentifiedSet``).
     """
-    u = problem.mixed_utility(alpha)
     kernel = kernel_of(structure)
     if kernel.dim <= 1:
-        _, nu, value = _segment_saddle(problem, kernel, (u,))
+        d = _direction(problem, kernel)
+        mean, slope = payoff(alpha, problem.mu, problem), payoff(alpha, d, problem)
+        _, nu, value = _segment_saddle(problem, d, (mean,), (slope,))
         return value, nu
-    iset = identified_set(problem, structure)
-    eq, eq_rhs = iset.equality_rows()
-    ub, ub_rhs = iset.inequality_rows()
-    out = lp.solve_lp(
-        lp.LinearProgram(
-            objective=u, sense="min", eq_matrix=eq, eq_rhs=eq_rhs, ub_matrix=ub, ub_rhs=ub_rhs
-        )
-    )
+    u = problem.mixed_utility(alpha)
+    start = identified_set(problem, structure)._phase_one
+    if not isinstance(start, lp._Feasible):
+        raise AssertionError("the identified set contains mu, so phase 1 must be feasible")
+    out = lp._phase_two(start, u, "min")
     if out.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError("inner minimization over a nonempty compact set must be optimal")
     return out.optimal_value, out.optimal_point
@@ -149,13 +151,16 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
       subject to u_a . nu <= t for every action a. nu* is its optimal point
       and alpha* the negated duals of the action rows.
     """
-    n_actions = problem.n_actions
-    rows = tuple(problem.utility_row(a) for a in range(n_actions))
     kernel = kernel_of(structure)
     if kernel.dim <= 1:
-        weights, nu, value = _segment_saddle(problem, kernel, rows)
+        d = _direction(problem, kernel)
+        means = [Fraction(*sparse_dot(row, problem.mu)) for row in problem._utility_rows]
+        slopes = [Fraction(*sparse_dot(row, d)) for row in problem._utility_rows]
+        weights, nu, value = _segment_saddle(problem, d, means, slopes)
         return SaddleCertificate(MixedAction(weights), nu, value)
 
+    n_actions = problem.n_actions
+    rows = tuple(problem.utility_row(a) for a in range(n_actions))
     n = problem.n_states
     iset = identified_set(problem, structure)
     eq, eq_rhs = iset.equality_rows()
@@ -176,18 +181,22 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
 
 
-def _segment_saddle(
-    problem: DecisionProblem, kernel: Subspace, rows: Sequence[Vector]
-) -> tuple[Vector, Vector, Fraction]:
-    """Closed-form saddle (weights, minimizer, value) of the rows on mu + lam d, lam in [lo, hi].
+def _direction(problem: DecisionProblem, kernel: Subspace) -> Vector:
+    """The segment's direction d: the basis vector of a kernel with k = 1, zero when k = 0."""
+    if kernel.ambient_dim != problem.n_states:
+        raise DimensionMismatch("experiment columns do not match the problem's states")
+    return kernel.basis[0] if kernel.dim else (F0,) * problem.n_states
 
-    d is the basis vector of a kernel with k = 1, or zero when k = 0.
+
+def _segment_saddle(
+    problem: DecisionProblem, d: Vector, means: Sequence[Fraction], slopes: Sequence[Fraction]
+) -> tuple[Vector, Vector, Fraction]:
+    """Closed-form saddle (weights, minimizer, value) of lines on mu + lam d, lam in [lo, hi].
+
+    Line a is means[a] + slopes[a] lam: a payoff row dotted with mu and with d.
     """
-    d = kernel.basis[0] if kernel.dim else (F0,) * problem.n_states
     lo, hi = _segment(problem, d)
-    n_actions = len(rows)
-    means = [dot(row, problem.mu) for row in rows]
-    slopes = [dot(row, d) for row in rows]
+    n_actions = len(means)
 
     def envelope(lam: Fraction) -> Fraction:
         return max(m + c * lam for m, c in zip(means, slopes))

@@ -163,9 +163,40 @@ def test_solve_marginal(example_files, capsys):
     prob, marg = example_files
     code, payload, _ = machine(capsys, "solve", str(prob), str(marg))
     assert code == 0
-    assert payload["value"] == "1/8"
-    assert payload["alpha_star"] == {"t0": "0", "t1": "1"}
-    assert payload["worst_cases"] == {"t0": "1/16", "t1": "1/8"}
+    states = [f"({y},x{x},s{s},t{t})" for y in (0, 1) for x in (0, 1) for s in (0, 1) for t in (0, 1)]
+    assert payload == {
+        "command": "solve",
+        "states": states,
+        "actions": ["t0", "t1"],
+        "value": "1/8",
+        "alpha_star": {"t0": "0", "t1": "1"},
+        # the LP's optimal vertex, which Bland's rule fixes
+        "nu_star": {
+            "(0,x0,s0,t0)": "11/30",
+            "(0,x0,s0,t1)": "1/10",
+            "(0,x0,s1,t0)": "0",
+            "(0,x0,s1,t1)": "0",
+            "(0,x1,s0,t0)": "1/12",
+            "(0,x1,s0,t1)": "3/10",
+            "(0,x1,s1,t0)": "0",
+            "(0,x1,s1,t1)": "0",
+            "(1,x0,s0,t0)": "1/30",
+            "(1,x0,s0,t1)": "0",
+            "(1,x0,s1,t0)": "0",
+            "(1,x0,s1,t1)": "0",
+            "(1,x1,s0,t0)": "1/60",
+            "(1,x1,s0,t1)": "1/10",
+            "(1,x1,s1,t0)": "0",
+            "(1,x1,s1,t1)": "0",
+        },
+        "worst_cases": {"t0": "1/16", "t1": "1/8"},
+        "structure": {
+            "messages": ["0,t0", "0,t1", "1,t0", "1,t1"],
+            "kernel_dim": 12,
+            "fully_informative": False,
+            "almost_fully_informative": False,
+        },
+    }
 
 
 def test_solve_identity(example_files, tmp_path, capsys):
@@ -592,6 +623,16 @@ def test_treatment_marginal_computes_one_kernel(example_files, capsys, monkeypat
     assert code == 0
     assert payload["kernel_dim"] == payload["structure"]["kernel_dim"] == 12
     assert len(kernels) + len(others) == 1
+
+
+def test_solve_runs_phase_one_twice(example_files, capsys, monkeypatch):
+    prob, marg = example_files
+    # maxmin solves its own program; both worst cases share the identified set's phase 1
+    phase_ones = _counting(monkeypatch, lp, "_phase_one")
+    code, payload, _ = machine(capsys, "solve", str(prob), str(marg))
+    assert code == 0
+    assert payload["structure"]["kernel_dim"] == 12
+    assert len(phase_ones) == 2
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,10 @@ kernel coordinate of a one-direction kernel.
 
 ``lp.solve_lp`` pivots on a tableau of integer rows, each over one row
 denominator. The oracle is the earlier simplex over a tableau of Fractions,
-with the same standard form and the same Bland's rule: outcomes and
-certificates must be ``==``.
+with the same column layout and the same Bland's rule. It builds its own
+Fraction standard form and dual mapping from the ``LinearProgram`` fields,
+so it shares no code with the integer path: outcomes and certificates must
+be ``==``.
 
 ``nullspace`` reads its canonical basis off one column-reversed
 elimination. Two oracles recompute it: the earlier two-pass routine (kernel
@@ -49,11 +51,13 @@ basis row at its pivot. Decisions must be ``==``, on untouched and tampered
 certificates and on vectors inside and outside a span.
 
 A problem's fixed rows are compiled once into sparse integer rows:
-``PriorPolytope.contains``, ``solver._segment``, ``best_responses``, pure
-payoffs and ``DecisionProblem.mixed_utility`` read them. Their oracles are
-the earlier dense bodies: ``lp._point_feasible`` on the feasibility program,
-the segment's cuts as Fractions, ``dot`` over each utility row, and weighted
-Fraction rows. Decisions, segments (or the error raised) and values must be
+``PriorPolytope.contains``, ``solver._segment``, ``best_responses``,
+payoffs, ``DecisionProblem.mixed_utility`` and the k <= 1 closed form of
+``maxmin`` and ``worst_case`` read them. Their oracles are the earlier
+dense bodies: ``lp._point_feasible`` on the feasibility program, the
+segment's cuts as Fractions, ``dot`` over each utility row, weighted
+Fraction rows, and the closed form over dense dot products of each row.
+Decisions, segments (or the error raised), values and saddle points must be
 ``==``, on members, near misses and points off the simplex.
 """
 
@@ -310,6 +314,62 @@ def test_segment_saddle_matches_kernel_oracle(game):
     assert all(w >= 0 for w in weights) and sum(weights) == 1
 
 
+def _dense_segment_saddle(problem, kernel, rows):
+    """The earlier closed form: each line's mean and slope are dense dot products of its row."""
+    d = kernel.basis[0] if kernel.dim else (F(0),) * problem.n_states
+    lo, hi = _fraction_segment(problem, d)
+    n_actions = len(rows)
+    means = [_dot(row, problem.mu) for row in rows]
+    slopes = [_dot(row, d) for row in rows]
+
+    def envelope(lam):
+        return max(m + c * lam for m, c in zip(means, slopes))
+
+    candidates = {lo, hi}
+    for a in range(n_actions):
+        for b in range(a):
+            if slopes[a] != slopes[b]:
+                lam = (means[b] - means[a]) / (slopes[a] - slopes[b])
+                if lo < lam < hi:
+                    candidates.add(lam)
+    value, lam = min((envelope(lam), lam) for lam in candidates)
+
+    def stays_above(slope):
+        return (slope >= 0 or lam == hi) and (slope <= 0 or lam == lo)
+
+    active = [a for a in range(n_actions) if means[a] + slopes[a] * lam == value]
+    weights = [F(0)] * n_actions
+    pick = next((a for a in active if stays_above(slopes[a])), None)
+    if pick is not None:
+        weights[pick] = F(1)
+    else:
+        up = max(active, key=lambda a: slopes[a])
+        down = min(active, key=lambda a: slopes[a])
+        weights[up] = slopes[down] / (slopes[down] - slopes[up])
+        weights[down] = 1 - weights[up]
+    nu = tuple(m + lam * v if v else m for m, v in zip(problem.mu, d))
+    return tuple(weights), nu, value
+
+
+@given(segment_games(), st.integers(0, 2**32))
+def test_segment_saddle_matches_dense_rows(game, seed):
+    """maxmin and worst_case at k <= 1, from compiled rows, against the dense closed form."""
+    problem, structure = game
+    n_actions = problem.n_actions
+    rows = [problem.utility_row(a) for a in range(n_actions)]
+    r = random.Random(seed)
+    alphas = [idg.MixedAction.pure(a, n_actions) for a in range(n_actions)]
+    alphas += [idg.MixedAction(rand_distribution(r, n_actions)) for _ in range(2)]
+    for s in (structure, idg.InformationStructure.identity(problem.n_states)):
+        kernel = idg.kernel_of(s)
+        weights, nu, value = _dense_segment_saddle(problem, kernel, rows)
+        assert idg.maxmin(problem, s) == solver.SaddleCertificate(idg.MixedAction(weights), nu, value)
+        for alpha in alphas:
+            mixed_row = _fraction_mixed_utility(problem, alpha)
+            _, nu, value = _dense_segment_saddle(problem, kernel, (mixed_row,))
+            assert idg.worst_case(problem, s, alpha) == (value, nu)
+
+
 def _lambda_maximality_oracle(problem, d, alpha):
     """Whether some mu + lam d with lam != 0 supports alpha at no gain over mu.
 
@@ -516,9 +576,77 @@ def _fraction_run(table, z, basis, n_allowed):
         _fraction_pivot(table, z, basis, leave, enter)
 
 
+class _FractionStandard:
+    """The standard form over Fractions, read from the program's fields alone.
+
+    Columns: one per bounded variable (shifted by its lower bound), a +/-
+    pair per free variable, then one slack per <= row. Rows: equalities
+    first, then <= rows; a row whose shifted rhs is negative is negated.
+    """
+
+    def __init__(self, program):
+        self.program = program
+        n = len(program.objective)
+        bounds = self.bounds = program.lower_bounds or (F(0),) * n
+        self.var_cols = []
+        n_base = 0
+        for lb in bounds:
+            self.var_cols.append(n_base)
+            n_base += 2 if lb is None else 1
+        self.n_base = n_base
+        self.n_struct = n_base + len(program.ub_matrix)
+        objective = program.objective
+        if program.sense == "max":
+            objective = [-c for c in objective]
+        self.cost = self.expand(objective)[0]
+        self.rows, self.rhs, self.signs = [], [], []
+        n_eq = len(program.eq_matrix)
+        for i, (coeffs, b) in enumerate(
+            zip(program.eq_matrix + program.ub_matrix, program.eq_rhs + program.ub_rhs)
+        ):
+            row, shift = self.expand(coeffs)
+            if i >= n_eq:
+                row[n_base + i - n_eq] = F(1)
+            r = b - shift
+            sign = -1 if r < 0 else 1
+            self.rows.append([sign * x for x in row])
+            self.rhs.append(sign * r)
+            self.signs.append(sign)
+
+    def expand(self, coeffs):
+        """A row over the structural columns, and the shift sum_j a_j lb_j it takes."""
+        out = [F(0)] * self.n_struct
+        shift = F(0)
+        for a, lb, col in zip(coeffs, self.bounds, self.var_cols):
+            out[col] = F(a)
+            if lb is None:
+                out[col + 1] = -F(a)
+            else:
+                shift += a * lb
+        return out, shift
+
+    def point_from(self, by_col, shift=True):
+        out = []
+        for lb, col in zip(self.bounds, self.var_cols):
+            x = by_col.get(col, F(0))
+            if lb is None:
+                x -= by_col.get(col + 1, F(0))
+            elif shift:
+                x += lb
+            out.append(x)
+        return tuple(out)
+
+    def duals(self, y, z):
+        """Row duals y and reduced costs z as the program's (eq, ub, lb) multipliers."""
+        signed = [v * sign for v, sign in zip(y, self.signs)]
+        n_eq = len(self.program.eq_matrix)
+        lb = tuple(F(0) if b is None else z[col] for b, col in zip(self.bounds, self.var_cols))
+        return tuple(signed[:n_eq]), tuple(signed[n_eq:]), lb
+
+
 def _fraction_simplex(program):
     """The two-phase simplex over a tableau of Fractions."""
-    std = lp._Standard(program)
+    std = _FractionStandard(program)
     m = len(std.rows)
     n_struct = std.n_struct
     table = []
@@ -536,8 +664,7 @@ def _fraction_simplex(program):
     if -z[-1] > 0:
         y = [1 - z[n_struct + i] for i in range(m)]
         return lp.LpOutcome(
-            status=lp.LpStatus.INFEASIBLE,
-            certificate=lp.FarkasCertificate(*lp._split_duals(std, y, z)),
+            status=lp.LpStatus.INFEASIBLE, certificate=lp.FarkasCertificate(*std.duals(y, z))
         )
     for r in range(m):
         if basis[r] >= n_struct:
@@ -565,13 +692,13 @@ def _fraction_simplex(program):
         return lp.LpOutcome(status=lp.LpStatus.UNBOUNDED, certificate=ray)
     point = std.point_from(z_by_col)
     y = [-z[n_struct + i] for i in range(m)]
-    duals = lp._split_duals(std, y, z)
+    duals = std.duals(y, z)
     if program.sense == "max":
         duals = tuple(tuple(-v for v in part) for part in duals)
     return lp.LpOutcome(
         status=lp.LpStatus.OPTIMAL,
         optimal_point=point,
-        optimal_value=dot(program.objective, point),
+        optimal_value=sum((c * x for c, x in zip(program.objective, point)), F(0)),
         certificate=lp.DualCertificate(*duals),
     )
 
@@ -1252,3 +1379,7 @@ def test_compiled_payoffs_match_dense_rows(case):
             assert F(*sparse_dot(problem._utility_rows[a], nu)) == expected
             value = idg.payoff(idg.MixedAction.pure(a, problem.n_actions), nu, problem)
             assert type(value) is F and value == expected
+        if problem.n_actions > 1:
+            alpha = idg.MixedAction(rand_distribution(random.Random(str(nu)), problem.n_actions))
+            value = idg.payoff(alpha, nu, problem)
+            assert type(value) is F and value == _dot(_fraction_mixed_utility(problem, alpha), nu)

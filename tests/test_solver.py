@@ -5,12 +5,19 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp
 
-from support import paired_problem, random_mixed, random_zero_sum_subspace
+from support import (
+    paired_problem,
+    random_member,
+    random_mixed,
+    random_treatment_model,
+    random_zero_sum_subspace,
+)
 
 
 def _pure(problem, i):
@@ -233,3 +240,84 @@ def test_some_pure_action_is_always_implementable():
             problem, idg.vector([1] * problem.n_actions)
         )
         assert pick.certificate.verify(problem, pick.structure)
+
+
+def test_worst_case_refuses_an_inexact_objective():
+    problem = idg.DecisionProblem(
+        ("s0", "s1", "s2"),
+        ("a0",),
+        idg.Matrix(1, 3, ((1.0, F(0), F(0)),)),  # built directly, so unchecked
+        (F(1, 3),) * 3,
+        idg.PriorPolytope.simplex(3),
+    )
+    alpha = idg.MixedAction.pure(0, 1)
+    # k = 2: phase 2 on the shared phase 1; k = 0: the closed form
+    with pytest.raises(TypeError, match="int or Fraction"):
+        idg.worst_case(problem, idg.InformationStructure.single_message(3), alpha)
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.worst_case(problem, idg.InformationStructure.identity(3), alpha)
+
+
+def _fresh_worst_case_program(problem, structure, alpha):
+    """The worst-case program built from the problem's and structure's fields alone."""
+    priors = problem.priors
+    return lp.LinearProgram(
+        objective=problem.mixed_utility(alpha),
+        sense="min",
+        eq_matrix=priors.eq_matrix + structure.experiment.entries,
+        eq_rhs=priors.eq_rhs + structure.experiment.matvec(problem.mu),
+        ub_matrix=priors.ub_matrix,
+        ub_rhs=priors.ub_rhs,
+    )
+
+
+@st.composite
+def shared_phase_one_cases(draw):
+    """Two problems that differ in mu, one structure with k >= 2, and mixed actions.
+
+    The problem is a random treatment model under a marginal disclosure or
+    a generic paired problem under a random zero-sum kernel.
+    """
+    seed = draw(st.integers(0, 10**9))
+    rng = random.Random(f"shared-phase-one-{seed}")
+    if draw(st.booleans()):
+        model = random_treatment_model(seed)
+        problem = idg.build_treatment_problem(model)
+        names = ["Y"] + [f"X{j + 1}" for j in range(len(model.covariate_domains))] + ["T"]
+        chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1, unique=True))
+        structure = idg.marginal_structure(model, chosen)
+    else:
+        problem, _ = paired_problem(f"shared-phase-one-{seed}")
+        k = draw(st.integers(2, problem.n_states - 1))
+        subspace = random_zero_sum_subspace(rng, problem.n_states, k)
+        structure = idg.kernel_to_experiment(idg.KernelSpec(subspace))
+    other = replace(problem, mu=random_member(problem, rng))
+    n = problem.n_actions
+    actions = [idg.MixedAction.pure(a, n) for a in range(n)]
+    actions += [idg.MixedAction((F(1, n),) * n), random_mixed(rng, n)]
+    return problem, other, structure, actions
+
+
+@given(shared_phase_one_cases())
+def test_worst_cases_share_one_phase_one(case):
+    """Phase 2 from the identified set's shared phase 1 is the fresh solve, in any order."""
+    problem, other, structure, actions = case
+    assert idg.kernel_of(structure).dim >= 2
+    fresh = {
+        (p is problem, alpha): lp.solve_lp(_fresh_worst_case_program(p, structure, alpha))
+        for p in (problem, other)
+        for alpha in actions
+    }
+    for order in (actions, actions[::-1]):
+        for alpha in order:
+            out = fresh[True, alpha]
+            start = idg.identified_set(problem, structure)._phase_one
+            assert lp._phase_two(start, problem.mixed_utility(alpha), "min") == out
+            assert idg.worst_case(problem, structure, alpha) == (out.optimal_value, out.optimal_point)
+    assert idg.identified_set(problem, structure) is idg.identified_set(problem, structure)
+    # one structure used alternately with two problems: each gets its own set
+    for alpha in actions:
+        for p in (problem, other, problem):
+            out = fresh[p is problem, alpha]
+            assert idg.worst_case(p, structure, alpha) == (out.optimal_value, out.optimal_point)
+            assert idg.identified_set(p, structure).pinned_pushforward == structure.experiment.matvec(p.mu)
