@@ -346,7 +346,10 @@ def _cmd_treatment_marginal(args) -> int:
     loaded = _load_problem(args.problem)
     model = _require_treatment(loaded, args.problem)
     variables = [v.strip() for v in args.variables.split(",") if v.strip()]
-    check = check_marginal_not_maximal(model, variables)
+    try:
+        check = check_marginal_not_maximal(model, variables)
+    except ValueError as exc:  # an unknown, duplicate, missing or full variable list
+        raise DocumentError(f"--variables: {exc}") from exc
     structure = check.structure
     report = {
         "command": "treatment marginal",

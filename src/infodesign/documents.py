@@ -86,7 +86,7 @@ def load_json(path: str) -> dict:
         raise DocumentError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8, or an over-long integer literal
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, too deep
         raise DocumentError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError(f"{path}: top level must be an object")
@@ -279,6 +279,9 @@ def serialize_structure_kernel(subspace: Subspace) -> dict:
 
 
 def write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc

@@ -155,7 +155,6 @@ class _Standard:
     """
 
     def __init__(self, program: LinearProgram) -> None:
-        self.program = program
         bounds = self.bounds = program.bounds()
 
         # Structural columns: one per bounded variable (shifted by its lower
@@ -167,16 +166,16 @@ class _Standard:
             n_base += 2 if lb is None else 1
         self.var_cols = var_cols
         self.n_base = n_base
-        n_eq = len(program.eq_matrix)
+        n_eq = self.n_eq = len(program.eq_matrix)
         lhs = program.eq_matrix + program.ub_matrix
         n_struct = self.n_struct = n_base + len(program.ub_matrix)
         self.width = n_struct + len(lhs) + 1
 
         # Equality rows first, then <= rows with their slacks; a row whose
-        # shifted rhs is negative is negated (sign -1 in meta).
+        # shifted rhs is negative is negated (sign -1 in signs).
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        self.meta: list[tuple[str, int, int]] = []  # (kind, original index, sign)
+        self.signs: list[int] = []
         for i, (coeffs, b) in enumerate(zip(lhs, (*program.eq_rhs, *program.ub_rhs))):
             nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
             r = b
@@ -186,16 +185,13 @@ class _Standard:
             sign = -1 if r < 0 else 1
             den = lcm(r.denominator, *[a.denominator for _, a in nonzero])
             row = self._place(nonzero, sign, den)
-            if i < n_eq:
-                kind, orig = "eq", i
-            else:
-                kind, orig = "ub", i - n_eq
-                row[n_base + orig] = sign * den
+            if i >= n_eq:
+                row[n_base + i - n_eq] = sign * den
             row[n_struct + i] = den
             row[-1] = sign * r.numerator * (den // r.denominator)
             self.rows.append(row)
             self.dens.append(den)
-            self.meta.append((kind, orig, sign))
+            self.signs.append(sign)
 
     def _place(self, nonzero: list[tuple[int, Fraction]], sign: int, den: int) -> list[int]:
         """A zero row of the tableau's width with sign * a * den at each variable's column(s)."""
@@ -376,7 +372,7 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
     value = dot(objective, point)
     duals = _row_duals(std, rows[-1], dens[-1], 0)
     if sense == "max":
-        # tuples of lists, not of generators: see _split_duals
+        # tuples of lists, not of generators: see _row_duals
         duals = tuple([tuple([-v for v in part]) for part in duals])
     return LpOutcome(
         status=LpStatus.OPTIMAL,
@@ -395,29 +391,19 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
 
 
 def _row_duals(std: _Standard, z: list[int], den: int, unit: int) -> tuple[Vector, Vector, Vector]:
-    """Multipliers read off the cost row z/den: row i's is unit minus its artificial's cost."""
+    """The (eq, ub, lb) multipliers of the program, read off the cost row z/den.
+
+    Row i's multiplier is unit minus its artificial's cost, times the row's
+    sign; the equality rows come first. A variable's lower-bound multiplier
+    is its column's reduced cost.
+    """
     n_struct = std.n_struct
-    y = [Fraction(unit * den - z[n_struct + i], den) for i in range(len(std.meta))]
-    return _split_duals(std, y, [Fraction(x, den) for x in z[: std.n_base]])
-
-
-def _split_duals(
-    std: _Standard, y: Sequence[Fraction], z: Sequence[Fraction]
-) -> tuple[Vector, Vector, Vector]:
-    """Tableau row duals y and reduced costs z as (eq, ub, lb) multipliers of the program."""
-    eq = [F0] * len(std.program.eq_matrix)
-    ub = [F0] * len(std.program.ub_matrix)
-    for i, (kind, orig, sign) in enumerate(std.meta):
-        val = y[i] if sign == 1 else -y[i]
-        if kind == "eq":
-            eq[orig] = val
-        else:
-            ub[orig] = val
+    y = [Fraction(sign * (unit * den - z[n_struct + i]), den) for i, sign in enumerate(std.signs)]
     # tuple() of a list, not of a generator: a tuple grown from a generator is
     # resized in place and, once freed, stocks CPython's per-size tuple free
     # list; over a 16 s marginal-solve benchmark run that added 1.4 MB of peak RSS
-    lb = tuple([F0 if b is None else z[col] for b, col in zip(std.bounds, std.var_cols)])
-    return tuple(eq), tuple(ub), lb
+    lb = [F0 if b is None else Fraction(z[col], den) for b, col in zip(std.bounds, std.var_cols)]
+    return tuple(y[: std.n_eq]), tuple(y[std.n_eq :]), tuple(lb)
 
 
 def feasible_point(program: LinearProgram) -> LpOutcome:

@@ -3,7 +3,8 @@
 A decision maker with utility u over actions and finitely many states faces
 an unknown state distribution. They observe only the message distribution an
 experiment induces from the true distribution mu, and treat every prior in
-the polytope that reproduces that message distribution as plausible.
+the polytope that reproduces that message distribution as plausible: the
+polytope cut by mu + ker(experiment), an ``IdentifiedSet``.
 
 The rows a problem reads again and again, the prior set's constraints and
 the actions' utilities, are compiled once per object into sparse integer
@@ -14,7 +15,7 @@ cross-multiplying.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -31,6 +32,7 @@ from .numerics import (
     nullspace,
     sparse_dot,
     sparse_row,
+    vec_sub,
     vector,
 )
 
@@ -78,9 +80,6 @@ class PriorPolytope:
     ub_matrix: tuple[Vector, ...] = ()
     ub_rhs: Vector = ()
     known_member: InitVar[Optional[Sequence[Fraction]]] = None
-    # the declared member checked at construction; a DecisionProblem whose mu
-    # equals it skips checking mu again
-    _verified_member: Optional[Vector] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, known_member) -> None:
         if self.dimension < 1:
@@ -96,10 +95,8 @@ class PriorPolytope:
             if not isinstance(b, (int, Fraction)):
                 raise TypeError(f"not an exact number: {b!r}")
         if known_member is not None:
-            member = vector(known_member)
-            if not self.contains(member):
+            if not self.contains(vector(known_member)):
                 raise ValueError("declared member lies outside the prior set")
-            object.__setattr__(self, "_verified_member", member)
         else:
             probe = lp.feasible_point(self.feasibility_program())
             if probe.status is not lp.LpStatus.OPTIMAL:
@@ -255,7 +252,7 @@ class DecisionProblem:
             raise DimensionMismatch("prior set dimension does not match the state count")
         if not _is_distribution(self.mu):
             raise ValueError("mu must be a probability vector")
-        if self.mu != self.priors._verified_member and not self.priors.contains(self.mu):
+        if not self.priors.contains(self.mu):
             raise ValueError("mu lies outside the prior set")
 
     @property
@@ -331,18 +328,27 @@ def push_forward(structure: InformationStructure, nu: Sequence[Fraction]) -> Vec
 
 @dataclass(frozen=True)
 class IdentifiedSet:
-    """Priors in the base set whose message distribution matches the observed one."""
+    """Priors of the base set in mu + kernel; the experiment's matrix rows pin the LP over it.
+
+    It holds no reference to the ``InformationStructure`` it came from.
+    """
 
     base: PriorPolytope
-    pinned_pushforward: Vector
-    experiment: InformationStructure
+    mu: Vector
+    kernel: Subspace
+    experiment: Matrix
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.base.contains(point) and push_forward(self.experiment, point) == self.pinned_pushforward
+        return self.base.contains(point) and self.kernel.contains_vector(vec_sub(point, self.mu))
+
+    @property
+    def pinned_pushforward(self) -> Vector:
+        """The message distribution mu induces, which every member reproduces."""
+        return self.experiment.matvec(self.mu)
 
     def equality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
         """Full equality block of the H-representation (base rows plus pinning rows)."""
-        rows = self.base.eq_matrix + self.experiment.experiment.entries
+        rows = self.base.eq_matrix + self.experiment.entries
         rhs = self.base.eq_rhs + self.pinned_pushforward
         return rows, rhs
 
@@ -372,17 +378,16 @@ def identified_set(problem: DecisionProblem, structure: InformationStructure) ->
     """The identified set of mu under the structure; the same object again for the same problem.
 
     The structure remembers the last (problem, set) pair, compared by
-    identity, so the worst cases of one problem share one phase 1.
+    identity, so the worst cases of one problem share one phase 1. Nothing
+    in the memo refers back to the structure, so it makes no reference cycle.
     """
     memo = structure.__dict__.get("_identified")
     if memo is not None and memo[0] is problem:
         return memo[1]
     if structure.n_states != problem.n_states:
         raise DimensionMismatch("experiment columns do not match the problem's states")
-    # contains mu: DecisionProblem checked that mu is in the prior set, and
-    # mu pushes forward to the pinned distribution by definition
-    pinned = push_forward(structure, problem.mu)
-    iset = IdentifiedSet(problem.priors, pinned, structure)
+    # contains mu: DecisionProblem checked that mu is in the prior set
+    iset = IdentifiedSet(problem.priors, problem.mu, structure.kernel, structure.experiment)
     structure.__dict__["_identified"] = (problem, iset)
     return iset
 

@@ -1,8 +1,9 @@
 """Worst cases, saddle points and supporting priors.
 
 The identified set of an experiment is the prior polytope intersected with
-the affine slice mu + ker(experiment). Minimizations over it split on k, the
-kernel's dimension:
+the affine slice mu + ker(experiment) (``model.IdentifiedSet``, which holds
+the kernel). Minimizations over it split on k, the kernel's dimension, read
+off the set:
 
 * k <= 1: the set is a segment mu + lam d, lam in [lo, hi] (the point mu,
   d = 0, when k = 0); every payoff is a line in lam, so one closed form
@@ -21,13 +22,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lp
-from .errors import DimensionMismatch
 from .model import (
     DecisionProblem,
     InformationStructure,
     MixedAction,
     identified_set,
-    kernel_of,
     payoff,
 )
 from .numerics import Subspace, Vector, dot, sparse_dot, vec_sub
@@ -88,14 +87,14 @@ def worst_case(
     the optimal point of one LP, whose phase 1 the identified set solves
     once for every action (see ``model.IdentifiedSet``).
     """
-    kernel = kernel_of(structure)
-    if kernel.dim <= 1:
-        d = _direction(problem, kernel)
+    iset = identified_set(problem, structure)
+    if iset.kernel.dim <= 1:
+        d = _direction(iset.kernel)
         mean, slope = payoff(alpha, problem.mu, problem), payoff(alpha, d, problem)
         _, nu, value = _segment_saddle(problem, d, (mean,), (slope,))
         return value, nu
     u = problem.mixed_utility(alpha)
-    start = identified_set(problem, structure)._phase_one
+    start = iset._phase_one
     if not isinstance(start, lp._Feasible):
         raise AssertionError("the identified set contains mu, so phase 1 must be feasible")
     out = lp._phase_two(start, u, "min")
@@ -124,12 +123,7 @@ class SaddleCertificate:
             num, den = sparse_dot(row, self.nu_star)
             if num * value.denominator > value.numerator * den:
                 return False
-        # membership in the identified set: inside the prior set and shifted
-        # from mu along the experiment's kernel
-        if not problem.priors.contains(self.nu_star):
-            return False
-        shift = tuple(a - b for a, b in zip(self.nu_star, problem.mu))
-        if not kernel_of(structure).contains_vector(shift):
+        if not identified_set(problem, structure).contains(self.nu_star):
             return False
         return worst_case(problem, structure, self.alpha_star)[0] == self.value
 
@@ -151,9 +145,9 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
       subject to u_a . nu <= t for every action a. nu* is its optimal point
       and alpha* the negated duals of the action rows.
     """
-    kernel = kernel_of(structure)
-    if kernel.dim <= 1:
-        d = _direction(problem, kernel)
+    iset = identified_set(problem, structure)
+    if iset.kernel.dim <= 1:
+        d = _direction(iset.kernel)
         means = [Fraction(*sparse_dot(row, problem.mu)) for row in problem._utility_rows]
         slopes = [Fraction(*sparse_dot(row, d)) for row in problem._utility_rows]
         weights, nu, value = _segment_saddle(problem, d, means, slopes)
@@ -162,7 +156,6 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     n_actions = problem.n_actions
     rows = tuple(problem.utility_row(a) for a in range(n_actions))
     n = problem.n_states
-    iset = identified_set(problem, structure)
     eq, eq_rhs = iset.equality_rows()
     ub, ub_rhs = iset.inequality_rows()
     program = lp.LinearProgram(
@@ -181,11 +174,9 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
 
 
-def _direction(problem: DecisionProblem, kernel: Subspace) -> Vector:
+def _direction(kernel: Subspace) -> Vector:
     """The segment's direction d: the basis vector of a kernel with k = 1, zero when k = 0."""
-    if kernel.ambient_dim != problem.n_states:
-        raise DimensionMismatch("experiment columns do not match the problem's states")
-    return kernel.basis[0] if kernel.dim else (F0,) * problem.n_states
+    return kernel.basis[0] if kernel.dim else (F0,) * kernel.ambient_dim
 
 
 def _segment_saddle(

@@ -265,6 +265,38 @@ def test_document_exclusivity_validation(example_files, tmp_path, capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "problem_kind, document, message",
+    [
+        ("generic", {"schema_version": "2", "kernel": {"basis": []}},
+         ": unsupported schema_version '2'"),
+        ("generic", {"messages": ["m0"], "matrix": [["1", "1"], ["0", "0"]]},
+         ".matrix: expected one row per message"),
+        ("generic", {"messages": ["m0", "m1"], "matrix": [["1", "1"], ["1", "0"]]},
+         ": experiment column 0 is not a probability vector"),
+        ("generic", {"kernel": {"basis": [["1", "1"]]}},
+         ": kernel directions must have zero coordinate sum"),
+        ("generic", {"kernel": [["1", "-1"]]}, ".kernel: expected an object"),
+        ("generic", {"marginal": {"variables": ["Y"]}}, ".marginal: requires a treatment problem"),
+        ("treatment", {"marginal": ["Y"]}, ".marginal: expected an object"),
+    ],
+    ids=["schema", "rows", "column", "kernel-sum", "kernel-list", "marginal-generic", "marginal-list"],
+)
+def test_structure_document_errors_exit_two(
+    example_files, tmp_path, capsys, problem_kind, document, message
+):
+    if problem_kind == "treatment":
+        problem = example_files[0]
+    else:
+        problem, _ = _number_documents(tmp_path, '"1"')
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "solve", str(problem), str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}{message}\n"
+
+
 def test_implement_rejects_dominated(tmp_path, capsys):
     doc = {
         "schema_version": "1",
@@ -324,10 +356,14 @@ def _number_documents(tmp_path, entry):
         ('"1e-4300"', False),
         ('"1e1000000"', False),
         ('"1' + "0" * 4300 + '"', False),
+        ('"10e4299"', False),  # the exponent passes, the value has 4301 digits
         ("1" + "0" * 4299, True),
         ("1" + "0" * 4300, False),
     ],
-    ids=["1e4299", "1e-4299", "1e4300", "1e-4300", "1e1000000", "str-4301", "int-4300", "int-4301"],
+    ids=[
+        "1e4299", "1e-4299", "1e4300", "1e-4300", "1e1000000", "str-4301", "10e4299", "int-4300",
+        "int-4301",
+    ],
 )
 def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accepted):
     problem, kernel = _number_documents(tmp_path, entry)
@@ -370,6 +406,7 @@ def test_oversized_treatment_block_exits_two(tmp_path, capsys):
         ("a0:1e4300,a1:0", "exponent must be less than 4300"),
         ("a0:1e-4300,a1:1", "exponent must be less than 4300"),
         ("a0:1e10000000,a1:0", "exponent must be less than 4300"),
+        ("a0:1,b0:0", "unknown action 'b0' in mixed weights"),
     ],
 )
 def test_action_weights_share_the_document_bound(tmp_path, capsys, action, outcome):
@@ -515,6 +552,39 @@ def test_parse_errors_exit_two(example_files, tmp_path, capsys):
     assert f"{undecodable}: " in err
 
 
+def _nested_document(tmp_path):
+    """Lists nested deeper than any interpreter's recursion limit."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, place",
+    [
+        (["treatment", "marginal", "{prob}", "--variables", "Z"], "--variables"),
+        (["treatment", "marginal", "{prob}", "--variables", "Y,Y"], "--variables"),
+        (["treatment", "marginal", "{prob}", "--variables", "Y,T", "--out", "{missing}"], "{missing}"),
+        (["treatment", "build", "{prob}", "--out", "{tmp}"], "{tmp}"),
+        (["example", "--write-problem", "{missing}"], "{missing}"),
+        (["example", "--write-structure", "{tmp}"], "{tmp}"),
+        (["solve", "{nested}", "{marg}"], "{nested}"),
+    ],
+    ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "write-problem",
+         "write-structure", "nested"],
+)
+def test_input_faults_exit_two_in_one_line(example_files, tmp_path, capsys, argv, place):
+    prob, marg = example_files
+    names = {
+        "prob": prob, "marg": marg, "tmp": tmp_path, "missing": tmp_path / "no" / "such.json",
+        "nested": _nested_document(tmp_path),
+    }
+    code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+    assert code == 2
+    assert err.startswith(f"error: {place.format(**names)}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_treatment_subcommands(example_files, tmp_path, capsys):
     prob, marg = example_files
     generic = tmp_path / "generic.json"
@@ -533,6 +603,22 @@ def test_treatment_subcommands(example_files, tmp_path, capsys):
     assert payload["kernel_dim"] == 12
     assert payload["never_maximal"] is True
     assert payload["pushforward"]["0,t0"] == "9/20"
+
+    # a treatment subcommand refuses the compiled generic document
+    code, out, err = run(capsys, "treatment", "marginal", str(generic), "--variables", "Y,T")
+    assert code == 2 and out == ""
+    assert err == f"error: {generic}: this command needs a treatment-block problem document\n"
+
+    # the written matrix document solves exactly as the marginal block does
+    written = tmp_path / "written.json"
+    code, _, _ = machine(
+        capsys, "treatment", "marginal", str(prob), "--variables", "Y,T", "--out", str(written)
+    )
+    assert code == 0
+    assert "matrix" in json.loads(written.read_text())
+    assert machine(capsys, "solve", str(prob), str(written)) == machine(
+        capsys, "solve", str(prob), str(marg)
+    )
 
     # compiled generic document solves identically under an explicit matrix
     yt_doc = documents.serialize_structure_matrix(
@@ -715,4 +801,9 @@ def test_cli_process_runs_end_to_end(tmp_path, capsys):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith(f"error: {missing}: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    nested = _nested_document(tmp_path)
+    done = _cli_process("solve", str(nested), str(nested))
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {nested}: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import infodesign as idg
-from infodesign import documents, lp
+from infodesign import lp
 from infodesign.model import PayoffPartition
 
 from support import paired_problem, random_member, raw_motivating_model
@@ -211,20 +211,6 @@ def test_mu_outside_priors_rejected():
                 idg.vector(["1/2", "1/2"]),
                 priors,
             )
-
-
-def test_mu_declared_as_member_is_checked_once(example_model, monkeypatch):
-    checks = []
-    contains = idg.PriorPolytope.contains
-    monkeypatch.setattr(idg.PriorPolytope, "contains", lambda *a: checks.append(1) or contains(*a))
-    generic, _ = paired_problem("checked-once")
-    docs = [documents.serialize_problem(generic), documents.serialize_treatment(example_model)]
-    builds = [lambda: idg.build_treatment_problem(example_model)]
-    builds += [lambda doc=doc: documents.parse_problem_document(doc) for doc in docs]
-    for build in builds:
-        checks.clear()
-        build()
-        assert len(checks) == 1
 
 
 def test_inexact_entries_are_refused():

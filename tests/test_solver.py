@@ -1,7 +1,9 @@
 """Maxmin solves, saddle certificates, supporting priors, researcher's pick."""
 
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -321,3 +323,24 @@ def test_worst_cases_share_one_phase_one(case):
             out = fresh[p is problem, alpha]
             assert idg.worst_case(p, structure, alpha) == (out.optimal_value, out.optimal_point)
             assert idg.identified_set(p, structure).pinned_pushforward == structure.experiment.matvec(p.mu)
+
+
+def test_structures_are_freed_by_reference_counting(example_problem, example_model):
+    """The identified set a structure caches does not refer back to it: no cycle to collect."""
+    gc.disable()
+    try:
+        structure = idg.marginal_structure(example_model, ["Y", "T"])
+        assert idg.kernel_of(structure).dim >= 2
+        idg.maxmin(example_problem, structure)
+        idg.worst_case(example_problem, structure, _pure(example_problem, 0))
+        freed = weakref.ref(structure)
+        del structure
+        assert freed() is None
+
+        mixed = idg.MixedAction((F(1, 2), F(1, 2)))
+        structure, _ = idg.implement_treatment(example_model, mixed, example_problem)
+        freed = weakref.ref(structure)
+        del structure
+        assert freed() is None
+    finally:
+        gc.enable()
