@@ -9,7 +9,9 @@ limit), 6 the action has a supporting prior but no payoff-preserving
 reallocation keeps it inside the prior set, 7 an internal error (a failed
 assertion inside the library, reported in one line without a traceback).
 ``--format machine`` prints one JSON document with every number as an
-exact string; ``table`` prints the same content for humans.
+exact string; ``table`` prints the same content for humans. A command
+writes its ``--out`` and ``--write-*`` files before it prints its report, so
+a write that fails prints only its one error line.
 
 The argument parser is built once per process and reused by every ``main``
 call (parsing leaves it unchanged). That saves time only for callers that run
@@ -224,8 +226,8 @@ def _cmd_implement(args) -> int:
         return EXIT_NOT_IMPLEMENTABLE
     report = _implement_report(problem, structure, certificate, args.action)
     report["implementable"] = True
-    _emit(report, args.format)
     _write_structure_from_kernel(args.out, structure)
+    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -296,7 +298,6 @@ def _cmd_example(args) -> int:
         },
         "policy_reversal": reversal,
     }
-    _emit(report, args.format)
     if args.write_problem:
         documents.write_json(args.write_problem, documents.serialize_treatment(model))
     if args.write_structure:
@@ -304,6 +305,7 @@ def _cmd_example(args) -> int:
             args.write_structure,
             {"schema_version": documents.SCHEMA_VERSION, "marginal": {"variables": ["Y", "T"]}},
         )
+    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -323,9 +325,9 @@ def _cmd_treatment_build(args) -> int:
         "n_states": loaded.problem.n_states,
         "prior_equalities": len(loaded.problem.priors.eq_matrix),
     }
-    _emit(report, args.format)
     if args.out:
         documents.write_json(args.out, documents.serialize_problem(loaded.problem))
+    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -337,8 +339,8 @@ def _cmd_treatment_implement(args) -> int:
     structure, certificate = implement_treatment(model, alpha, problem)
     report = _implement_report(problem, structure, certificate, args.action)
     report["command"] = "treatment implement"
-    _emit(report, args.format)
     _write_structure_from_kernel(args.out, structure)
+    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -360,9 +362,9 @@ def _cmd_treatment_marginal(args) -> int:
         "never_maximal": check.never_maximal,
         "pushforward": _fmt_map(structure.messages, push_forward(structure, loaded.problem.mu)),
     }
-    _emit(report, args.format)
     if args.out:
         documents.write_json(args.out, documents.serialize_structure_matrix(structure))
+    _emit(report, args.format)
     return EXIT_OK
 
 

@@ -209,14 +209,18 @@ def implementing_structure(
     experiment is returned. Otherwise a supporting prior is found by a
     feasibility solve, moved to the boundary, and the experiment concealing
     exactly the mu-to-prior direction is constructed. Raises
-    NotImplementableError (with the refuting certificate) when no supporting
-    prior exists, and propagates AssumptionViolation when the prior set
-    cannot absorb the boundary move.
+    NotImplementableError (with the refuting certificate, verified against
+    the supporting-prior program first) when no supporting prior exists, and
+    propagates AssumptionViolation when the prior set cannot absorb the
+    boundary move.
     """
     if _optimal_at_mu(problem, alpha):
         return implement_at_prior(problem, alpha, problem.mu)
-    outcome = lp.feasible_point(supporting_prior_program(problem, alpha))
+    program = supporting_prior_program(problem, alpha)
+    outcome = lp.feasible_point(program)
     if outcome.status is not lp.LpStatus.OPTIMAL:
+        if not lp.verify_outcome(program, outcome):
+            raise AssertionError("supporting-prior refutation failed its own Farkas check")
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate
         )

@@ -6,6 +6,10 @@ carries either the generic fields (states, actions, utility, mu,
 prior_constraints) or a treatment block; a structure document carries
 exactly one of an explicit matrix, a kernel block to be compiled, or a
 marginal block naming disclosed variables.
+
+Each distinct number string is parsed once per document: each parse call
+keeps its own map from string to Fraction, dropped when the call returns,
+and a bad number still fails at its first place with the same message.
 """
 
 from __future__ import annotations
@@ -54,18 +58,34 @@ def _exact(value, where: str) -> Fraction:
     return number
 
 
-def _exact_vector(values, where: str) -> Vector:
+def _exact_vector(values, where: str, memo: dict[str, Fraction]) -> Vector:
+    """The list's numbers, each string looked up in the document's memo first.
+
+    Only strings are looked up and stored: JSON 1, 1.0 and true hash equal, so
+    every other value runs ``_exact``. Only numbers that parse are stored, so
+    a bad number fails at its first place.
+    """
     if not isinstance(values, list):
         raise DocumentError(f"{where}: expected a list of exact numbers")
-    return tuple(_exact(v, f"{where}[{i}]") for i, v in enumerate(values))
+    out = []
+    for i, v in enumerate(values):
+        number = memo.get(v) if type(v) is str else None
+        if number is None:
+            number = _exact(v, f"{where}[{i}]")
+            if type(v) is str:
+                memo[v] = number
+        out.append(number)
+    return tuple(out)
 
 
-def _exact_matrix(rows, where: str, cols: Optional[int] = None) -> tuple[Vector, ...]:
+def _exact_matrix(
+    rows, where: str, memo: dict[str, Fraction], cols: Optional[int] = None
+) -> tuple[Vector, ...]:
     if not isinstance(rows, list):
         raise DocumentError(f"{where}: expected a list of rows")
     out = []
     for i, row in enumerate(rows):
-        vec = _exact_vector(row, f"{where}[{i}]")
+        vec = _exact_vector(row, f"{where}[{i}]", memo)
         if cols is not None and len(vec) != cols:
             raise DocumentError(f"{where}[{i}]: row has {len(vec)} entries, expected {cols}")
         out.append(vec)
@@ -108,25 +128,26 @@ def parse_problem_document(data: dict, where: str = "problem") -> LoadedProblem:
         raise DocumentError(
             f"{where}: provide either the generic fields or a treatment block, not both"
         )
+    memo: dict[str, Fraction] = {}
     try:
         if has_treatment:
-            model = _parse_treatment_block(data["treatment"], f"{where}.treatment")
+            model = _parse_treatment_block(data["treatment"], f"{where}.treatment", memo)
             return LoadedProblem(problem=build_treatment_problem(model), treatment=model)
-        return LoadedProblem(problem=_parse_generic_problem(data, where), treatment=None)
+        return LoadedProblem(problem=_parse_generic_problem(data, where, memo), treatment=None)
     except DocumentError:
         raise
     except (InfoDesignError, ValueError, IndexError, KeyError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _parse_generic_problem(data: dict, where: str) -> DecisionProblem:
+def _parse_generic_problem(data: dict, where: str, memo: dict[str, Fraction]) -> DecisionProblem:
     states = _labels(data.get("states"), f"{where}.states")
     actions = _labels(data.get("actions"), f"{where}.actions")
     n = len(states)
-    utility_rows = _exact_matrix(data.get("utility"), f"{where}.utility", cols=n)
+    utility_rows = _exact_matrix(data.get("utility"), f"{where}.utility", memo, cols=n)
     if len(utility_rows) != len(actions):
         raise DocumentError(f"{where}.utility: expected one row per action")
-    mu = _exact_vector(data.get("mu"), f"{where}.mu")
+    mu = _exact_vector(data.get("mu"), f"{where}.mu", memo)
     if len(mu) != n:
         raise DocumentError(f"{where}.mu: expected {n} entries")
     constraints = data.get("prior_constraints", {})
@@ -139,8 +160,8 @@ def _parse_generic_problem(data: dict, where: str) -> DecisionProblem:
             return (), ()
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}.prior_constraints.{name}: expected an object")
-        rows = _exact_matrix(raw.get("matrix", []), f"{where}.prior_constraints.{name}.matrix", cols=n)
-        rhs = _exact_vector(raw.get("rhs", []), f"{where}.prior_constraints.{name}.rhs")
+        rows = _exact_matrix(raw.get("matrix", []), f"{where}.prior_constraints.{name}.matrix", memo, cols=n)
+        rhs = _exact_vector(raw.get("rhs", []), f"{where}.prior_constraints.{name}.rhs", memo)
         if len(rows) != len(rhs):
             raise DocumentError(f"{where}.prior_constraints.{name}: matrix and rhs lengths differ")
         return rows, rhs
@@ -162,10 +183,10 @@ def _parse_generic_problem(data: dict, where: str) -> DecisionProblem:
     )
 
 
-def _parse_treatment_block(data, where: str) -> TreatmentModel:
+def _parse_treatment_block(data, where: str, memo: dict[str, Fraction]) -> TreatmentModel:
     if not isinstance(data, dict):
         raise DocumentError(f"{where}: expected an object")
-    outcomes = _exact_vector(data.get("outcomes"), f"{where}.outcomes")
+    outcomes = _exact_vector(data.get("outcomes"), f"{where}.outcomes", memo)
     raw_domains = data.get("covariates")
     if not isinstance(raw_domains, list) or not raw_domains:
         raise DocumentError(f"{where}.covariates: expected a nonempty list of label lists")
@@ -178,12 +199,12 @@ def _parse_treatment_block(data, where: str) -> TreatmentModel:
         raise DocumentError(
             f"{where}: more than {MAX_STATES} states (outcomes x covariate cells x treatments)"
         )
-    assignment = _exact_matrix(data.get("assignment"), f"{where}.assignment", cols=len(treatments))
+    assignment = _exact_matrix(data.get("assignment"), f"{where}.assignment", memo, cols=len(treatments))
     if len(assignment) != n_cells:
         raise DocumentError(
             f"{where}.assignment: expected one row per covariate cell ({n_cells})"
         )
-    mu = _exact_vector(data.get("mu"), f"{where}.mu")
+    mu = _exact_vector(data.get("mu"), f"{where}.mu", memo)
     return TreatmentModel(
         outcomes=outcomes,
         covariate_domains=domains,
@@ -204,10 +225,11 @@ def parse_structure_document(
             f"{where}: provide exactly one of matrix, kernel, or marginal, got {kinds or 'none'}"
         )
     n = loaded.problem.n_states
+    memo: dict[str, Fraction] = {}
     try:
         if kinds[0] == "matrix":
             messages = _labels(data.get("messages"), f"{where}.messages")
-            rows = _exact_matrix(data["matrix"], f"{where}.matrix", cols=n)
+            rows = _exact_matrix(data["matrix"], f"{where}.matrix", memo, cols=n)
             if len(rows) != len(messages):
                 raise DocumentError(f"{where}.matrix: expected one row per message")
             return InformationStructure(messages, Matrix(len(messages), n, rows))
@@ -215,7 +237,7 @@ def parse_structure_document(
             block = data["kernel"]
             if not isinstance(block, dict):
                 raise DocumentError(f"{where}.kernel: expected an object")
-            basis = _exact_matrix(block.get("basis", []), f"{where}.kernel.basis", cols=n)
+            basis = _exact_matrix(block.get("basis", []), f"{where}.kernel.basis", memo, cols=n)
             spec = KernelSpec(Subspace.from_vectors(n, basis))
             return kernel_to_experiment(spec)
         if loaded.treatment is None:

@@ -71,7 +71,8 @@ class PriorPolytope:
     The simplex conditions (coordinates nonnegative, summing to one) are
     implicit; ``eq``/``ub`` rows are the extra linear restrictions. The set
     must be nonempty: construction verifies this, either by checking a
-    declared member exactly or by a feasibility solve.
+    declared member exactly or by a feasibility solve; an empty set is
+    reported only after its Farkas certificate is verified.
     """
 
     dimension: int
@@ -98,8 +99,11 @@ class PriorPolytope:
             if not self.contains(vector(known_member)):
                 raise ValueError("declared member lies outside the prior set")
         else:
-            probe = lp.feasible_point(self.feasibility_program())
+            program = self.feasibility_program()
+            probe = lp.feasible_point(program)
             if probe.status is not lp.LpStatus.OPTIMAL:
+                if not lp.verify_outcome(program, probe):
+                    raise AssertionError("prior-set emptiness failed its own Farkas check")
                 raise ValueError("prior set is empty")
 
     @classmethod

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -250,3 +251,21 @@ def display_direction() -> tuple:
 
 def known_worst_case_raw() -> tuple:
     return idg.vector(["0.35", "0.10", "0.10", "0.30", "0.05", "0.00", "0.00", "0.10"])
+
+
+def tamper_refutations(monkeypatch) -> None:
+    """Negate the Farkas certificate of every infeasible ``lp.feasible_point`` outcome.
+
+    A negated refutation has a negative bound value, so it never verifies.
+    """
+    solve = lp.feasible_point
+
+    def tampered(program):
+        outcome = solve(program)
+        if outcome.status is not lp.LpStatus.INFEASIBLE:
+            return outcome
+        cert = outcome.certificate
+        negated = [tuple(-v for v in part) for part in (cert.eq, cert.ub, cert.lb)]
+        return replace(outcome, certificate=lp.FarkasCertificate(*negated))
+
+    monkeypatch.setattr(lp, "feasible_point", tampered)

@@ -6,15 +6,17 @@ import random
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import cli, documents, lp, model, numerics
 from infodesign.cli import main
 
-from support import paired_problem
+from support import paired_problem, tamper_refutations
 
 
 def run(capsys, *argv):
@@ -297,21 +299,86 @@ def test_structure_document_errors_exit_two(
     assert err == f"error: {path}{message}\n"
 
 
+DOMINATED = {
+    "schema_version": "1",
+    "states": ["s0", "s1"],
+    "actions": ["good", "bad"],
+    "utility": [["1", "2"], ["0", "1"]],
+    "mu": ["1/2", "1/2"],
+    "prior_constraints": {},
+}
+
+
 def test_implement_rejects_dominated(tmp_path, capsys):
-    doc = {
-        "schema_version": "1",
-        "states": ["s0", "s1"],
-        "actions": ["good", "bad"],
-        "utility": [["1", "2"], ["0", "1"]],
-        "mu": ["1/2", "1/2"],
-        "prior_constraints": {},
-    }
     path = tmp_path / "dominated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(DOMINATED))
     code, payload, _ = machine(capsys, "implement", str(path), "bad")
     assert code == 3
     assert payload["implementable"] is False
     assert "farkas" in payload
+
+
+def test_tampered_refutation_exits_seven(tmp_path, capsys, monkeypatch):
+    # implement checks its Farkas certificate before it reports exit 3
+    path = tmp_path / "dominated.json"
+    path.write_text(json.dumps(DOMINATED))
+    tamper_refutations(monkeypatch)
+    code, out, err = run(capsys, "implement", str(path), "bad")
+    assert (code, out) == (7, "")
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: internal error: supporting-prior refutation failed its own Farkas check"
+    ]
+
+
+def test_farkas_report_checks_against_the_documented_rows(tmp_path, capsys):
+    # the README's row order and signs alone, in Fractions, without verify_outcome
+    doc = {
+        "states": ["s0", "s1", "s2"],
+        "actions": ["a0", "a1", "a2"],
+        "utility": [["3", "5", "1"], ["2", "4", "0"], ["1", "1/2", "2"]],
+        "mu": ["1/3", "1/3", "1/3"],
+        "prior_constraints": {
+            "equalities": {"matrix": [["1", "-1", "0"]], "rhs": ["0"]},
+            "inequalities": {"matrix": [["0", "0", "1"], ["-1", "0", "0"]], "rhs": ["1/2", "-1/10"]},
+        },
+    }
+    path = tmp_path / "refuted.json"
+    path.write_text(json.dumps(doc))
+    code, payload, _ = machine(capsys, "implement", str(path), "a1:1/2,a2:1/2")
+    assert code == 3 and payload["implementable"] is False
+    y, w, s = (
+        [Fraction(v) for v in payload["farkas"][key]]
+        for key in ("equalities", "inequalities", "lower_bounds")
+    )
+
+    def numbers(rows):
+        return [[Fraction(v) for v in row] for row in rows]
+
+    n = len(doc["states"])
+    utility = numbers(doc["utility"])
+    mu = [Fraction(v) for v in doc["mu"]]
+    u_alpha = [(utility[1][j] + utility[2][j]) / 2 for j in range(n)]
+    constraints = doc["prior_constraints"]
+    eq_rows = [[Fraction(1)] * n] + numbers(constraints["equalities"]["matrix"])
+    eq_rhs = [Fraction(1)] + [Fraction(v) for v in constraints["equalities"]["rhs"]]
+    ub_rows = (
+        numbers(constraints["inequalities"]["matrix"])
+        + [[u[j] - u_alpha[j] for j in range(n)] for u in utility]
+        + [u_alpha]
+    )
+    ub_rhs = (
+        [Fraction(v) for v in constraints["inequalities"]["rhs"]]
+        + [Fraction(0)] * len(utility)
+        + [sum(a * m for a, m in zip(u_alpha, mu))]
+    )
+    assert (len(y), len(w), len(s)) == (len(eq_rows), len(ub_rows), n)
+    assert all(v <= 0 for v in w) and all(v >= 0 for v in s)
+    for j in range(n):
+        column = sum(yi * row[j] for yi, row in zip(y, eq_rows))
+        column += sum(wi * row[j] for wi, row in zip(w, ub_rows))
+        assert column + s[j] == 0
+    assert sum(a * b for a, b in zip(y + w, eq_rhs + ub_rhs)) > 0
 
 
 @pytest.mark.parametrize("constraints", [[], None, "", 0, False])
@@ -376,6 +443,71 @@ def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accept
         located = f"{problem}.utility[0][0]: " if entry.startswith('"') else f"{problem}: "
         assert located in err
 
+
+
+# string forms of numbers, some equal in value; a document draws its numbers
+# from here with repeats, so most strings recur within it
+NUMBER_FORMS = ["3", "-2/4", "0.05", "1e1", " 1/2 ", "-1/2", "10"]
+
+
+@given(st.data())
+def test_repeated_number_strings_parse_as_each_alone(data):
+    n = data.draw(st.integers(2, 4))
+    n_actions = data.draw(st.integers(1, 3))
+    forms = st.sampled_from(NUMBER_FORMS)
+    utility = [[data.draw(forms) for _ in range(n)] for _ in range(n_actions)]
+    eq = [[data.draw(forms) for _ in range(n)] for _ in range(data.draw(st.integers(0, 2)))]
+    ub = [[data.draw(forms) for _ in range(n)] for _ in range(data.draw(st.integers(0, 2)))]
+    slacks = [data.draw(forms) for _ in ub]
+
+    def exact(rows):
+        return tuple(tuple(Fraction(v.strip()) for v in row) for row in rows)
+
+    mu = (Fraction(1, n),) * n
+    eq_rhs = tuple(sum(row) / n for row in exact(eq))
+    ub_rhs = tuple(sum(row) / n + abs(Fraction(v.strip())) for row, v in zip(exact(ub), slacks))
+    doc = {
+        "states": [f"s{j}" for j in range(n)],
+        "actions": [f"a{a}" for a in range(n_actions)],
+        "utility": utility,
+        "mu": [f"1/{n}"] * n,
+        "prior_constraints": {
+            "equalities": {"matrix": eq, "rhs": [str(b) for b in eq_rhs]},
+            "inequalities": {"matrix": ub, "rhs": [str(b) for b in ub_rhs]},
+        },
+    }
+    expected = idg.DecisionProblem(
+        tuple(doc["states"]),
+        tuple(doc["actions"]),
+        idg.Matrix(n_actions, n, exact(utility)),
+        mu,
+        idg.PriorPolytope(n, exact(eq), eq_rhs, exact(ub), ub_rhs, known_member=mu),
+    )
+    assert documents.parse_problem_document(doc).problem == expected
+
+
+@pytest.mark.parametrize(
+    "first, second, place, message",
+    [
+        ('"x"', '"x"', "[0][0]", "not an exact number: 'x'"),
+        ('"1e4300"', '"1e4300"', "[0][0]", "exponent must be less than 4300 in magnitude"),
+        ("1", "true", "[1][1]", "not an exact number: True"),
+        ("1", "1.0", "[1][1]", "floats are not exact, write the number as a string"),
+        ('"1"', "true", "[1][1]", "not an exact number: True"),
+        ('"1"', "1.0", "[1][1]", "floats are not exact, write the number as a string"),
+    ],
+    ids=["bad-twice", "1e4300-twice", "int-then-true", "int-then-float", "str-then-true",
+         "str-then-float"],
+)
+def test_repeated_numbers_fail_at_their_first_bad_place(tmp_path, capsys, first, second, place, message):
+    problem = tmp_path / "repeated.json"
+    problem.write_text(
+        '{"states": ["s0", "s1"], "actions": ["a0", "a1"], '
+        f'"utility": [[{first}, "0"], ["0", {second}]], "mu": ["1/2", "1/2"]}}'
+    )
+    code, out, err = run(capsys, "implement", str(problem), "a0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem}.utility{place}: {message}\n"
 
 
 def test_oversized_treatment_block_exits_two(tmp_path, capsys):
@@ -566,21 +698,25 @@ def _nested_document(tmp_path):
         (["treatment", "marginal", "{prob}", "--variables", "Y,Y"], "--variables"),
         (["treatment", "marginal", "{prob}", "--variables", "Y,T", "--out", "{missing}"], "{missing}"),
         (["treatment", "build", "{prob}", "--out", "{tmp}"], "{tmp}"),
+        (["treatment", "implement", "{prob}", "t1", "--out", "{missing}"], "{missing}"),
+        (["implement", "{prob}", "t1", "--out", "{tmp}"], "{tmp}"),
         (["example", "--write-problem", "{missing}"], "{missing}"),
         (["example", "--write-structure", "{tmp}"], "{tmp}"),
         (["solve", "{nested}", "{marg}"], "{nested}"),
     ],
-    ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "write-problem",
-         "write-structure", "nested"],
+    ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "treatment-out",
+         "implement-out", "write-problem", "write-structure", "nested"],
 )
 def test_input_faults_exit_two_in_one_line(example_files, tmp_path, capsys, argv, place):
+    # a failed write prints no report: every file is written before stdout
     prob, marg = example_files
     names = {
         "prob": prob, "marg": marg, "tmp": tmp_path, "missing": tmp_path / "no" / "such.json",
         "nested": _nested_document(tmp_path),
     }
-    code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+    code, out, err = run(capsys, *[arg.format(**names) for arg in argv])
     assert code == 2
+    assert out == ""
     assert err.startswith(f"error: {place.format(**names)}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

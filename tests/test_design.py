@@ -18,6 +18,7 @@ from support import (
     raw_motivating_model,
     raw_motivating_problem,
     known_worst_case_raw,
+    tamper_refutations,
 )
 
 
@@ -220,14 +221,25 @@ def test_implementing_structure_identity_when_mu_supports(example_problem):
     assert cert.verify(p, structure)
 
 
-def test_implementing_structure_not_implementable():
+def _dominated_problem():
+    """Two states where action a1 is strictly dominated by a0."""
     utility = idg.Matrix.from_rows([[3, 5], [2, 4]])
-    problem = idg.DecisionProblem(
+    return idg.DecisionProblem(
         ("s0", "s1"), ("a0", "a1"), utility, idg.vector(["1/2", "1/2"]), idg.PriorPolytope.simplex(2)
     )
+
+
+def test_implementing_structure_not_implementable():
     with pytest.raises(idg.NotImplementableError) as info:
-        idg.implementing_structure(problem, idg.MixedAction.pure(1, 2))
+        idg.implementing_structure(_dominated_problem(), idg.MixedAction.pure(1, 2))
     assert info.value.farkas is not None
+
+
+def test_tampered_refutation_is_not_reported(monkeypatch):
+    # the Farkas certificate is verified before NotImplementableError carries it out
+    tamper_refutations(monkeypatch)
+    with pytest.raises(AssertionError, match="Farkas check"):
+        idg.implementing_structure(_dominated_problem(), idg.MixedAction.pure(1, 2))
 
 
 def test_informativeness_order():

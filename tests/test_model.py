@@ -9,7 +9,7 @@ import infodesign as idg
 from infodesign import lp
 from infodesign.model import PayoffPartition
 
-from support import paired_problem, random_member, raw_motivating_model
+from support import paired_problem, random_member, raw_motivating_model, tamper_refutations
 
 
 def test_payoff_examples(example_problem):
@@ -251,6 +251,12 @@ def test_empty_prior_polytope_rejected():
             ub_matrix=(idg.vector([1, 1]),),
             ub_rhs=idg.vector(["-1"]),
         )
+
+
+def test_tampered_emptiness_refutation_is_not_reported(monkeypatch):
+    tamper_refutations(monkeypatch)
+    with pytest.raises(AssertionError, match="Farkas check"):
+        idg.PriorPolytope(2, ub_matrix=(idg.vector([1, 1]),), ub_rhs=idg.vector(["-1"]))
 
 
 def test_column_stochastic_validation():
