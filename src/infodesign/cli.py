@@ -10,8 +10,9 @@ reallocation keeps it inside the prior set, 7 an internal error (a failed
 assertion inside the library, reported in one line without a traceback).
 ``--format machine`` prints one JSON document with every number as an
 exact string; ``table`` prints the same content for humans. A command
-writes its ``--out`` and ``--write-*`` files before it prints its report, so
-a write that fails prints only its one error line.
+returns its exit code, its report and one ``(path, document)`` pair per
+``--out``/``--write-*`` option given; ``main`` writes every file, then prints
+the report, so a write that fails prints only its one error line.
 
 The argument parser is built once per process and reused by every ``main``
 call (parsing leaves it unchanged). That saves time only for callers that run
@@ -89,7 +90,7 @@ def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
         except ValueError:
             raise DocumentError(f"unknown action {text!r}; choose from {list(problem.actions)}")
         return MixedAction.pure(index, problem.n_actions)
-    weights = [Fraction(0)] * problem.n_actions
+    weights: dict[int, Fraction] = {}
     for part in text.split(","):
         label, _, weight = part.partition(":")
         label = label.strip()
@@ -97,9 +98,11 @@ def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
             index = problem.actions.index(label)
         except ValueError:
             raise DocumentError(f"unknown action {label!r} in mixed weights")
+        if index in weights:
+            raise DocumentError(f"action {label!r} repeated in mixed weights")
         weights[index] = documents._exact(weight.strip(), f"weight for action {label!r}")
     try:
-        return MixedAction(tuple(weights))
+        return MixedAction(tuple(weights.get(a, Fraction(0)) for a in range(problem.n_actions)))
     except ValueError as exc:
         raise DocumentError(f"bad mixed action: {exc}")
 
@@ -149,7 +152,7 @@ def _load_structure(path: str, loaded: documents.LoadedProblem) -> InformationSt
     return documents.parse_structure_document(documents.load_json(path), loaded, where=path)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, dict, list]:
     loaded = _load_problem(args.problem)
     problem = loaded.problem
     structure = _load_structure(args.structure, loaded)
@@ -169,21 +172,19 @@ def _cmd_solve(args) -> int:
         },
         "structure": _structure_summary(structure),
     }
-    _emit(report, args.format)
-    return EXIT_OK
+    return EXIT_OK, report, []
 
 
-def _implement_report(
-    problem: DecisionProblem,
-    structure: InformationStructure,
-    certificate,
-    action_text: str,
-) -> dict:
+def _implemented(
+    args, command: str, problem: DecisionProblem, structure: InformationStructure,
+    certificate, **extra,
+) -> tuple[int, dict, list]:
+    """The report of an implementing structure, and its kernel document for --out."""
     kernel = kernel_of(structure)
     slack = payoff(certificate.alpha_star, problem.mu, problem) - certificate.value
-    return {
-        "command": "implement",
-        "action": action_text,
+    report = {
+        "command": command,
+        "action": args.action,
         "value": format_scalar(certificate.value),
         "supporting_prior": {
             "nu": _fmt_map(problem.states, certificate.nu_star),
@@ -196,18 +197,14 @@ def _implement_report(
         },
         "structure": _structure_summary(structure),
         "kernel_basis": [[format_scalar(v) for v in row] for row in kernel.basis],
+        **extra,
     }
+    files = [] if args.out is None else [(args.out, documents.serialize_structure_kernel(kernel))]
+    return EXIT_OK, report, files
 
 
-def _write_structure_from_kernel(path: Optional[str], structure: InformationStructure) -> None:
-    if path is None:
-        return
-    documents.write_json(path, documents.serialize_structure_kernel(kernel_of(structure)))
-
-
-def _cmd_implement(args) -> int:
-    loaded = _load_problem(args.problem)
-    problem = loaded.problem
+def _cmd_implement(args) -> tuple[int, dict, list]:
+    problem = _load_problem(args.problem).problem
     alpha = _parse_action(problem, args.action)
     try:
         structure, certificate = implementing_structure(problem, alpha)
@@ -222,44 +219,35 @@ def _cmd_implement(args) -> int:
                 "lower_bounds": [format_scalar(v) for v in exc.farkas.lb],
             },
         }
-        _emit(report, args.format)
-        return EXIT_NOT_IMPLEMENTABLE
-    report = _implement_report(problem, structure, certificate, args.action)
-    report["implementable"] = True
-    _write_structure_from_kernel(args.out, structure)
-    _emit(report, args.format)
-    return EXIT_OK
+        return EXIT_NOT_IMPLEMENTABLE, report, []
+    return _implemented(args, "implement", problem, structure, certificate, implementable=True)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, dict, list]:
+    if args.structure2 is not None and args.action is not None:
+        raise DocumentError("--action: maximality is decided for one structure, not two")
     loaded = _load_problem(args.problem)
     problem = loaded.problem
     structure = _load_structure(args.structure, loaded)
     report = {"command": "check", "structure": _structure_summary(structure)}
+    code = EXIT_OK
     if args.structure2 is not None:
         other = _load_structure(args.structure2, loaded)
-        order = robustly_more_informative(structure, other)
         report["other"] = _structure_summary(other)
-        report["ordering"] = order.value
-        _emit(report, args.format)
-        return EXIT_OK
-    if args.action is not None:
+        report["ordering"] = robustly_more_informative(structure, other).value
+    elif args.action is not None:
         alpha = _parse_action(problem, args.action)
-        try:
-            maximal = is_maximally_informative(problem, structure, alpha)
-        except NotImplementingError:
-            report["action"] = args.action
-            report["implements"] = False
-            _emit(report, args.format)
-            return EXIT_NOT_IMPLEMENTING
         report["action"] = args.action
         report["implements"] = True
-        report["maximally_informative"] = maximal
-    _emit(report, args.format)
-    return EXIT_OK
+        try:
+            report["maximally_informative"] = is_maximally_informative(problem, structure, alpha)
+        except NotImplementingError:
+            report["implements"] = False
+            code = EXIT_NOT_IMPLEMENTING
+    return code, report, []
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args) -> tuple[int, dict, list]:
     model = motivating_example()
     problem = build_treatment_problem(model)
     yt = marginal_structure(model, ["Y", "T"])
@@ -298,15 +286,14 @@ def _cmd_example(args) -> int:
         },
         "policy_reversal": reversal,
     }
+    files = []
     if args.write_problem:
-        documents.write_json(args.write_problem, documents.serialize_treatment(model))
+        files.append((args.write_problem, documents.serialize_treatment(model)))
     if args.write_structure:
-        documents.write_json(
-            args.write_structure,
-            {"schema_version": documents.SCHEMA_VERSION, "marginal": {"variables": ["Y", "T"]}},
-        )
-    _emit(report, args.format)
-    return EXIT_OK
+        marginal = {"variables": ["Y", "T"]}
+        document = {"schema_version": documents.SCHEMA_VERSION, "marginal": marginal}
+        files.append((args.write_structure, document))
+    return EXIT_OK, report, files
 
 
 def _require_treatment(loaded: documents.LoadedProblem, path: str):
@@ -315,7 +302,7 @@ def _require_treatment(loaded: documents.LoadedProblem, path: str):
     return loaded.treatment
 
 
-def _cmd_treatment_build(args) -> int:
+def _cmd_treatment_build(args) -> tuple[int, dict, list]:
     loaded = _load_problem(args.problem)
     _require_treatment(loaded, args.problem)
     report = {
@@ -325,26 +312,20 @@ def _cmd_treatment_build(args) -> int:
         "n_states": loaded.problem.n_states,
         "prior_equalities": len(loaded.problem.priors.eq_matrix),
     }
-    if args.out:
-        documents.write_json(args.out, documents.serialize_problem(loaded.problem))
-    _emit(report, args.format)
-    return EXIT_OK
+    files = [(args.out, documents.serialize_problem(loaded.problem))] if args.out else []
+    return EXIT_OK, report, files
 
 
-def _cmd_treatment_implement(args) -> int:
+def _cmd_treatment_implement(args) -> tuple[int, dict, list]:
     loaded = _load_problem(args.problem)
     model = _require_treatment(loaded, args.problem)
     problem = loaded.problem
     alpha = _parse_action(problem, args.action)
     structure, certificate = implement_treatment(model, alpha, problem)
-    report = _implement_report(problem, structure, certificate, args.action)
-    report["command"] = "treatment implement"
-    _write_structure_from_kernel(args.out, structure)
-    _emit(report, args.format)
-    return EXIT_OK
+    return _implemented(args, "treatment implement", problem, structure, certificate)
 
 
-def _cmd_treatment_marginal(args) -> int:
+def _cmd_treatment_marginal(args) -> tuple[int, dict, list]:
     loaded = _load_problem(args.problem)
     model = _require_treatment(loaded, args.problem)
     variables = [v.strip() for v in args.variables.split(",") if v.strip()]
@@ -362,10 +343,8 @@ def _cmd_treatment_marginal(args) -> int:
         "never_maximal": check.never_maximal,
         "pushforward": _fmt_map(structure.messages, push_forward(structure, loaded.problem.mu)),
     }
-    if args.out:
-        documents.write_json(args.out, documents.serialize_structure_matrix(structure))
-    _emit(report, args.format)
-    return EXIT_OK
+    files = [(args.out, documents.serialize_structure_matrix(structure))] if args.out else []
+    return EXIT_OK, report, files
 
 
 @functools.cache
@@ -430,7 +409,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, report, files = args.func(args)
+        for path, document in files:
+            documents.write_json(path, document)
+        _emit(report, args.format)
+        return code
     except InfoDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

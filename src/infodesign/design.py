@@ -55,7 +55,6 @@ from .solver import (
     SupportingPrior,
     best_responses,
     maxmin,
-    supporting_prior_program,
     worst_case,
 )
 
@@ -216,11 +215,8 @@ def implementing_structure(
     """
     if _optimal_at_mu(problem, alpha):
         return implement_at_prior(problem, alpha, problem.mu)
-    program = supporting_prior_program(problem, alpha)
-    outcome = lp.feasible_point(program)
+    outcome = solver._supporting_outcome(problem, alpha)
     if outcome.status is not lp.LpStatus.OPTIMAL:
-        if not lp.verify_outcome(program, outcome):
-            raise AssertionError("supporting-prior refutation failed its own Farkas check")
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate
         )

@@ -539,6 +539,9 @@ def test_oversized_treatment_block_exits_two(tmp_path, capsys):
         ("a0:1e-4300,a1:1", "exponent must be less than 4300"),
         ("a0:1e10000000,a1:0", "exponent must be less than 4300"),
         ("a0:1,b0:0", "unknown action 'b0' in mixed weights"),
+        ("a0:0,a0:1,a1:0", "action 'a0' repeated in mixed weights"),
+        ("a0:1/2,a0:1/2", "action 'a0' repeated in mixed weights"),
+        ("a1:1, a1 :0", "action 'a1' repeated in mixed weights"),
     ],
 )
 def test_action_weights_share_the_document_bound(tmp_path, capsys, action, outcome):
@@ -549,7 +552,7 @@ def test_action_weights_share_the_document_bound(tmp_path, capsys, action, outco
         assert code == 0
     else:
         assert code == 2
-        assert outcome in err
+        assert outcome in err and err.count("\n") == 1
         if outcome.startswith("exponent"):
             assert "weight for action 'a" in err
 
@@ -703,9 +706,10 @@ def _nested_document(tmp_path):
         (["example", "--write-problem", "{missing}"], "{missing}"),
         (["example", "--write-structure", "{tmp}"], "{tmp}"),
         (["solve", "{nested}", "{marg}"], "{nested}"),
+        (["check", "{prob}", "{marg}", "{marg}", "--action", "t1"], "--action"),
     ],
     ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "treatment-out",
-         "implement-out", "write-problem", "write-structure", "nested"],
+         "implement-out", "write-problem", "write-structure", "nested", "check-two-structures"],
 )
 def test_input_faults_exit_two_in_one_line(example_files, tmp_path, capsys, argv, place):
     # a failed write prints no report: every file is written before stdout
@@ -765,6 +769,30 @@ def test_treatment_subcommands(example_files, tmp_path, capsys):
     code, payload, _ = machine(capsys, "solve", str(generic), str(yt))
     assert code == 0
     assert payload["value"] == "1/8"
+
+
+def test_documents_are_built_only_for_given_options(example_files, capsys, monkeypatch):
+    # serializing can fail (exit 5) and costs time, so an option left out builds nothing
+    prob, _ = example_files
+    commands = [
+        ["example"],
+        ["implement", str(prob), "t1"],
+        ["treatment", "build", str(prob)],
+        ["treatment", "implement", str(prob), "t0:1/2,t1:1/2"],
+        ["treatment", "marginal", str(prob), "--variables", "Y,T"],
+    ]
+    calls = [[*fmt, *argv] for fmt in ([], ["--format", "machine"]) for argv in commands]
+    expected = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 and err == "" for code, _, err in expected)
+
+    def refuse(*args):
+        raise AssertionError("a document was built for an option not given")
+
+    for name in dir(documents):
+        if name.startswith("serialize_"):
+            monkeypatch.setattr(documents, name, refuse)
+    monkeypatch.setattr(documents, "write_json", refuse)
+    assert [run(capsys, *argv) for argv in calls] == expected
 
 
 def test_machine_output_is_idempotent(example_files, capsys):

@@ -19,6 +19,7 @@ from support import (
     random_mixed,
     random_treatment_model,
     random_zero_sum_subspace,
+    tamper_refutations,
 )
 
 
@@ -92,7 +93,7 @@ def test_supporting_prior_examples(example_problem):
     assert untreated is not None  # mu itself qualifies
 
 
-def test_dominated_action_has_no_supporting_prior():
+def test_dominated_action_has_no_supporting_prior(monkeypatch):
     utility = idg.Matrix.from_rows([[3, 5], [2, 4]])  # second action always one worse
     problem = idg.DecisionProblem(
         ("s0", "s1"), ("a0", "a1"), utility, idg.vector(["1/2", "1/2"]), idg.PriorPolytope.simplex(2)
@@ -100,6 +101,11 @@ def test_dominated_action_has_no_supporting_prior():
     assert idg.supporting_prior(problem, _pure(problem, 1)) is None
     assert not idg.is_implementable(problem, _pure(problem, 1))
     assert idg.is_implementable(problem, _pure(problem, 0))
+    # a None rests on a verified refutation, as implementing_structure's refusal does
+    tamper_refutations(monkeypatch)
+    for refuted in (idg.supporting_prior, idg.is_implementable, idg.implementing_structure):
+        with pytest.raises(AssertionError, match="refutation failed its own Farkas check"):
+            refuted(problem, _pure(problem, 1))
 
 
 def test_maxmin_agrees_with_direct_minmax_formulation():
