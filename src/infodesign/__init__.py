@@ -68,6 +68,7 @@ from .model import (
     MixedAction,
     PayoffPartition,
     PriorPolytope,
+    best_responses,
     identified_set,
     kernel_of,
     payoff,
@@ -89,7 +90,6 @@ from .numerics import (
 from .solver import (
     SaddleCertificate,
     SupportingPrior,
-    best_responses,
     is_implementable,
     maxmin,
     supporting_prior,

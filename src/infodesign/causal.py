@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .design import _optimal_at_mu, implement_at_prior
+from .design import implement_at_prior
 from .errors import (
     AssignmentMismatch,
     DimensionMismatch,
@@ -29,6 +29,7 @@ from .model import (
     MixedAction,
     PriorPolytope,
     _is_distribution,
+    is_best_response,
     kernel_of,
     payoff,
     payoff_equivalence_classes,
@@ -304,9 +305,8 @@ def prior_from_marginals(
     problem = problem or build_treatment_problem(model)
     if not problem.priors.contains(nu):
         raise AssertionError("factorized prior must satisfy the assignment rows")
-    for a in range(model.n_treatments):
-        if counterfactual_mean(problem, a, nu) != payoffs[a]:
-            raise AssertionError("factorized prior must reproduce the marginal means")
+    if problem.pure_payoffs(nu) != payoffs:
+        raise AssertionError("factorized prior must reproduce the marginal means")
     return OutcomeMarginalPrior(nu=nu, payoffs=payoffs)
 
 
@@ -342,12 +342,10 @@ def implement_treatment(
     if len(alpha) != model.n_treatments:
         raise DimensionMismatch("mixed action length does not match the treatments")
     mu = problem.mu
-    if _optimal_at_mu(problem, alpha):
+    if is_best_response(problem, alpha, mu):
         return implement_at_prior(problem, alpha, mu)
 
-    means = [
-        counterfactual_mean(problem, t, mu) for t in range(model.n_treatments)
-    ]
+    means = problem.pure_payoffs(mu)
     floor = min(means[t] for t in alpha.support)
     bottom = model.outcomes[0]
     targets = tuple(

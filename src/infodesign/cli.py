@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,7 +34,6 @@ from . import documents
 from .causal import (
     build_treatment_problem,
     check_marginal_not_maximal,
-    counterfactual_mean,
     implement_treatment,
     marginal_structure,
     motivating_example,
@@ -262,8 +262,6 @@ def _cmd_example(args) -> tuple[int, dict, list]:
     full = InformationStructure.identity(problem.n_states)
     cert_full = maxmin(problem, full)
     cert_partial = maxmin(problem, yt)
-    mean0 = counterfactual_mean(problem, 0, problem.mu)
-    mean1 = counterfactual_mean(problem, 1, problem.mu)
     wc0 = worst_case(problem, yt, MixedAction.pure(0, 2))[0]
     wc1 = worst_case(problem, yt, MixedAction.pure(1, 2))[0]
     reversal = (
@@ -274,7 +272,7 @@ def _cmd_example(args) -> tuple[int, dict, list]:
         "observed_distribution": cells_by_xt(problem.mu),
         "disclosed_marginal": _fmt_map(yt.messages, push_forward(yt, problem.mu)),
         "worst_case_joint": cells_by_xt(nu_star),
-        "full_information_means": {"t0": format_scalar(mean0), "t1": format_scalar(mean1)},
+        "full_information_means": _fmt_map(problem.actions, problem.pure_payoffs(problem.mu)),
         "worst_case_payoffs": {"t0": format_scalar(wc0), "t1": format_scalar(wc1)},
         "maxmin_full_information": {
             "alpha_star": _fmt_map(problem.actions, cert_full.alpha_star.weights),
@@ -409,11 +407,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("out", "write_problem", "write_structure"):
+            if getattr(args, option, None) == "":
+                raise DocumentError(f"--{option.replace('_', '-')}: empty path")
         code, report, files = args.func(args)
         for path, document in files:
             documents.write_json(path, document)
         _emit(report, args.format)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # flushed again at exit
+        print(f"error: standard output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except InfoDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

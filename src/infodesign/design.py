@@ -38,6 +38,7 @@ from .model import (
     DecisionProblem,
     InformationStructure,
     MixedAction,
+    is_best_response,
     kernel_of,
     payoff,
     payoff_equivalence_classes,
@@ -53,7 +54,6 @@ from .numerics import (
 from .solver import (
     SaddleCertificate,
     SupportingPrior,
-    best_responses,
     maxmin,
     worst_case,
 )
@@ -126,7 +126,7 @@ def extremal_reach(problem: DecisionProblem, nu: Sequence[Fraction]) -> Fraction
     direction = vec_sub(nu, problem.mu)
     if not any(direction):
         raise ValueError("reach undefined for nu equal to mu")
-    return solver._segment(problem, direction)[1]
+    return problem.segment(direction)[1]
 
 
 def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
@@ -174,11 +174,6 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
     )
 
 
-def _optimal_at_mu(problem: DecisionProblem, alpha: MixedAction) -> bool:
-    """Whether every action alpha plays is a best response to mu."""
-    return set(alpha.support) <= set(best_responses(problem, problem.mu))
-
-
 def implement_at_prior(
     problem: DecisionProblem, alpha: MixedAction, nu: Vector
 ) -> tuple[InformationStructure, SaddleCertificate]:
@@ -213,7 +208,7 @@ def implementing_structure(
     propagates AssumptionViolation when the prior set cannot absorb the
     boundary move.
     """
-    if _optimal_at_mu(problem, alpha):
+    if is_best_response(problem, alpha, problem.mu):
         return implement_at_prior(problem, alpha, problem.mu)
     outcome = solver._supporting_outcome(problem, alpha)
     if outcome.status is not lp.LpStatus.OPTIMAL:
@@ -241,7 +236,7 @@ def researcher_optimum(
     implements wins, so each supporting prior is solved for at most once.
     """
     if len(researcher_values) != problem.n_actions:
-        raise AssertionError("researcher values must cover every action")
+        raise DimensionMismatch("researcher values must cover every action")
     for a in sorted(range(problem.n_actions), key=lambda a: (-researcher_values[a], a)):
         alpha = MixedAction.pure(a, problem.n_actions)
         try:
@@ -295,4 +290,4 @@ def is_maximally_informative(
     value = worst_case(problem, structure, alpha)[0]
     if maxmin(problem, structure).value != value:
         raise NotImplementingError("structure does not implement the action")
-    return kernel_of(structure).dim == (0 if _optimal_at_mu(problem, alpha) else 1)
+    return kernel_of(structure).dim == (0 if is_best_response(problem, alpha, problem.mu) else 1)

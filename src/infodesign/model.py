@@ -8,9 +8,9 @@ polytope cut by mu + ker(experiment), an ``IdentifiedSet``.
 
 The rows a problem reads again and again, the prior set's constraints and
 the actions' utilities, are compiled once per object into sparse integer
-form (``numerics.SparseRow``) and cached on it: membership tests, payoffs
-and best responses walk only their nonzero entries and compare integers by
-cross-multiplying.
+form (``numerics.SparseRow``) and cached on it; only this module reads them.
+Membership, segments, payoffs and best responses compare integers by
+cross-multiplying, and ``IdentifiedSet.minimize`` reuses the set's phase 1.
 """
 
 from __future__ import annotations
@@ -275,6 +275,53 @@ class DecisionProblem:
         """Each action's utility row, compiled once for payoffs and best responses."""
         return tuple([sparse_row(row) for row in self.utility.entries])
 
+    def pure_payoffs(self, nu: Sequence[Fraction]) -> Vector:
+        """Each pure action's payoff u_a . nu, exactly; nu need not be a distribution."""
+        if len(nu) != self.n_states:
+            raise DimensionMismatch("state distribution length does not match the problem")
+        return tuple([Fraction(*sparse_dot(row, nu)) for row in self._utility_rows])
+
+    def segment(self, d: Vector) -> tuple[Fraction, Fraction]:
+        """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
+
+        [0, 0] when d is zero or breaks an equality of the prior set. Each cut
+        c lam <= b (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept
+        as the integer ratio b / c = p / q, q of the sign of c, and the cuts are
+        compared by cross-multiplying; only lo and hi become Fractions.
+        """
+        if len(d) != self.n_states:
+            raise DimensionMismatch("direction length does not match the state count")
+        eq_rows, ub_rows = self.priors._sparse_rows
+        if any([sparse_dot(row, d)[0] for row in eq_rows]):
+            return F0, F0
+        ratios = []
+        try:
+            for ds, ms in zip(d, self.mu):  # -d_s lam <= mu_s
+                dn = ds.numerator
+                if dn:
+                    ratios.append((ms.numerator * ds.denominator, -ms.denominator * dn))
+        except AttributeError:
+            raise TypeError(f"not an exact number: {ds!r}") from None
+        if not ratios:
+            return F0, F0
+        for row, b in zip(ub_rows, self.priors.ub_rhs):  # (row . d) lam <= b - row . mu
+            c_num, c_den = sparse_dot(row, d)
+            if c_num:
+                m_num, m_den = sparse_dot(row, self.mu)
+                slack = b.numerator * m_den - m_num * b.denominator
+                ratios.append((slack * c_den, b.denominator * m_den * c_num))
+        lo: Optional[tuple[int, int]] = None
+        hi: Optional[tuple[int, int]] = None
+        for p, q in ratios:
+            if q > 0:  # lam <= p / q
+                if hi is None or p * hi[1] < hi[0] * q:
+                    hi = (p, q)
+            elif lo is None or p * lo[1] > lo[0] * q:  # lam >= p / q, q < 0
+                lo = (p, q)
+        if lo is None or hi is None or lo[0] < 0 or hi[0] < 0:  # lo > 0 or hi < 0
+            raise AssertionError("kernel segment must be bounded and contain zero")
+        return Fraction(*lo), Fraction(*hi)
+
     def mixed_utility(self, alpha: MixedAction) -> Vector:
         """Per-state expected utility of a mixed action."""
         if len(alpha) != self.n_actions:
@@ -325,6 +372,23 @@ def payoff(alpha: MixedAction, nu: Sequence[Fraction], problem: DecisionProblem)
     return dot([weights[a] for a in support], [Fraction(*sparse_dot(rows[a], nu)) for a in support])
 
 
+def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[int, ...]:
+    """Indices of pure actions maximizing expected utility under nu, exactly."""
+    if len(nu) != problem.n_states:
+        raise DimensionMismatch("state distribution length does not match the problem")
+    payoffs = [sparse_dot(row, nu) for row in problem._utility_rows]
+    top_num, top_den = payoffs[0]
+    for num, den in payoffs:
+        if num * top_den > top_num * den:
+            top_num, top_den = num, den
+    return tuple([a for a, (num, den) in enumerate(payoffs) if num * top_den == top_num * den])
+
+
+def is_best_response(problem: DecisionProblem, alpha: MixedAction, nu: Sequence[Fraction]) -> bool:
+    """Whether every action alpha plays is a best response to nu."""
+    return set(alpha.support) <= set(best_responses(problem, nu))
+
+
 def push_forward(structure: InformationStructure, nu: Sequence[Fraction]) -> Vector:
     """Message distribution induced by a state distribution."""
     return structure.experiment.matvec(tuple(nu))
@@ -359,13 +423,21 @@ class IdentifiedSet:
     def inequality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
         return self.base.ub_matrix, self.base.ub_rhs
 
+    def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
+        """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only."""
+        if len(objective) != self.base.dimension:
+            raise DimensionMismatch("objective length does not match the state count")
+        start = self._phase_one
+        if not isinstance(start, lp._Feasible):
+            raise AssertionError("the identified set contains mu, so phase 1 must be feasible")
+        out = lp._phase_two(start, objective, "min")
+        if out.status is not lp.LpStatus.OPTIMAL:
+            raise AssertionError("inner minimization over a nonempty compact set must be optimal")
+        return out.optimal_value, out.optimal_point
+
     @cached_property
     def _phase_one(self) -> Union[lp._Feasible, lp.FarkasCertificate]:
-        """The simplex's phase 1 over these rows, shared by every objective minimized on the set.
-
-        Phase 1 does not read the objective, so each worst case runs only
-        phase 2 from this tableau (``lp._phase_two``).
-        """
+        """The simplex's phase 1 over these rows; it reads no objective, so one serves them all."""
         eq, eq_rhs = self.equality_rows()
         ub, ub_rhs = self.inequality_rows()
         program = lp.LinearProgram(

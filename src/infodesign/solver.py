@@ -6,75 +6,34 @@ the kernel). Minimizations over it split on k, the kernel's dimension, read
 off the set:
 
 * k <= 1: the set is a segment mu + lam d, lam in [lo, hi] (the point mu,
-  d = 0, when k = 0); every payoff is a line in lam, so one closed form
-  gives both the worst case of an action and the saddle point.
+  d = 0, when k = 0; see ``DecisionProblem.segment``); every payoff is a
+  line in lam, so one closed form gives the worst case and the saddle point.
 * k >= 2: one linear program over the state distribution nu >= 0, with the
   prior set's rows and the experiment's pinning rows. The experiment's rows
-  sum to the all-ones row, so pinning them also makes nu sum to one. Its
-  phase 1 reads no objective, so the identified set solves it once for the
-  worst cases of every action.
+  sum to the all-ones row, so pinning them also makes nu sum to one.
+  ``IdentifiedSet.minimize`` solves its phase 1 once for every action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from . import lp
-from .model import (
+from .model import (  # best_responses is re-exported from here
     DecisionProblem,
     InformationStructure,
     MixedAction,
+    best_responses,
     identified_set,
+    is_best_response,
     payoff,
 )
-from .numerics import Subspace, Vector, dot, sparse_dot, vec_sub
+from .numerics import Subspace, Vector, dot, vec_sub
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def _segment(problem: DecisionProblem, d: Vector) -> tuple[Fraction, Fraction]:
-    """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
-
-    [0, 0] when d is zero or breaks an equality of the prior set. Each cut
-    c lam <= b (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept as
-    the integer ratio b / c = p / q, q of the sign of c, and the cuts are
-    compared by cross-multiplying; only lo and hi become Fractions.
-    """
-    mu = problem.mu
-    priors = problem.priors
-    eq_rows, ub_rows = priors._sparse_rows
-    if any([sparse_dot(row, d)[0] for row in eq_rows]):
-        return F0, F0
-    ratios = []
-    try:
-        for ds, ms in zip(d, mu):  # -d_s lam <= mu_s
-            dn = ds.numerator
-            if dn:
-                ratios.append((ms.numerator * ds.denominator, -ms.denominator * dn))
-    except AttributeError:
-        raise TypeError(f"not an exact number: {ds!r}") from None
-    if not ratios:
-        return F0, F0
-    for row, b in zip(ub_rows, priors.ub_rhs):  # (row . d) lam <= b - row . mu
-        c_num, c_den = sparse_dot(row, d)
-        if c_num:
-            m_num, m_den = sparse_dot(row, mu)
-            slack = b.numerator * m_den - m_num * b.denominator
-            ratios.append((slack * c_den, b.denominator * m_den * c_num))
-    lo: Optional[tuple[int, int]] = None
-    hi: Optional[tuple[int, int]] = None
-    for p, q in ratios:
-        if q > 0:  # lam <= p / q
-            if hi is None or p * hi[1] < hi[0] * q:
-                hi = (p, q)
-        elif lo is None or p * lo[1] > lo[0] * q:  # lam >= p / q, q < 0
-            lo = (p, q)
-    if lo is None or hi is None or lo[0] < 0 or hi[0] < 0:  # lo > 0 or hi < 0
-        raise AssertionError("kernel segment must be bounded and contain zero")
-    return Fraction(*lo), Fraction(*hi)
 
 
 def worst_case(
@@ -84,23 +43,13 @@ def worst_case(
 
     For k <= 1 the minimizer is the end of the segment the payoff falls
     towards, the smallest lam when the payoff is flat along it; for k >= 2
-    the optimal point of one LP, whose phase 1 the identified set solves
-    once for every action (see ``model.IdentifiedSet``).
+    it is the one ``IdentifiedSet.minimize`` finds from the set's phase 1.
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:
-        d = _direction(iset.kernel)
-        mean, slope = payoff(alpha, problem.mu, problem), payoff(alpha, d, problem)
-        _, nu, value = _segment_saddle(problem, d, (mean,), (slope,))
+        _, nu, value = _segment_saddle(problem, iset.kernel, lambda v: (payoff(alpha, v, problem),))
         return value, nu
-    u = problem.mixed_utility(alpha)
-    start = iset._phase_one
-    if not isinstance(start, lp._Feasible):
-        raise AssertionError("the identified set contains mu, so phase 1 must be feasible")
-    out = lp._phase_two(start, u, "min")
-    if out.status is not lp.LpStatus.OPTIMAL:
-        raise AssertionError("inner minimization over a nonempty compact set must be optimal")
-    return out.optimal_value, out.optimal_point
+    return iset.minimize(problem.mixed_utility(alpha))
 
 
 @dataclass(frozen=True)
@@ -116,16 +65,13 @@ class SaddleCertificate:
     value: Fraction
 
     def verify(self, problem: DecisionProblem, structure: InformationStructure) -> bool:
-        if payoff(self.alpha_star, self.nu_star, problem) != self.value:
+        # with payoff = value, no action beats the value iff alpha* plays best responses
+        alpha, nu = self.alpha_star, self.nu_star
+        if payoff(alpha, nu, problem) != self.value or not is_best_response(problem, alpha, nu):
             return False
-        value = self.value
-        for row in problem._utility_rows:
-            num, den = sparse_dot(row, self.nu_star)
-            if num * value.denominator > value.numerator * den:
-                return False
-        if not identified_set(problem, structure).contains(self.nu_star):
+        if not identified_set(problem, structure).contains(nu):
             return False
-        return worst_case(problem, structure, self.alpha_star)[0] == self.value
+        return worst_case(problem, structure, alpha)[0] == self.value
 
 
 def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleCertificate:
@@ -147,10 +93,7 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:
-        d = _direction(iset.kernel)
-        means = [Fraction(*sparse_dot(row, problem.mu)) for row in problem._utility_rows]
-        slopes = [Fraction(*sparse_dot(row, d)) for row in problem._utility_rows]
-        weights, nu, value = _segment_saddle(problem, d, means, slopes)
+        weights, nu, value = _segment_saddle(problem, iset.kernel, problem.pure_payoffs)
         return SaddleCertificate(MixedAction(weights), nu, value)
 
     n_actions = problem.n_actions
@@ -174,19 +117,17 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
     return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
 
 
-def _direction(kernel: Subspace) -> Vector:
-    """The segment's direction d: the basis vector of a kernel with k = 1, zero when k = 0."""
-    return kernel.basis[0] if kernel.dim else (F0,) * kernel.ambient_dim
-
-
 def _segment_saddle(
-    problem: DecisionProblem, d: Vector, means: Sequence[Fraction], slopes: Sequence[Fraction]
+    problem: DecisionProblem, kernel: Subspace, lines: Callable[[Vector], Vector]
 ) -> tuple[Vector, Vector, Fraction]:
     """Closed-form saddle (weights, minimizer, value) of lines on mu + lam d, lam in [lo, hi].
 
-    Line a is means[a] + slopes[a] lam: a payoff row dotted with mu and with d.
+    d is the kernel's basis vector, zero when k = 0, and line a is
+    lines(mu)[a] + lines(d)[a] lam: a payoff row dotted with mu and with d.
     """
-    lo, hi = _segment(problem, d)
+    d = kernel.basis[0] if kernel.dim else (F0,) * kernel.ambient_dim
+    lo, hi = problem.segment(d)
+    means, slopes = lines(problem.mu), lines(d)
     n_actions = len(means)
 
     def envelope(lam: Fraction) -> Fraction:
@@ -225,18 +166,6 @@ def _segment_saddle(
     if dot(weights, means) + slope * lam != value or not stays_above(slope):
         raise AssertionError("segment saddle conditions fail")
     return tuple(weights), tuple(m + lam * v if v else m for m, v in zip(problem.mu, d)), value
-
-
-def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[int, ...]:
-    """Indices of pure actions maximizing expected utility under nu, exactly."""
-    if len(nu) != problem.n_states:
-        raise AssertionError("state distribution length does not match the problem")
-    payoffs = [sparse_dot(row, nu) for row in problem._utility_rows]
-    top_num, top_den = payoffs[0]
-    for num, den in payoffs:
-        if num * top_den > top_num * den:
-            top_num, top_den = num, den
-    return tuple([a for a, (num, den) in enumerate(payoffs) if num * top_den == top_num * den])
 
 
 @dataclass(frozen=True)

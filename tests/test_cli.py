@@ -707,9 +707,18 @@ def _nested_document(tmp_path):
         (["example", "--write-structure", "{tmp}"], "{tmp}"),
         (["solve", "{nested}", "{marg}"], "{nested}"),
         (["check", "{prob}", "{marg}", "{marg}", "--action", "t1"], "--action"),
+        # an empty path is refused before any input is read
+        (["implement", "{missing}", "t1", "--out", ""], "--out"),
+        (["treatment", "implement", "{prob}", "t1", "--out", ""], "--out"),
+        (["treatment", "build", "{missing}", "--out", ""], "--out"),
+        (["treatment", "marginal", "{prob}", "--variables", "Y", "--out", ""], "--out"),
+        (["example", "--write-problem", ""], "--write-problem"),
+        (["example", "--write-problem", "{tmp}/p", "--write-structure", ""], "--write-structure"),
     ],
     ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "treatment-out",
-         "implement-out", "write-problem", "write-structure", "nested", "check-two-structures"],
+         "implement-out", "write-problem", "write-structure", "nested", "check-two-structures",
+         "implement-empty", "treatment-empty", "build-empty", "marginal-empty",
+         "write-problem-empty", "write-structure-empty"],
 )
 def test_input_faults_exit_two_in_one_line(example_files, tmp_path, capsys, argv, place):
     # a failed write prints no report: every file is written before stdout
@@ -945,15 +954,29 @@ def test_public_surface_is_pinned():
     }
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, stdout=subprocess.PIPE):
     """Run ``python -m infodesign.cli`` in a fresh interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "infodesign.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_closed_stdout_exits_two_in_one_line(example_files, fmt):
+    prob, _ = example_files
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes its report
+    try:
+        done = _cli_process("--format", fmt, "implement", str(prob), "t1", stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: standard output: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 def test_cli_process_runs_end_to_end(tmp_path, capsys):

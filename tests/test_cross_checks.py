@@ -50,13 +50,14 @@ Fraction sums for stationarity and the bound value, and subtracting each
 basis row at its pivot. Decisions must be ``==``, on untouched and tampered
 certificates and on vectors inside and outside a span.
 
-A problem's fixed rows are compiled once into sparse integer rows:
-``PriorPolytope.contains``, ``solver._segment``, ``best_responses``,
-payoffs, ``DecisionProblem.mixed_utility`` and the k <= 1 closed form of
-``maxmin`` and ``worst_case`` read them. Their oracles are the earlier
-dense bodies: ``lp._point_feasible`` on the feasibility program, the
-segment's cuts as Fractions, ``dot`` over each utility row, weighted
-Fraction rows, and the closed form over dense dot products of each row.
+A problem's fixed rows are compiled once into sparse integer rows, which
+only ``model`` reads: ``PriorPolytope.contains``, ``DecisionProblem.segment``,
+``best_responses``, payoffs, ``DecisionProblem.pure_payoffs`` and
+``mixed_utility``, and through them the k <= 1 closed form of ``maxmin``
+and ``worst_case``. Their oracles are the earlier dense bodies:
+``lp._point_feasible`` on the feasibility program, the segment's cuts as
+Fractions, ``dot`` over each utility row, weighted Fraction rows, and the
+closed form over dense dot products of each row.
 Decisions, segments (or the error raised), values and saddle points must be
 ``==``, on members, near misses and points off the simplex.
 """
@@ -1338,7 +1339,7 @@ def _segment_or_error(segment, problem, d):
 @given(segment_probes())
 def test_integer_segment_matches_fraction_segment(case):
     problem, d = case
-    segment = _segment_or_error(solver._segment, problem, d)
+    segment = _segment_or_error(idg.DecisionProblem.segment, problem, d)
     assert segment == _segment_or_error(_fraction_segment, problem, d)
     if any(_dot(row, d) for row in problem.priors.eq_matrix):
         assert segment == (F(0), F(0))

@@ -1,7 +1,9 @@
 """Primitive objects: payoffs, pushforwards, identified sets, kernels, classes."""
 
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +264,24 @@ def test_tampered_emptiness_refutation_is_not_reported(monkeypatch):
 def test_column_stochastic_validation():
     with pytest.raises(ValueError):
         idg.InformationStructure(("m0",), idg.Matrix.from_rows([["1/2", "1"]]))
+
+
+# each exact format is read only by the modules that own it
+FORMAT_OWNERS = {
+    "_sparse_rows": ("model.py",),
+    "_utility_rows": ("model.py",),
+    "_phase_one": ("lp.py", "model.py"),
+    "_phase_two": ("lp.py", "model.py"),
+    "_Feasible": ("lp.py", "model.py"),
+    "_Standard": ("lp.py", "model.py"),
+}
+
+
+def test_compiled_rows_and_phase_one_are_read_only_by_their_owners():
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "infodesign").glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for name, owners in FORMAT_OWNERS.items():
+            if path.name not in owners:
+                assert not re.search(rf"\b{name}\b", text), f"{path.name} names {name}"

@@ -80,6 +80,23 @@ def test_best_responses(example_problem, example_model, example_marginal_yt):
     assert idg.best_responses(constant, constant.mu) == (0, 1)
 
 
+def test_wrong_lengths_raise_dimension_mismatch(example_problem, example_marginal_yt):
+    p = example_problem
+    short = p.mu[:-1]
+    iset = idg.identified_set(p, example_marginal_yt)
+    assert iset.kernel.dim >= 2
+    with pytest.raises(idg.DimensionMismatch, match="objective length"):
+        iset.minimize(p.utility_row(0) + (F(1),))
+    with pytest.raises(idg.DimensionMismatch, match="state distribution length"):
+        idg.best_responses(p, short)
+    with pytest.raises(idg.DimensionMismatch, match="state distribution length"):
+        p.pure_payoffs(short)
+    with pytest.raises(idg.DimensionMismatch, match="direction length"):
+        p.segment(short + (F(0), F(0)))
+    with pytest.raises(idg.DimensionMismatch, match="researcher values must cover every action"):
+        idg.researcher_optimum(p, idg.vector([1]))
+
+
 def test_supporting_prior_examples(example_problem):
     p = example_problem
     treated = idg.supporting_prior(p, _pure(p, 1))
@@ -210,11 +227,16 @@ def test_saddle_certificate_rejects_tampered_witnesses(seed, data):
             moved[i], moved[j] = moved[i] + moved[j], F(0)
             assert not tampered(cert.alpha_star, tuple(moved)).verify(problem, structure)
             break
-    # alpha* replaced by a pure action that is not a best response to nu*
+    # alpha* replaced by a pure action that is not a best response to nu*,
+    # or by a mix that is half a best response and half not
     best = idg.best_responses(problem, cert.nu_star)
     for a in range(problem.n_actions):
         if a not in best:
             assert not tampered(_pure(problem, a), cert.nu_star).verify(problem, structure)
+            half = idg.MixedAction(
+                tuple(F(1, 2) if b in (a, best[0]) else F(0) for b in range(problem.n_actions))
+            )
+            assert not tampered(half, cert.nu_star).verify(problem, structure)
 
 
 def test_researcher_optimum(example_problem):
