@@ -102,9 +102,6 @@ class TreatmentModel:
     def n_states(self) -> int:
         return self.n_outcomes * self.n_cells * self.n_treatments
 
-    def covariate_cells(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(itertools.product(*self.covariate_domains))
-
     def state_index(self, y: int, cell: int, t: int) -> int:
         return (y * self.n_cells + cell) * self.n_treatments + t
 

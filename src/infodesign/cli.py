@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: solve, implement, check, example, and treatment build /
-implement / marginal. Exit codes are part of the interface: 0 success,
-2 parse or validation failure, 3 action not implementable, 4 structure does
-not implement the action, 5 a result has a numerator or denominator too
-long to print (more than 4300 digits, CPython's default int-to-text
-limit), 6 the action has a supporting prior but no payoff-preserving
-reallocation keeps it inside the prior set, 7 an internal error (a failed
-assertion inside the library, reported in one line without a traceback).
+implement / marginal. Exit codes are part of the interface: 0 success, 2 a
+usage, parse or validation failure, 3 action not implementable, 4 structure
+does not implement the action, 5 a result has a numerator or denominator too
+long to print (more than 4300 digits, CPython's default int-to-text limit),
+6 the action has a supporting prior but no payoff-preserving reallocation
+keeps it inside the prior set, 7 an internal error (a failed assertion
+inside the library, reported in one line without a traceback).
 ``--format machine`` prints one JSON document with every number as an
 exact string; ``table`` prints the same content for humans. A command
 returns its exit code, its report and one ``(path, document)`` pair per
@@ -345,9 +345,14 @@ def _cmd_treatment_marginal(args) -> tuple[int, dict, list]:
     return EXIT_OK, report, files
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: one "error:" line and exit 2, as for bad input
+        raise InfoDesignError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infodesign",
         description="Worst-case-optimal decisions over partially identified priors.",
     )
@@ -404,9 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for option in ("out", "write_problem", "write_structure"):
             if getattr(args, option, None) == "":
                 raise DocumentError(f"--{option.replace('_', '-')}: empty path")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from . import lp, solver
+from . import lp
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
@@ -55,6 +55,7 @@ from .solver import (
     SaddleCertificate,
     SupportingPrior,
     maxmin,
+    supporting_prior_program,
     worst_case,
 )
 
@@ -203,14 +204,14 @@ def implementing_structure(
     experiment is returned. Otherwise a supporting prior is found by a
     feasibility solve, moved to the boundary, and the experiment concealing
     exactly the mu-to-prior direction is constructed. Raises
-    NotImplementableError (with the refuting certificate, verified against
-    the supporting-prior program first) when no supporting prior exists, and
-    propagates AssumptionViolation when the prior set cannot absorb the
-    boundary move.
+    NotImplementableError (with the refuting certificate, which ``lp`` has
+    verified against the supporting-prior program) when no supporting prior
+    exists, and propagates AssumptionViolation when the prior set cannot
+    absorb the boundary move.
     """
     if is_best_response(problem, alpha, problem.mu):
         return implement_at_prior(problem, alpha, problem.mu)
-    outcome = solver._supporting_outcome(problem, alpha)
+    outcome = lp.feasible_point(supporting_prior_program(problem, alpha))
     if outcome.status is not lp.LpStatus.OPTIMAL:
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate

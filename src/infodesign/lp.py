@@ -25,10 +25,10 @@ returned point, value and certificate.
 Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
 artificials out, returning the feasible tableau (or a Farkas certificate);
 ``_phase_two`` prices one objective and runs Bland's phase 2 from a copy of
-that tableau, and ``solve_lp`` is the one composed with the other.
-``model.IdentifiedSet`` caches its phase 1, so the worst cases over one
-identified set each run only phase 2. Bland's rule is deterministic, so
-each returns exactly what a fresh solve would.
+that tableau. ``solve_lp`` composes the two, and returns a refutation only
+after ``verify_outcome`` has checked it. ``model.IdentifiedSet`` caches its
+phase 1, so the worst cases over one identified set each run only phase 2.
+Bland's rule is deterministic, so each returns exactly what a fresh solve would.
 
 Certificate conventions, writing y for equality multipliers, w for
 inequality multipliers, and s for lower-bound multipliers (s is zero on
@@ -383,10 +383,13 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
 
 
 def solve_lp(program: LinearProgram) -> LpOutcome:
-    """Solve exactly; the outcome always carries a checkable certificate."""
+    """Solve exactly, with a checkable certificate; a refutation is returned only once verified."""
     start = _phase_one(_Standard(program))
     if isinstance(start, FarkasCertificate):
-        return LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
+        refuted = LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
+        if not verify_outcome(program, refuted):
+            raise AssertionError("a refutation failed its own Farkas check")
+        return refuted
     return _phase_two(start, program.objective, program.sense)
 
 
@@ -411,7 +414,7 @@ def feasible_point(program: LinearProgram) -> LpOutcome:
 
     The returned value and dual certificate refer to the all-zero objective
     used internally; callers should only rely on status, point, and the
-    Farkas certificate.
+    Farkas certificate, which ``solve_lp`` has verified.
     """
     return solve_lp(replace(program, objective=(F0,) * program.n_vars, sense="min"))
 

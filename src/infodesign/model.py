@@ -72,7 +72,7 @@ class PriorPolytope:
     implicit; ``eq``/``ub`` rows are the extra linear restrictions. The set
     must be nonempty: construction verifies this, either by checking a
     declared member exactly or by a feasibility solve; an empty set is
-    reported only after its Farkas certificate is verified.
+    reported only on a Farkas certificate that ``lp.solve_lp`` verified.
     """
 
     dimension: int
@@ -98,13 +98,8 @@ class PriorPolytope:
         if known_member is not None:
             if not self.contains(vector(known_member)):
                 raise ValueError("declared member lies outside the prior set")
-        else:
-            program = self.feasibility_program()
-            probe = lp.feasible_point(program)
-            if probe.status is not lp.LpStatus.OPTIMAL:
-                if not lp.verify_outcome(program, probe):
-                    raise AssertionError("prior-set emptiness failed its own Farkas check")
-                raise ValueError("prior set is empty")
+        elif lp.feasible_point(self.feasibility_program()).status is not lp.LpStatus.OPTIMAL:
+            raise ValueError("prior set is empty")
 
     @classmethod
     def simplex(cls, dimension: int) -> "PriorPolytope":
@@ -130,16 +125,6 @@ class PriorPolytope:
         return True
 
     def feasibility_program(self) -> lp.LinearProgram:
-        return self._feasibility
-
-    @cached_property
-    def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
-        """The eq and ub rows, compiled once for membership tests and segment cuts."""
-        eq_rows = tuple([sparse_row(row) for row in self.eq_matrix])
-        return eq_rows, tuple([sparse_row(row) for row in self.ub_matrix])
-
-    @cached_property
-    def _feasibility(self) -> lp.LinearProgram:
         n = self.dimension
         return lp.LinearProgram(
             objective=(F0,) * n,
@@ -149,6 +134,12 @@ class PriorPolytope:
             ub_matrix=self.ub_matrix,
             ub_rhs=self.ub_rhs,
         )
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
+        """The eq and ub rows, compiled once for membership tests and segment cuts."""
+        eq_rows = tuple([sparse_row(row) for row in self.eq_matrix])
+        return eq_rows, tuple([sparse_row(row) for row in self.ub_matrix])
 
 
 @dataclass(frozen=True)

@@ -188,23 +188,13 @@ def supporting_prior_program(problem: DecisionProblem, alpha: MixedAction) -> lp
     )
 
 
-def _supporting_outcome(problem: DecisionProblem, alpha: MixedAction) -> lp.LpOutcome:
-    """The supporting-prior program's feasibility outcome; a refutation is verified first."""
-    program = supporting_prior_program(problem, alpha)
-    outcome = lp.feasible_point(program)
-    if outcome.status is not lp.LpStatus.OPTIMAL and not lp.verify_outcome(program, outcome):
-        raise AssertionError("supporting-prior refutation failed its own Farkas check")
-    return outcome
-
-
 def supporting_prior(problem: DecisionProblem, alpha: MixedAction) -> Optional[SupportingPrior]:
-    """A witness prior supporting alpha, or None if a verified refutation shows none exists."""
-    out = _supporting_outcome(problem, alpha)
+    """A witness prior supporting alpha, or None on a refutation that ``lp`` has verified."""
+    out = lp.feasible_point(supporting_prior_program(problem, alpha))
     if out.status is not lp.LpStatus.OPTIMAL:
         return None
     nu = out.optimal_point
-    u_alpha = problem.mixed_utility(alpha)
-    return SupportingPrior(nu=nu, slack=dot(u_alpha, problem.mu) - dot(u_alpha, nu))
+    return SupportingPrior(nu, payoff(alpha, problem.mu, problem) - payoff(alpha, nu, problem))
 
 
 def is_implementable(problem: DecisionProblem, alpha: MixedAction) -> bool:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -254,18 +253,17 @@ def known_worst_case_raw() -> tuple:
 
 
 def tamper_refutations(monkeypatch) -> None:
-    """Negate the Farkas certificate of every infeasible ``lp.feasible_point`` outcome.
+    """Negate every Farkas certificate ``lp._phase_one`` returns, before ``solve_lp`` checks it.
 
     A negated refutation has a negative bound value, so it never verifies.
     """
-    solve = lp.feasible_point
+    phase_one = lp._phase_one
 
-    def tampered(program):
-        outcome = solve(program)
-        if outcome.status is not lp.LpStatus.INFEASIBLE:
-            return outcome
-        cert = outcome.certificate
-        negated = [tuple(-v for v in part) for part in (cert.eq, cert.ub, cert.lb)]
-        return replace(outcome, certificate=lp.FarkasCertificate(*negated))
+    def tampered(std):
+        start = phase_one(std)
+        if not isinstance(start, lp.FarkasCertificate):
+            return start
+        negated = [tuple(-v for v in part) for part in (start.eq, start.ub, start.lb)]
+        return lp.FarkasCertificate(*negated)
 
-    monkeypatch.setattr(lp, "feasible_point", tampered)
+    monkeypatch.setattr(lp, "_phase_one", tampered)

@@ -327,7 +327,7 @@ def test_tampered_refutation_exits_seven(tmp_path, capsys, monkeypatch):
     assert (code, out) == (7, "")
     assert "Traceback" not in err
     assert err.splitlines() == [
-        "error: internal error: supporting-prior refutation failed its own Farkas check"
+        "error: internal error: a refutation failed its own Farkas check"
     ]
 
 
@@ -714,11 +714,17 @@ def _nested_document(tmp_path):
         (["treatment", "marginal", "{prob}", "--variables", "Y", "--out", ""], "--out"),
         (["example", "--write-problem", ""], "--write-problem"),
         (["example", "--write-problem", "{tmp}/p", "--write-structure", ""], "--write-structure"),
+        # usage errors, as argparse words them, in the same one line
+        (["implement", "{prob}"], "the following arguments are required"),
+        (["--format", "json", "example"], "argument --format"),
+        (["frobnicate"], "argument command"),
+        (["example", "--bogus"], "unrecognized arguments"),
     ],
     ids=["unknown-variable", "duplicate-variable", "marginal-out", "build-out", "treatment-out",
          "implement-out", "write-problem", "write-structure", "nested", "check-two-structures",
          "implement-empty", "treatment-empty", "build-empty", "marginal-empty",
-         "write-problem-empty", "write-structure-empty"],
+         "write-problem-empty", "write-structure-empty", "missing-argument", "bad-choice",
+         "unknown-command", "unknown-option"],
 )
 def test_input_faults_exit_two_in_one_line(example_files, tmp_path, capsys, argv, place):
     # a failed write prints no report: every file is written before stdout
@@ -825,16 +831,16 @@ def test_repeated_calls_in_one_process_match_the_first(example_files, capsys):
     ]
 
     def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
     first = [outcome(argv) for argv in calls]
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2]
-    assert all(err.startswith("usage: infodesign") for _, _, err in first[-2:])
+    missing, bad_choice = (err for _, _, err in first[-2:])
+    assert missing == "error: the following arguments are required: structure\n"
+    assert bad_choice.startswith("error: argument --format: invalid choice: ")
+    assert bad_choice.count("\n") == 1
     for _ in range(2):
         assert [outcome(argv) for argv in calls] == first
     assert cli.build_parser() is cli.build_parser()

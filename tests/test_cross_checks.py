@@ -721,7 +721,7 @@ def test_simplex_matches_fraction_oracle(program):
 
 
 def _oracle_labels(model):
-    cells = model.covariate_cells()
+    cells = tuple(itertools.product(*model.covariate_domains))
     return tuple(
         "(" + ",".join([str(model.outcomes[y]), *cells[cell], model.treatments[t]]) + ")"
         for y, cell, t in model.iter_states()

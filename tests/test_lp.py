@@ -10,7 +10,7 @@ from hypothesis import given
 import infodesign as idg
 from infodesign import lp
 
-from support import random_program, rational_programs
+from support import random_program, rational_programs, tamper_refutations
 
 
 def test_bounded_maximum():
@@ -36,6 +36,19 @@ def test_infeasible_with_farkas():
     assert out.status is lp.LpStatus.INFEASIBLE
     assert isinstance(out.certificate, lp.FarkasCertificate)
     assert lp.verify_outcome(p, out)
+
+
+def test_a_refutation_that_fails_its_check_is_not_returned(monkeypatch):
+    # phase 1's certificate is negated before solve_lp sees it
+    p = lp.LinearProgram(
+        objective=idg.vector([0]),
+        ub_matrix=(idg.vector([-1]), idg.vector([1])),
+        ub_rhs=idg.vector([-1, 0]),
+    )
+    tamper_refutations(monkeypatch)
+    for solve in (lp.solve_lp, lp.feasible_point):
+        with pytest.raises(AssertionError, match="a refutation failed its own Farkas check"):
+            solve(p)
 
 
 def test_unbounded_with_ray():
