@@ -57,7 +57,6 @@ from .lp import (
     LinearProgram,
     LpOutcome,
     LpStatus,
-    feasible_point,
     solve_lp,
     verify_outcome,
 )

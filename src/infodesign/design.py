@@ -211,7 +211,7 @@ def implementing_structure(
     """
     if is_best_response(problem, alpha, problem.mu):
         return implement_at_prior(problem, alpha, problem.mu)
-    outcome = lp.feasible_point(supporting_prior_program(problem, alpha))
+    outcome = lp.solve_lp(supporting_prior_program(problem, alpha))
     if outcome.status is not lp.LpStatus.OPTIMAL:
         raise NotImplementableError(
             "action has no supporting prior", farkas=outcome.certificate

@@ -25,7 +25,7 @@ returned point, value and certificate.
 Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
 artificials out, returning the feasible tableau (or a Farkas certificate);
 ``_phase_two`` prices one objective and runs Bland's phase 2 from a copy of
-that tableau. ``solve_lp`` composes the two, and returns a refutation only
+that tableau. ``solve_lp`` composes the two, and returns any outcome only
 after ``verify_outcome`` has checked it. ``model.IdentifiedSet`` caches its
 phase 1, so the worst cases over one identified set each run only phase 2.
 Bland's rule is deterministic, so each returns exactly what a fresh solve would.
@@ -383,14 +383,15 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
 
 
 def solve_lp(program: LinearProgram) -> LpOutcome:
-    """Solve exactly, with a checkable certificate; a refutation is returned only once verified."""
+    """Solve exactly; an outcome that fails ``verify_outcome`` raises AssertionError instead."""
     start = _phase_one(_Standard(program))
     if isinstance(start, FarkasCertificate):
-        refuted = LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
-        if not verify_outcome(program, refuted):
-            raise AssertionError("a refutation failed its own Farkas check")
-        return refuted
-    return _phase_two(start, program.objective, program.sense)
+        outcome = LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
+    else:
+        outcome = _phase_two(start, program.objective, program.sense)
+    if not verify_outcome(program, outcome):
+        raise AssertionError(f"an {outcome.status.value} outcome failed its own certificate check")
+    return outcome
 
 
 def _row_duals(std: _Standard, z: list[int], den: int, unit: int) -> tuple[Vector, Vector, Vector]:
@@ -407,16 +408,6 @@ def _row_duals(std: _Standard, z: list[int], den: int, unit: int) -> tuple[Vecto
     # list; over a 16 s marginal-solve benchmark run that added 1.4 MB of peak RSS
     lb = [F0 if b is None else Fraction(z[col], den) for b, col in zip(std.bounds, std.var_cols)]
     return tuple(y[: std.n_eq]), tuple(y[std.n_eq :]), tuple(lb)
-
-
-def feasible_point(program: LinearProgram) -> LpOutcome:
-    """Find any feasible point (objective ignored) or certify emptiness.
-
-    The returned value and dual certificate refer to the all-zero objective
-    used internally; callers should only rely on status, point, and the
-    Farkas certificate, which ``solve_lp`` has verified.
-    """
-    return solve_lp(replace(program, objective=(F0,) * program.n_vars, sense="min"))
 
 
 def _point_feasible(program: LinearProgram, point: Sequence[Fraction]) -> bool:

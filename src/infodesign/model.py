@@ -71,8 +71,8 @@ class PriorPolytope:
     The simplex conditions (coordinates nonnegative, summing to one) are
     implicit; ``eq``/``ub`` rows are the extra linear restrictions. The set
     must be nonempty: construction verifies this, either by checking a
-    declared member exactly or by a feasibility solve; an empty set is
-    reported only on a Farkas certificate that ``lp.solve_lp`` verified.
+    declared member exactly or by solving ``feasibility_program()``, whose
+    point or refutation ``lp.solve_lp`` has verified.
     """
 
     dimension: int
@@ -98,7 +98,7 @@ class PriorPolytope:
         if known_member is not None:
             if not self.contains(vector(known_member)):
                 raise ValueError("declared member lies outside the prior set")
-        elif lp.feasible_point(self.feasibility_program()).status is not lp.LpStatus.OPTIMAL:
+        elif lp.solve_lp(self.feasibility_program()).status is not lp.LpStatus.OPTIMAL:
             raise ValueError("prior set is empty")
 
     @classmethod
@@ -124,15 +124,18 @@ class PriorPolytope:
                 return False
         return True
 
-    def feasibility_program(self) -> lp.LinearProgram:
+    def feasibility_program(
+        self, ub_matrix: tuple[Vector, ...] = (), ub_rhs: Vector = ()
+    ) -> lp.LinearProgram:
+        """A zero-objective program: sum to one, the equalities, the set's <= rows, then these."""
         n = self.dimension
         return lp.LinearProgram(
             objective=(F0,) * n,
             sense="min",
             eq_matrix=((F1,) * n,) + self.eq_matrix,
             eq_rhs=(F1,) + self.eq_rhs,
-            ub_matrix=self.ub_matrix,
-            ub_rhs=self.ub_rhs,
+            ub_matrix=self.ub_matrix + ub_matrix,
+            ub_rhs=self.ub_rhs + ub_rhs,
         )
 
     @cached_property
@@ -275,7 +278,8 @@ class DecisionProblem:
     def segment(self, d: Vector) -> tuple[Fraction, Fraction]:
         """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
 
-        [0, 0] when d is zero or breaks an equality of the prior set. Each cut
+        [0, 0] when d is zero or breaks an equality of the prior set, the sum to
+        one included (d's sum is kept as one integer over its lcm). Each cut
         c lam <= b (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept
         as the integer ratio b / c = p / q, q of the sign of c, and the cuts are
         compared by cross-multiplying; only lo and hi become Fractions.
@@ -286,14 +290,17 @@ class DecisionProblem:
         if any([sparse_dot(row, d)[0] for row in eq_rows]):
             return F0, F0
         ratios = []
+        num, den = 0, 1
         try:
             for ds, ms in zip(d, self.mu):  # -d_s lam <= mu_s
-                dn = ds.numerator
+                dn, dd = ds.numerator, ds.denominator
                 if dn:
-                    ratios.append((ms.numerator * ds.denominator, -ms.denominator * dn))
+                    ratios.append((ms.numerator * dd, -ms.denominator * dn))
+                    g = gcd(dd, den)
+                    num, den = num * (dd // g) + dn * (den // g), den // g * dd
         except AttributeError:
             raise TypeError(f"not an exact number: {ds!r}") from None
-        if not ratios:
+        if num or not ratios:
             return F0, F0
         for row, b in zip(ub_rows, self.priors.ub_rhs):  # (row . d) lam <= b - row . mu
             c_num, c_den = sparse_dot(row, d)

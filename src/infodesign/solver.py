@@ -16,7 +16,7 @@ off the set:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -89,7 +89,8 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
       and falling active actions.
     * k >= 2: one linear program, min t over nu in the identified set
       subject to u_a . nu <= t for every action a. nu* is its optimal point
-      and alpha* the negated duals of the action rows.
+      and alpha* the negated duals of the action rows; ``lp.solve_lp`` has
+      verified both.
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:
@@ -111,8 +112,8 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
         lower_bounds=(F0,) * n + (None,),
     )
     out = lp.solve_lp(program)
-    if out.status is not lp.LpStatus.OPTIMAL or not lp.verify_outcome(program, out):
-        raise AssertionError("maxmin program must have a verified optimum")
+    if out.status is not lp.LpStatus.OPTIMAL:
+        raise AssertionError("maxmin program must have an optimum")
     alpha_star = MixedAction(tuple(-w for w in out.certificate.ub[:n_actions]))
     return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
 
@@ -180,17 +181,14 @@ def supporting_prior_program(problem: DecisionProblem, alpha: MixedAction) -> lp
     """The prior set's program plus u_a.nu <= u_alpha.nu for all a and u_alpha.nu <= u_alpha.mu."""
     u_alpha = problem.mixed_utility(alpha)
     gaps = tuple(vec_sub(problem.utility_row(a), u_alpha) for a in range(problem.n_actions))
-    program = problem.priors.feasibility_program()
-    return replace(
-        program,
-        ub_matrix=program.ub_matrix + gaps + (u_alpha,),
-        ub_rhs=program.ub_rhs + (F0,) * problem.n_actions + (dot(u_alpha, problem.mu),),
+    return problem.priors.feasibility_program(
+        gaps + (u_alpha,), (F0,) * problem.n_actions + (dot(u_alpha, problem.mu),)
     )
 
 
 def supporting_prior(problem: DecisionProblem, alpha: MixedAction) -> Optional[SupportingPrior]:
-    """A witness prior supporting alpha, or None on a refutation that ``lp`` has verified."""
-    out = lp.feasible_point(supporting_prior_program(problem, alpha))
+    """A witness prior supporting alpha, or None on a refutation; ``lp`` has verified either."""
+    out = lp.solve_lp(supporting_prior_program(problem, alpha))
     if out.status is not lp.LpStatus.OPTIMAL:
         return None
     nu = out.optimal_point

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -267,3 +268,21 @@ def tamper_refutations(monkeypatch) -> None:
         return lp.FarkasCertificate(*negated)
 
     monkeypatch.setattr(lp, "_phase_one", tampered)
+
+
+def nudge_point(outcome: lp.LpOutcome) -> lp.LpOutcome:
+    """An optimum whose point moved by one in its first coordinate; other outcomes unchanged."""
+    if outcome.status is not lp.LpStatus.OPTIMAL:
+        return outcome
+    point = outcome.optimal_point
+    return replace(outcome, optimal_point=(point[0] + 1, *point[1:]))
+
+
+def tamper_phase_two(monkeypatch, tamper=nudge_point) -> None:
+    """Pass every outcome ``lp._phase_two`` returns through ``tamper``, before ``solve_lp`` checks it.
+
+    With ``nudge_point``, a point on the sum-to-one row (every supporting-prior
+    and ``maxmin`` program has one) leaves it, so the optimum never verifies.
+    """
+    phase_two = lp._phase_two
+    monkeypatch.setattr(lp, "_phase_two", lambda *args: tamper(phase_two(*args)))

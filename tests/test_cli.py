@@ -16,7 +16,7 @@ import infodesign as idg
 from infodesign import cli, documents, lp, model, numerics
 from infodesign.cli import main
 
-from support import paired_problem, tamper_refutations
+from support import paired_problem, tamper_phase_two, tamper_refutations
 
 
 def run(capsys, *argv):
@@ -327,7 +327,18 @@ def test_tampered_refutation_exits_seven(tmp_path, capsys, monkeypatch):
     assert (code, out) == (7, "")
     assert "Traceback" not in err
     assert err.splitlines() == [
-        "error: internal error: a refutation failed its own Farkas check"
+        "error: internal error: an infeasible outcome failed its own certificate check"
+    ]
+
+
+def test_tampered_optimum_exits_seven(example_files, capsys, monkeypatch):
+    # solve on the Y,T marginal (k = 12) runs maxmin's program, whose optimum lp checks
+    prob, marg = example_files
+    tamper_phase_two(monkeypatch)
+    code, out, err = run(capsys, "solve", str(prob), str(marg))
+    assert (code, out) == (7, "")
+    assert err.splitlines() == [
+        "error: internal error: an optimal outcome failed its own certificate check"
     ]
 
 
@@ -935,8 +946,8 @@ PUBLIC_NAMES = [
     "PayoffPartition", "PriorPolytope", "ResearcherOptimum", "SaddleCertificate", "Subspace",
     "SupportingPrior", "TreatmentModel", "Vector", "ZeroSumViolation",
     "add_irrelevant_signal", "best_responses", "boundary_adjust", "build_treatment_problem",
-    "check_marginal_not_maximal", "counterfactual_mean", "extremal_reach", "feasible_point",
-    "format_scalar", "identified_set", "implement_treatment", "implementing_structure",
+    "check_marginal_not_maximal", "counterfactual_mean", "extremal_reach", "format_scalar",
+    "identified_set", "implement_treatment", "implementing_structure",
     "is_implementable", "is_maximally_informative", "kernel_of", "kernel_to_experiment",
     "marginal_structure", "maxmin", "motivating_example", "motivating_worst_case_prior",
     "nullspace", "orthogonal_complement", "outcome_marginals_for_targets", "payoff",

@@ -1285,7 +1285,7 @@ def _fraction_segment(problem, d):
     """The segment's cuts c lam <= b as Fractions, tightened one Fraction division at a time."""
     mu = problem.mu
     priors = problem.priors
-    if not any(d) or any(_dot(row, d) for row in priors.eq_matrix):
+    if not any(d) or sum(d) or any(_dot(row, d) for row in priors.eq_matrix):
         return F(0), F(0)
     cuts = [(_dot(row, d), b - _dot(row, mu)) for row, b in zip(priors.ub_matrix, priors.ub_rhs)]
     cuts += [(-ds, ms) for ds, ms in zip(d, mu)]
@@ -1306,8 +1306,8 @@ def segment_probes(draw):
 
     d is zero, in the kernel of the equality rows and the all-ones row (a
     nontrivial segment, drawn most often), zero-sum (which almost always
-    breaks an equality row, if there is one) or arbitrary (often unbounded
-    on one side).
+    breaks an equality row, if there is one) or arbitrary (which almost
+    always breaks the all-ones row, so the segment is the point mu).
     """
     priors, mu = draw(prior_sets(min_states=2))
     n = priors.dimension
@@ -1341,7 +1341,7 @@ def test_integer_segment_matches_fraction_segment(case):
     problem, d = case
     segment = _segment_or_error(idg.DecisionProblem.segment, problem, d)
     assert segment == _segment_or_error(_fraction_segment, problem, d)
-    if any(_dot(row, d) for row in problem.priors.eq_matrix):
+    if sum(d) or any(_dot(row, d) for row in problem.priors.eq_matrix):
         assert segment == (F(0), F(0))
 
 

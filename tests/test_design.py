@@ -238,7 +238,7 @@ def test_implementing_structure_not_implementable():
 def test_tampered_refutation_is_not_reported(monkeypatch):
     # the Farkas certificate is verified before NotImplementableError carries it out
     tamper_refutations(monkeypatch)
-    with pytest.raises(AssertionError, match="Farkas check"):
+    with pytest.raises(AssertionError, match="infeasible outcome failed its own certificate check"):
         idg.implementing_structure(_dominated_problem(), idg.MixedAction.pure(1, 2))
 
 

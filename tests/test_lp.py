@@ -10,7 +10,13 @@ from hypothesis import given
 import infodesign as idg
 from infodesign import lp
 
-from support import random_program, rational_programs, tamper_refutations
+from support import (
+    nudge_point,
+    random_program,
+    rational_programs,
+    tamper_phase_two,
+    tamper_refutations,
+)
 
 
 def test_bounded_maximum():
@@ -46,9 +52,40 @@ def test_a_refutation_that_fails_its_check_is_not_returned(monkeypatch):
         ub_rhs=idg.vector([-1, 0]),
     )
     tamper_refutations(monkeypatch)
-    for solve in (lp.solve_lp, lp.feasible_point):
-        with pytest.raises(AssertionError, match="a refutation failed its own Farkas check"):
-            solve(p)
+    with pytest.raises(AssertionError, match="infeasible outcome failed its own certificate check"):
+        lp.solve_lp(p)
+
+
+def _negated_dual(outcome):
+    cert = outcome.certificate
+    return replace(outcome, certificate=replace(cert, ub=(-cert.ub[0], *cert.ub[1:])))
+
+
+def _reversed_ray(outcome):
+    ray = outcome.certificate
+    return replace(outcome, certificate=replace(ray, direction=tuple(-v for v in ray.direction)))
+
+
+BOUNDED_MAX = lp.LinearProgram(
+    objective=idg.vector([1]), sense="max", ub_matrix=(idg.vector([1]),), ub_rhs=idg.vector([1])
+)
+UNBOUNDED_MIN = lp.LinearProgram(objective=idg.vector([-1]))
+
+
+@pytest.mark.parametrize(
+    "program, tamper, status",
+    [
+        (BOUNDED_MAX, nudge_point, "optimal"),  # max x s.t. x <= 1, at x = 2
+        (BOUNDED_MAX, _negated_dual, "optimal"),  # x <= 1's multiplier of the wrong sign
+        (UNBOUNDED_MIN, _reversed_ray, "unbounded"),  # min -x along -x
+    ],
+)
+def test_an_outcome_that_fails_its_check_is_not_returned(monkeypatch, program, tamper, status):
+    # phase 2's outcome is tampered with before solve_lp sees it
+    assert lp.solve_lp(program).status.value == status
+    tamper_phase_two(monkeypatch, tamper)
+    with pytest.raises(AssertionError, match=f"an {status} outcome failed its own certificate check"):
+        lp.solve_lp(program)
 
 
 def test_unbounded_with_ray():
@@ -80,13 +117,13 @@ def test_worst_case_value_over_identified_set(example_problem, example_marginal_
     assert lp.verify_outcome(program, out)
 
 
-def test_feasible_point_on_simplex():
+def test_solve_lp_on_simplex():
     p = lp.LinearProgram(
         objective=idg.vector([0, 0, 0]),
         eq_matrix=(idg.vector([1, 1, 1]),),
         eq_rhs=idg.vector([1]),
     )
-    out = lp.feasible_point(p)
+    out = lp.solve_lp(p)
     assert out.status is lp.LpStatus.OPTIMAL
     point = out.optimal_point
     assert sum(point) == 1 and all(x >= 0 for x in point)
@@ -97,7 +134,7 @@ def test_supporting_system_for_treated_action_is_feasible(example_problem, examp
     from infodesign.solver import supporting_prior_program
 
     program = supporting_prior_program(problem, idg.MixedAction.pure(1, 2))
-    out = lp.feasible_point(program)
+    out = lp.solve_lp(program)
     assert out.status is lp.LpStatus.OPTIMAL
     # the known worst-case joint satisfies the same system
     lifted = idg.motivating_worst_case_prior(example_model)
@@ -110,7 +147,7 @@ def test_empty_polytope_is_infeasible():
         eq_matrix=(idg.vector([1, 1]),),
         eq_rhs=idg.vector([-1]),
     )
-    out = lp.feasible_point(p)
+    out = lp.solve_lp(p)
     assert out.status is lp.LpStatus.INFEASIBLE
     assert lp.verify_outcome(p, out)
 

@@ -1,7 +1,9 @@
 """Primitive objects: payoffs, pushforwards, identified sets, kernels, classes."""
 
+import ast
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -246,6 +248,20 @@ def test_inexact_entries_are_refused():
         idg.extremal_reach(problem, (0.25, 0.75))
 
 
+def test_segment_is_the_point_mu_off_the_sum_to_one_row():
+    problem = idg.DecisionProblem(
+        ("s0", "s1"),
+        ("a0",),
+        idg.Matrix.from_rows([[1, 0]]),
+        idg.vector(["1/2", "1/2"]),
+        idg.PriorPolytope.simplex(2),
+    )
+    assert problem.segment(idg.vector(["1", "-1"])) == (F(-1, 2), F(1, 2))
+    # mu + d = (3/2, 0) is off the simplex, so only lam = 0 stays in the set
+    assert problem.segment(idg.vector(["1", "-1/2"])) == (0, 0)
+    assert idg.extremal_reach(problem, idg.vector(["3/4", "1/2"])) == 0
+
+
 def test_empty_prior_polytope_rejected():
     with pytest.raises(ValueError):
         idg.PriorPolytope(
@@ -257,7 +273,7 @@ def test_empty_prior_polytope_rejected():
 
 def test_tampered_emptiness_refutation_is_not_reported(monkeypatch):
     tamper_refutations(monkeypatch)
-    with pytest.raises(AssertionError, match="Farkas check"):
+    with pytest.raises(AssertionError, match="infeasible outcome failed its own certificate check"):
         idg.PriorPolytope(2, ub_matrix=(idg.vector([1, 1]),), ub_rhs=idg.vector(["-1"]))
 
 
@@ -274,6 +290,7 @@ FORMAT_OWNERS = {
     "_phase_two": ("lp.py", "model.py"),
     "_Feasible": ("lp.py", "model.py"),
     "_Standard": ("lp.py", "model.py"),
+    "verify_outcome": ("lp.py", "__init__.py"),
 }
 
 
@@ -285,3 +302,25 @@ def test_compiled_rows_and_phase_one_are_read_only_by_their_owners():
         for name, owners in FORMAT_OWNERS.items():
             if path.name not in owners:
                 assert not re.search(rf"\b{name}\b", text), f"{path.name} names {name}"
+
+
+def test_the_library_imports_only_the_standard_library():
+    package = Path(__file__).resolve().parents[1] / "src" / "infodesign"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import names one of the package's own files
+                assert node.level == 1, f"{path.name} imports from outside the package"
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                assert all((package / f"{name}.py").exists() for name in names), path.name
+                continue
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {module}"

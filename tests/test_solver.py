@@ -19,6 +19,7 @@ from support import (
     random_mixed,
     random_treatment_model,
     random_zero_sum_subspace,
+    tamper_phase_two,
     tamper_refutations,
 )
 
@@ -120,9 +121,34 @@ def test_dominated_action_has_no_supporting_prior(monkeypatch):
     assert idg.is_implementable(problem, _pure(problem, 0))
     # a None rests on a verified refutation, as implementing_structure's refusal does
     tamper_refutations(monkeypatch)
+    failed = "infeasible outcome failed its own certificate check"
     for refuted in (idg.supporting_prior, idg.is_implementable, idg.implementing_structure):
-        with pytest.raises(AssertionError, match="refutation failed its own Farkas check"):
+        with pytest.raises(AssertionError, match=failed):
             refuted(problem, _pure(problem, 1))
+
+
+def test_a_supporting_prior_that_fails_its_check_is_not_returned(monkeypatch):
+    utility = idg.Matrix.from_rows([[3, 5], [2, 4]])
+    problem = idg.DecisionProblem(
+        ("s0", "s1"), ("a0", "a1"), utility, idg.vector(["1/2", "1/2"]), idg.PriorPolytope.simplex(2)
+    )
+    assert idg.supporting_prior(problem, _pure(problem, 0)) is not None
+    tamper_phase_two(monkeypatch)
+    with pytest.raises(AssertionError, match="an optimal outcome failed its own certificate check"):
+        idg.supporting_prior(problem, _pure(problem, 0))
+
+
+def test_a_supporting_prior_builds_one_program(example_problem, monkeypatch):
+    built = []
+    post_init = lp.LinearProgram.__post_init__
+
+    def counted(program):
+        built.append(program)
+        post_init(program)
+
+    monkeypatch.setattr(lp.LinearProgram, "__post_init__", counted)
+    assert idg.supporting_prior(example_problem, _pure(example_problem, 1)) is not None
+    assert len(built) == 1
 
 
 def test_maxmin_agrees_with_direct_minmax_formulation():
