@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .design import implement_at_prior
@@ -117,11 +118,19 @@ class TreatmentModel:
         )
 
     def cell_mass(self, cell: int) -> Fraction:
-        total = F0
-        for y in range(self.n_outcomes):
-            for t in range(self.n_treatments):
-                total += self.mu[self.state_index(y, cell, t)]
-        return total
+        return self._cell_masses[cell]
+
+    @cached_property
+    def _cell_masses(self) -> Vector:
+        """mu's mass in each covariate cell, summed once per model."""
+        masses = []
+        for cell in range(self.n_cells):
+            total = F0
+            for y in range(self.n_outcomes):
+                for t in range(self.n_treatments):
+                    total += self.mu[self.state_index(y, cell, t)]
+            masses.append(total)
+        return tuple(masses)
 
 
 def _irrelevant_covariates(model: TreatmentModel) -> tuple[int, ...]:
@@ -296,7 +305,7 @@ def prior_from_marginals(
             raise ValueError(f"marginal for treatment {t} is not a probability vector")
         marginals.append(m)
 
-    nu = _factorized(model, marginals, [model.cell_mass(c) for c in range(model.n_cells)])
+    nu = _factorized(model, marginals, model._cell_masses)
     payoffs = tuple(dot(model.outcomes, m) for m in marginals)
 
     problem = problem or build_treatment_problem(model)
@@ -349,8 +358,8 @@ def implement_treatment(
         floor if t in alpha.support else bottom for t in range(model.n_treatments)
     )
     pi = outcome_marginals_for_targets(model, targets)
-    nu = _factorized(model, pi, [model.cell_mass(c) for c in range(model.n_cells)])
-    if not any(m > 0 and v == 0 for m, v in zip(mu, nu)):
+    nu = _factorized(model, pi, model._cell_masses)
+    if not any(m and not v for m, v in zip(mu, nu)):
         nu = _concentrated_prior(model, targets)
     return implement_at_prior(problem, alpha, nu)
 

@@ -48,6 +48,7 @@ from .numerics import (
     Subspace,
     Vector,
     orthogonal_complement,
+    sparse_row,
     subspace_contains,
     vec_sub,
 )
@@ -69,8 +70,10 @@ class KernelSpec:
     subspace: Subspace
 
     def __post_init__(self) -> None:
+        # a direction sums to zero iff its integer numerators over the lcm of
+        # its denominators do
         for v in self.subspace.basis:
-            if sum(v) != 0:
+            if sum(sparse_row(v).numerators):
                 raise ZeroSumViolation("kernel directions must have zero coordinate sum")
 
 
@@ -147,7 +150,7 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
     mu = problem.mu
 
     for s in range(problem.n_states):
-        if mu[s] > 0 and nu[s] == 0:
+        if mu[s] and not nu[s]:  # mu is a distribution, so mu[s] > 0
             return nu
 
     partition = payoff_equivalence_classes(problem)

@@ -16,7 +16,14 @@ cross-multiply without building a Fraction.
 
 Subspace bases are stored in reduced row echelon form, which is unique for a
 given row space, so two subspaces are equal exactly when their stored bases
-are identical entry for entry.
+are identical entry for entry. Because it is unique, ``rref`` can eliminate
+on integers: each row is scaled by the lcm of its denominators, every
+updated row is divided by the gcd of its entries, and a Fraction is built
+only for the entries of the rows it returns. ``rank``,
+``Subspace.contains_vector`` and ``subspace_contains`` need only the number
+of pivots, which a forward elimination on the same integer rows gives
+without building any Fraction. An entry that is not an exact rational
+raises TypeError in all of them.
 
 A kernel, and so an orthogonal complement of any dimension, costs one
 elimination: the matrix is reduced with its columns reversed, and the kernel
@@ -188,39 +195,90 @@ class Matrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form: (nonzero rows, pivot column indices)."""
-    work = [list(r) for r in rows]
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each nonzero row over the lcm of its denominators, divided by the gcd of its entries.
+
+    A nonzero multiple of a row spans the same line, so the integer rows
+    span the same space. An entry that is not an exact rational raises
+    TypeError.
+    """
+    out = []
+    for row in rows:
+        try:
+            den = lcm(*[x.denominator for x in row])
+            if den == 1:
+                ints = [x.numerator for x in row]
+            else:
+                ints = [x.numerator * (den // x.denominator) for x in row]
+        except AttributeError:
+            bad = next(x for x in row if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
+            raise TypeError(f"not an exact number: {bad!r}") from None
+        g = gcd(*ints)
+        if g:
+            out.append([x // g for x in ints] if g != 1 else ints)
+    return out
+
+
+def _eliminate(work: list[list[int]], cols: int, above: bool) -> list[int]:
+    """Integer elimination of the rows in place; returns the pivot columns.
+
+    For a pivot row with head h, every other row with an entry f in the
+    pivot column becomes h * row - f * pivot row, divided by the gcd of its
+    entries. Only the rows below a pivot are cleared unless ``above``
+    is set, which clears every other row (Gauss-Jordan): then each pivot row
+    divided by its head is a row of the reduced row echelon form.
+    """
     pivots: list[int] = []
     r = 0
+    n = len(work)
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        if r == n:
+            break
+        i = r
+        while i < n and not work[i][c]:
+            i += 1
+        if i == n:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        head = work[r][c]
-        if head != 1:
-            work[r] = [x / head if x else x for x in work[r]]
-        base = work[r]
-        for i in range(len(work)):
-            if i != r:
-                f = work[i][c]
-                if f:
-                    work[i] = [a - f * b if b else a for a, b in zip(work[i], base)]
+        prow = work[i]
+        work[i], work[r] = work[r], prow
+        h = prow[c]
+        for i in range(0 if above else r + 1, n):
+            f = work[i][c]
+            if f and i != r:
+                if h == 1:
+                    row = [a - f * b if b else a for a, b in zip(work[i], prow)]
+                else:
+                    row = [a * h - f * b if b else a * h for a, b in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    return pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form: (nonzero rows, pivot column indices).
+
+    The elimination runs on integer rows; each returned row is a pivot row
+    divided by its head, and only its entries become Fractions.
+    """
+    work = _integer_rows(rows)
+    pivots = _eliminate(work, cols, above=True)
+    out = []
+    for row, c in zip(work, pivots):
+        h = row[c]
+        out.append(tuple([F0 if not x else F1 if x == h else Fraction(x, h) for x in row]))
+    return out, pivots
+
+
+def _pivot_count(rows: Sequence[Sequence[Fraction]], cols: int) -> int:
+    """The rank of the rows, by forward elimination on integers; builds no Fraction."""
+    return len(_eliminate(_integer_rows(rows), cols, above=False))
 
 
 def rank(m: Matrix) -> int:
     """Rank by exact Gaussian elimination."""
-    return len(rref(m.entries, m.cols)[1])
+    return _pivot_count(m.entries, m.cols)
 
 
 @dataclass(frozen=True)
@@ -264,7 +322,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return len(rref(self.basis + (tuple(v),), self.ambient_dim)[1]) == self.dim
+        return _pivot_count(self.basis + (tuple(v),), self.ambient_dim) == self.dim
 
 
 def nullspace(m: Matrix) -> Subspace:
@@ -301,4 +359,4 @@ def subspace_contains(a: Subspace, b: Subspace) -> bool:
         raise DimensionMismatch(
             f"comparing subspaces of ambient dimensions {a.ambient_dim} and {b.ambient_dim}"
         )
-    return len(rref(a.basis + b.basis, a.ambient_dim)[1]) == a.dim
+    return _pivot_count(a.basis + b.basis, a.ambient_dim) == a.dim

@@ -166,7 +166,17 @@ def _segment_saddle(
     slope = dot(weights, slopes)
     if dot(weights, means) + slope * lam != value or not stays_above(slope):
         raise AssertionError("segment saddle conditions fail")
-    return tuple(weights), tuple(m + lam * v if v else m for m, v in zip(problem.mu, d)), value
+    if not lam:
+        return tuple(weights), problem.mu, value
+    # mu_s + lam d_s = (m / dm) + (p / q) (v / dv), one Fraction per nonzero d_s
+    p, q = lam.numerator, lam.denominator
+    nu = list(problem.mu)
+    for s, v in enumerate(d):
+        if v:
+            m = nu[s]
+            dm, dv = m.denominator, v.denominator
+            nu[s] = Fraction(m.numerator * q * dv + p * v.numerator * dm, dm * q * dv)
+    return tuple(weights), tuple(nu), value
 
 
 @dataclass(frozen=True)

@@ -286,3 +286,59 @@ def tamper_phase_two(monkeypatch, tamper=nudge_point) -> None:
     """
     phase_two = lp._phase_two
     monkeypatch.setattr(lp, "_phase_two", lambda *args: tamper(phase_two(*args)))
+
+
+def fraction_rref(rows, cols):
+    """The Fraction Gauss-Jordan elimination, kept as an oracle for ``numerics.rref``.
+
+    It shares no code with ``numerics``: every row is divided by its pivot
+    and subtracted from the others in Fraction arithmetic.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        head = work[r][c]
+        if head != 1:
+            work[r] = [x / head if x else x for x in work[r]]
+        base = work[r]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                if f:
+                    work[i] = [a - f * b if b else a for a, b in zip(work[i], base)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def fraction_nullspace(rows, cols) -> tuple:
+    """The canonical kernel basis read off a column-reversed ``fraction_rref``."""
+    reduced, pivots = fraction_rref([r[::-1] for r in rows], cols)
+    pivot_rows = {cols - 1 - p: row[::-1] for p, row in zip(pivots, reduced)}
+    basis = []
+    for f in range(cols):
+        if f in pivot_rows:
+            continue
+        v = [F0] * cols
+        v[f] = F1
+        for p, row in pivot_rows.items():
+            if row[f]:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def fraction_spans(basis, vectors, cols) -> bool:
+    """Whether adding the vectors to a basis leaves its ``fraction_rref`` rank unchanged."""
+    return len(fraction_rref(tuple(basis) + tuple(vectors), cols)[1]) == len(basis)

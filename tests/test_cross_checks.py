@@ -45,7 +45,7 @@ second oracle that must have the same kernel.
 
 ``lp.verify_outcome`` computes its sums of products with ``dot``, and
 ``Subspace.contains_vector`` and ``subspace_contains`` decide membership by
-the rank of one ``rref``. Their oracles are the earlier loops: per-column
+the pivot count of one integer elimination. Their oracles are the earlier loops: per-column
 Fraction sums for stationarity and the bound value, and subtracting each
 basis row at its pivot. Decisions must be ``==``, on untouched and tampered
 certificates and on vectors inside and outside a span.

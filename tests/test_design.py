@@ -74,6 +74,14 @@ def test_display_direction_construction():
 def test_zero_sum_violation():
     with pytest.raises(idg.ZeroSumViolation):
         idg.KernelSpec(idg.Subspace.from_vectors(3, [idg.vector([1, 0, 0])]))
+    # a sum off zero by 1/10^40 is not zero
+    with pytest.raises(idg.ZeroSumViolation):
+        idg.KernelSpec(idg.Subspace.from_vectors(3, [(F(1), F(-1) + F(1, 10**40), F(0))]))
+    # the Mersenne primes 2^61 - 1 and 2^89 - 1 as coprime denominators
+    p, q = 2**61 - 1, 2**89 - 1
+    zero_sum = (F(1, p), F(-1, q), F(1, q) - F(1, p))
+    spec = idg.KernelSpec(idg.Subspace.from_vectors(3, [zero_sum]))
+    assert spec.subspace.dim == 1 and sum(spec.subspace.basis[0]) == 0
 
 
 def test_kernel_round_trip_random():

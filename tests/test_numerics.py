@@ -5,11 +5,12 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import infodesign as idg
-from infodesign.numerics import Matrix, Subspace, dot
+from infodesign.numerics import Matrix, Subspace, dot, rref
 
-from support import raw_motivating_model
+from support import fraction_nullspace, fraction_rref, fraction_spans, raw_motivating_model
 
 
 def test_scalar_parsing_is_exact():
@@ -28,6 +29,87 @@ def test_dot_is_exact_and_refuses_inexact_entries():
     for u, v in [((F(1, 2),), (0.5,)), ((0.5, F(1)), (F(1), F(1))), ((Decimal("0.5"),), (F(1),))]:
         with pytest.raises(TypeError, match="not an exact number"):
             dot(u, v)
+
+
+def test_elimination_refuses_inexact_entries():
+    # a float row's basis and a float matrix's kernel used to come back with floats in them
+    with pytest.raises(TypeError, match="not an exact number"):
+        Subspace.from_vectors(3, [(0.5, -0.25, -0.25)])
+    with pytest.raises(TypeError, match="not an exact number"):
+        idg.nullspace(Matrix(1, 3, ((0.1, 0.2, 0.7),)))
+    exact = Subspace.from_vectors(3, [(F(1), F(-1), F(0))])
+    for bad in (0.5, Decimal("0.5")):
+        row = (bad, F(-1, 4), F(-1, 4))
+        inexact = Subspace(3, (row,))
+        calls = [
+            lambda: rref([row], 3),
+            lambda: idg.nullspace(Matrix(1, 3, (row,))),
+            lambda: Subspace.from_vectors(3, [row]),
+            lambda: idg.rank(Matrix(1, 3, (row,))),
+            lambda: exact.contains_vector(row),
+            lambda: inexact.contains_vector((F(1), F(0), F(0))),
+            lambda: idg.subspace_contains(exact, inexact),
+            lambda: idg.subspace_contains(inexact, exact),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="not an exact number"):
+                call()
+
+
+@st.composite
+def exact_matrices(draw):
+    """Rows of ints and Fractions, 0-9 of them over 1-12 columns, so wide and tall shapes occur.
+
+    Rows may be zero, repeat an earlier row, or combine two earlier rows, and
+    entries take either sign, so pivots may be negative and rows dependent.
+    """
+    n_rows = draw(st.integers(0, 9))
+    n_cols = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.integers(-5, 5),
+        st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7, 12, 10**12 + 39))),
+    )
+    sparse = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols))
+    rows = []
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat", "combination")))
+        if kind == "zero":
+            row = (0,) * n_cols
+        elif kind == "repeat" and rows:
+            row = rows[draw(st.integers(0, i - 1))]
+        elif kind == "combination" and rows:
+            a, b = draw(entry), draw(entry)
+            first, second = rows[draw(st.integers(0, i - 1))], rows[draw(st.integers(0, i - 1))]
+            row = tuple(a * x + b * y for x, y in zip(first, second))
+        else:
+            row = tuple(0 if c in sparse else draw(entry) for c in range(n_cols))
+        rows.append(row)
+    return tuple(rows), n_cols
+
+
+@given(exact_matrices(), st.data())
+def test_integer_elimination_matches_fraction_oracle(case, data):
+    rows, cols = case
+    # the oracle divides its entries, so it is given Fractions: on int
+    # entries its quotients would be floats
+    exact = tuple(tuple(F(x) for x in row) for row in rows)
+    reduced, pivots = rref(rows, cols)
+    expected_rows, expected_pivots = fraction_rref(exact, cols)
+    assert reduced == expected_rows and pivots == expected_pivots
+    assert all(type(x) is F for row in reduced for x in row)
+    m = Matrix(len(rows), cols, rows)
+    assert idg.rank(m) == len(expected_pivots)
+    assert idg.nullspace(m).basis == fraction_nullspace(exact, cols)
+    # a subspace from a prefix of the rows, tested against single rows and
+    # against the subspaces of other slices
+    split = data.draw(st.integers(0, len(rows)))
+    a = Subspace.from_vectors(cols, rows[:split])
+    for v, exact_v in zip(rows, exact):
+        assert a.contains_vector(v) == fraction_spans(a.basis, (exact_v,), cols)
+    for start in range(0, len(rows) + 1, 2):
+        b = Subspace.from_vectors(cols, rows[start:])
+        assert idg.subspace_contains(a, b) == fraction_spans(a.basis, b.basis, cols)
+        assert idg.subspace_contains(b, a) == fraction_spans(b.basis, a.basis, cols)
 
 
 def test_rank_identity_and_row():

@@ -217,6 +217,26 @@ def test_monotonicity_in_information_smoke():
     assert idg.maxmin(problem, e_small).value >= idg.maxmin(problem, e_big).value
 
 
+def _segment_lambda(problem, structure, nu):
+    """The lam with nu = mu + lam d in Fraction arithmetic, d the kernel's direction (k <= 1).
+
+    At k = 0 nu must be mu, and lam is 0. Otherwise lam is read off the
+    first nonzero coordinate of d, every coordinate of nu must equal
+    mu_s + lam d_s, and lam must lie on the segment.
+    """
+    kernel = idg.kernel_of(structure)
+    if kernel.dim == 0:
+        assert nu == problem.mu
+        return F(0)
+    d = kernel.basis[0]
+    s = next(s for s, x in enumerate(d) if x)
+    lam = (nu[s] - problem.mu[s]) / d[s]
+    assert nu == tuple(m + lam * x for m, x in zip(problem.mu, d))
+    lo, hi = problem.segment(d)
+    assert lo <= lam <= hi
+    return lam
+
+
 @given(st.integers(0, 10**9), st.data())
 def test_smaller_kernel_never_lowers_worst_cases(seed, data):
     problem, r = paired_problem(f"monotone-{seed}")
@@ -229,6 +249,34 @@ def test_smaller_kernel_never_lowers_worst_cases(seed, data):
         alpha = _pure(problem, a)
         assert idg.worst_case(problem, e_small, alpha)[0] >= idg.worst_case(problem, e_big, alpha)[0]
     assert idg.maxmin(problem, e_small).value >= idg.maxmin(problem, e_big).value
+    # at k <= 1 each minimizer is mu + lam d on the segment
+    for structure in (e_small, e_big):
+        if idg.kernel_of(structure).dim <= 1:
+            for a in range(problem.n_actions):
+                _segment_lambda(problem, structure, idg.worst_case(problem, structure, _pure(problem, a))[1])
+            _segment_lambda(problem, structure, idg.maxmin(problem, structure).nu_star)
+
+
+def test_segment_minimizer_at_lambda_zero_is_mu():
+    # the kernel's direction is d = (0, 1, -1): the third coordinate of
+    # mu + lam d is -lam, so the segment is [-1/2, 0], and the one action's
+    # payoff -lam is least at lam = 0
+    problem = idg.DecisionProblem(
+        ("s0", "s1", "s2"),
+        ("a0",),
+        idg.Matrix.from_rows([[0, 0, 1]]),
+        idg.vector(["1/2", "1/2", 0]),
+        idg.PriorPolytope.simplex(3),
+    )
+    kernel = idg.Subspace.from_vectors(3, [idg.vector([0, -1, 1])])
+    structure = idg.kernel_to_experiment(idg.KernelSpec(kernel))
+    assert kernel.basis[0] == (0, 1, -1)
+    assert problem.segment(kernel.basis[0]) == (F(-1, 2), F(0))
+    value, nu = idg.worst_case(problem, structure, _pure(problem, 0))
+    cert = idg.maxmin(problem, structure)
+    assert value == cert.value == 0
+    for point in (nu, cert.nu_star):
+        assert _segment_lambda(problem, structure, point) == 0
 
 
 @given(st.integers(0, 10**9), st.data())
