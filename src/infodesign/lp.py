@@ -9,15 +9,19 @@ Pivoting follows Bland's rule (lowest eligible index enters, ratio ties
 break toward the lowest basic index), so the solver terminates on every
 input and identical programs produce identical outcomes.
 
-The tableau holds integers: row i stands for ``rows[i][j] / dens[i]``, over
-one positive denominator per row, in lowest terms. A pivot row is
-normalised by moving its head into its denominator; every other row becomes
-``a*den_p - f*b`` over ``den_i*den_p``, reduced by one gcd. Since every
-denominator is positive, a stored entry has the sign of the value it
-stands for, and the ratio rhs/t of a row is ``row[-1] / row[enter]`` (the
-row's denominator cancels), compared by cross-multiplying. So Bland's rule
-sees the same signs and the same ratios as over a Fraction tableau, makes
-the same choices, and returns the same outcomes and certificates. Each
+The tableau holds integers, each row with gcd 1. A constraint row stands for
+``rows[i][j] / rows[i][basis[i]]``: its basic variable's coefficient is 1,
+so its entry in its basic column is its denominator. The cost row has no
+basic column, and keeps its denominator in one extra column, where every
+constraint row holds 0 and which Bland's rule never lets enter. Every pivot
+is ``numerics._clear_column``, the one integer row operation that ``rref``
+also runs: the pivot row's head is made positive, and every other row
+becomes ``h*row - f*prow`` divided by the gcd of its entries. So every
+denominator is positive, a stored entry has the sign of the value it stands
+for, and the ratio rhs/t of a row is ``row[-1] / row[enter]`` (the row's
+denominator cancels), compared by cross-multiplying. Bland's rule thus sees
+the same signs and the same ratios as over a Fraction tableau, makes the
+same choices, and returns the same outcomes and certificates. Each
 standard-form row is built directly as integers over the least common
 denominator of its nonzero entries and rhs. Fractions are built only for the
 returned point, value and certificate.
@@ -50,11 +54,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
-from .numerics import Vector, dot
+from .numerics import Vector, _clear_column, _combine, dot
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -150,8 +154,9 @@ class _Standard:
 
     Each row is built directly as integers over the least common denominator
     of its nonzero entries and its rhs, with its slack (for a <= row) and its
-    artificial column: [structural | artificial identity | rhs]. The
-    objective is not read; ``cost_row`` lays one out over the same columns.
+    artificial column: [structural | artificial identity | 0 | rhs]. The
+    objective is not read; ``cost_row`` lays one out over the same columns,
+    with its denominator in the column that every constraint row leaves 0.
     """
 
     def __init__(self, program: LinearProgram) -> None:
@@ -169,12 +174,11 @@ class _Standard:
         n_eq = self.n_eq = len(program.eq_matrix)
         lhs = program.eq_matrix + program.ub_matrix
         n_struct = self.n_struct = n_base + len(program.ub_matrix)
-        self.width = n_struct + len(lhs) + 1
+        self.width = n_struct + len(lhs) + 2
 
         # Equality rows first, then <= rows with their slacks; a row whose
         # shifted rhs is negative is negated (sign -1 in signs).
         self.rows: list[list[int]] = []
-        self.dens: list[int] = []
         self.signs: list[int] = []
         for i, (coeffs, b) in enumerate(zip(lhs, (*program.eq_rhs, *program.ub_rhs))):
             nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
@@ -190,7 +194,6 @@ class _Standard:
             row[n_struct + i] = den
             row[-1] = sign * r.numerator * (den // r.denominator)
             self.rows.append(row)
-            self.dens.append(den)
             self.signs.append(sign)
 
     def _place(self, nonzero: list[tuple[int, Fraction]], sign: int, den: int) -> list[int]:
@@ -204,11 +207,13 @@ class _Standard:
                 row[col + 1] = -x
         return row
 
-    def cost_row(self, objective: Sequence[Fraction], sense: str) -> tuple[list[int], int]:
+    def cost_row(self, objective: Sequence[Fraction], sense: str) -> list[int]:
         """The objective to minimize (negated for max) as one integer row over its lcm."""
         nonzero = [(j, c) for j, c in enumerate(objective) if c]
         den = lcm(*[c.denominator for _, c in nonzero])
-        return self._place(nonzero, -1 if sense == "max" else 1, den), den
+        row = self._place(nonzero, -1 if sense == "max" else 1, den)
+        row[-2] = den
+        return row
 
     def point_from(self, by_col: dict[int, Fraction], shift: bool = True) -> Vector:
         """Program variables from column values; points are shifted by the bounds, rays not."""
@@ -223,56 +228,21 @@ class _Standard:
         return tuple(out)
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """row / den with the common factor of its entries and den divided out."""
-    g = den
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row, den
-    return [x // g for x in row], den // g
-
-
-def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, c: int
-) -> tuple[list[int], int]:
-    """row/den minus its column-c value times prow/pden, whose column c holds 1."""
-    f = row[c]
-    if pden == 1:
-        return _reduced([a - f * b if b else a for a, b in zip(row, prow)], den)
-    return _reduced([a * pden - f * b if b else a * pden for a, b in zip(row, prow)], den * pden)
-
-
-def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, c: int) -> None:
-    """Pivot on (r, c) in every row, the cost row (last) included.
-
-    Rows are replaced, never written into, so a copy of the outer lists is
-    an independent tableau.
-    """
-    prow = rows[r]
-    head = prow[c]
-    if head < 0:
-        prow = [-x for x in prow]
-        head = -head
-    prow, head = _reduced(prow, head)
-    rows[r] = prow
-    dens[r] = head
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
-            rows[i], dens[i] = _eliminate(row, dens[i], prow, head, c)
+def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
+    """Pivot on (r, c) in every row, the cost row (last) included."""
+    _clear_column(rows, r, c)
     basis[r] = c
 
 
-def _price(cost: list[int], den: int, rows: list[list[int]], dens: list[int], basis: list[int]):
+def _price(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
     """The cost row with every basic column eliminated: the reduced costs."""
-    for i, c in enumerate(basis):
+    for row, c in zip(rows, basis):
         if cost[c]:
-            cost, den = _eliminate(cost, den, rows[i], dens[i], c)
-    return cost, den
+            cost = _combine(cost, cost[c], row, row[c])
+    return cost
 
 
-def _run(rows: list[list[int]], dens: list[int], basis: list[int], n_allowed: int):
+def _run(rows: list[list[int]], basis: list[int], n_allowed: int):
     """Bland's rule loop over entering columns 0..n_allowed-1; rows[-1] is the cost row."""
     m = len(basis)
     while True:
@@ -284,7 +254,7 @@ def _run(rows: list[list[int]], dens: list[int], basis: list[int], n_allowed: in
                 break
         if enter is None:
             return "optimal", None
-        # ratio rhs/t of row i is row[-1] / row[enter]: its denominator cancels,
+        # ratio rhs/t of row i is row[-1] / row[enter]: its basic entry cancels,
         # so ratios are compared by cross-multiplying
         leave = None
         for i in range(m):
@@ -300,7 +270,7 @@ def _run(rows: list[list[int]], dens: list[int], basis: list[int], n_allowed: in
                     leave, best_rhs, best_t = i, row[-1], t
         if leave is None:
             return "unbounded", enter
-        _pivot(rows, dens, basis, leave, enter)
+        _pivot(rows, basis, leave, enter)
 
 
 class _Feasible(NamedTuple):
@@ -308,7 +278,6 @@ class _Feasible(NamedTuple):
 
     std: _Standard
     rows: list[list[int]]  # the constraint rows, without a cost row
-    dens: list[int]
     basis: list[int]
 
 
@@ -317,21 +286,18 @@ def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
     m = len(std.rows)
     n_struct = std.n_struct
     rows = list(std.rows)
-    dens = list(std.dens)
     basis = [n_struct + i for i in range(m)]
 
     # Minimize the sum of artificials, priced out from the start.
     cost = [0] * std.width
-    cost[n_struct:-1] = [1] * m
-    z, zden = _price(cost, 1, rows, dens, basis)
-    rows.append(z)
-    dens.append(zden)
+    cost[n_struct:-1] = [1] * (m + 1)  # each artificial, then the denominator 1
+    rows.append(_price(cost, rows, basis))
 
-    status, _ = _run(rows, dens, basis, n_struct)
+    status, _ = _run(rows, basis, n_struct)
     if status != "optimal":
         raise AssertionError("phase 1 cannot be unbounded")
     if rows[-1][-1] < 0:
-        return FarkasCertificate(*_row_duals(std, rows[-1], dens[-1], 1))
+        return FarkasCertificate(*_row_duals(std, rows[-1], 1))
 
     # Drive basic artificials out where a structural pivot exists; rows with
     # no structural entry are redundant and stay inert at zero.
@@ -339,29 +305,26 @@ def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
         if basis[r] >= n_struct:
             col = next((j for j in range(n_struct) if rows[r][j]), None)
             if col is not None:
-                _pivot(rows, dens, basis, r, col)
-    return _Feasible(std, rows[:m], dens[:m], basis)
+                _pivot(rows, basis, r, col)
+    return _Feasible(std, rows[:m], basis)
 
 
 def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> LpOutcome:
     """Bland's phase 2 for one objective, from a copy of phase 1's tableau."""
     _check_exact(objective)
     std = start.std
-    m = len(start.basis)
-    cost, den = _price(*std.cost_row(objective, sense), start.rows, start.dens, start.basis)
-    rows = start.rows + [cost]
-    dens = start.dens + [den]
+    rows = start.rows + [_price(std.cost_row(objective, sense), start.rows, start.basis)]
     basis = list(start.basis)
 
-    status, enter = _run(rows, dens, basis, std.n_struct)
-    z_by_col = {basis[i]: Fraction(rows[i][-1], dens[i]) for i in range(m)}
+    status, enter = _run(rows, basis, std.n_struct)
+    z_by_col = {c: Fraction(row[-1], row[c]) for row, c in zip(rows, basis)}
 
     if status == "unbounded":
         d_by_col = {enter: F1}
-        for i in range(m):
-            t = rows[i][enter]
+        for row, c in zip(rows, basis):
+            t = row[enter]
             if t:
-                d_by_col[basis[i]] = Fraction(-t, dens[i])
+                d_by_col[c] = Fraction(-t, row[c])
         ray = ImprovingRay(
             direction=std.point_from(d_by_col, shift=False),
             base_point=std.point_from(z_by_col),
@@ -370,7 +333,7 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
 
     point = std.point_from(z_by_col)
     value = dot(objective, point)
-    duals = _row_duals(std, rows[-1], dens[-1], 0)
+    duals = _row_duals(std, rows[-1], 0)
     if sense == "max":
         # tuples of lists, not of generators: see _row_duals
         duals = tuple([tuple([-v for v in part]) for part in duals])
@@ -394,14 +357,15 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
     return outcome
 
 
-def _row_duals(std: _Standard, z: list[int], den: int, unit: int) -> tuple[Vector, Vector, Vector]:
-    """The (eq, ub, lb) multipliers of the program, read off the cost row z/den.
+def _row_duals(std: _Standard, z: list[int], unit: int) -> tuple[Vector, Vector, Vector]:
+    """The (eq, ub, lb) multipliers of the program, read off the cost row z over z[-2].
 
     Row i's multiplier is unit minus its artificial's cost, times the row's
     sign; the equality rows come first. A variable's lower-bound multiplier
     is its column's reduced cost.
     """
     n_struct = std.n_struct
+    den = z[-2]
     y = [Fraction(sign * (unit * den - z[n_struct + i]), den) for i, sign in enumerate(std.signs)]
     # tuple() of a list, not of a generator: a tuple grown from a generator is
     # resized in place and, once freed, stocks CPython's per-size tuple free

@@ -422,7 +422,10 @@ class IdentifiedSet:
         return self.base.ub_matrix, self.base.ub_rhs
 
     def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
-        """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only."""
+        """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only.
+
+        Unlike ``lp.solve_lp``, this returns the optimum without checking it.
+        """
         if len(objective) != self.base.dimension:
             raise DimensionMismatch("objective length does not match the state count")
         start = self._phase_one

@@ -17,9 +17,11 @@ cross-multiply without building a Fraction.
 Subspace bases are stored in reduced row echelon form, which is unique for a
 given row space, so two subspaces are equal exactly when their stored bases
 are identical entry for entry. Because it is unique, ``rref`` can eliminate
-on integers: each row is scaled by the lcm of its denominators, every
-updated row is divided by the gcd of its entries, and a Fraction is built
-only for the entries of the rows it returns. ``rank``,
+on integers: each row is scaled by the lcm of its denominators, each pivot
+(``_clear_column``, which the simplex in ``lp`` shares) makes its head h
+positive and turns every other row with an entry f in its column into
+h * row - f * pivot row over the gcd of its entries (``_combine``), and a
+Fraction is built only for the rows it returns. ``rank``,
 ``Subspace.contains_vector`` and ``subspace_contains`` need only the number
 of pivots, which a forward elimination on the same integer rows gives
 without building any Fraction. An entry that is not an exact rational
@@ -219,14 +221,38 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
+def _combine(row: list[int], f: int, prow: list[int], h: int) -> list[int]:
+    """h * row - f * prow over its gcd; for h > 0 a positive multiple of row - (f/h) * prow."""
+    if h == 1:
+        out = [a - f * b if b else a for a, b in zip(row, prow)]
+    else:
+        out = [a * h - f * b if b else a * h for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _clear_column(rows: list[list[int]], r: int, c: int, start: int = 0) -> None:
+    """Pivot on (r, c): make the head positive, then clear column c in rows[start:], row r aside.
+
+    Rows are replaced, never written into; each keeps gcd 1, so a pivot row needs no division.
+    """
+    prow = rows[r]
+    h = prow[c]
+    if h < 0:
+        h = -h
+        rows[r] = prow = [-x for x in prow]
+    for i in range(start, len(rows)):
+        f = rows[i][c]
+        if f and i != r:
+            rows[i] = _combine(rows[i], f, prow, h)
+
+
 def _eliminate(work: list[list[int]], cols: int, above: bool) -> list[int]:
     """Integer elimination of the rows in place; returns the pivot columns.
 
-    For a pivot row with head h, every other row with an entry f in the
-    pivot column becomes h * row - f * pivot row, divided by the gcd of its
-    entries. Only the rows below a pivot are cleared unless ``above``
-    is set, which clears every other row (Gauss-Jordan): then each pivot row
-    divided by its head is a row of the reduced row echelon form.
+    Only the rows below a pivot are cleared unless ``above`` is set, which
+    clears every other row (Gauss-Jordan): then each pivot row divided by its
+    head is a row of the reduced row echelon form.
     """
     pivots: list[int] = []
     r = 0
@@ -239,18 +265,8 @@ def _eliminate(work: list[list[int]], cols: int, above: bool) -> list[int]:
             i += 1
         if i == n:
             continue
-        prow = work[i]
-        work[i], work[r] = work[r], prow
-        h = prow[c]
-        for i in range(0 if above else r + 1, n):
-            f = work[i][c]
-            if f and i != r:
-                if h == 1:
-                    row = [a - f * b if b else a for a, b in zip(work[i], prow)]
-                else:
-                    row = [a * h - f * b if b else a * h for a, b in zip(work[i], prow)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
+        work[i], work[r] = work[r], work[i]
+        _clear_column(work, r, c, 0 if above else r + 1)
         pivots.append(c)
         r += 1
     return pivots

@@ -44,6 +44,8 @@ def worst_case(
     For k <= 1 the minimizer is the end of the segment the payoff falls
     towards, the smallest lam when the payoff is flat along it; for k >= 2
     it is the one ``IdentifiedSet.minimize`` finds from the set's phase 1.
+    Unlike ``lp.solve_lp``, nothing checks that phase-2 optimum: at k >= 2
+    the minimizer and value are returned unverified.
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:

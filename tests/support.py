@@ -322,6 +322,20 @@ def fraction_rref(rows, cols):
     return [tuple(row) for row in work[:r]], pivots
 
 
+def fraction_pivot_step(rows, r, c):
+    """One Gauss-Jordan step in Fractions: every other row minus (f/h) times row r.
+
+    f is that row's entry in column c and h row r's. It shares no code with
+    ``numerics``, and is kept as an oracle for its integer row operation.
+    """
+    h = Fraction(rows[r][c])
+    base = rows[r]
+    return [
+        row if i == r else [a - (row[c] / h) * b for a, b in zip(row, base)]
+        for i, row in enumerate(rows)
+    ]
+
+
 def fraction_nullspace(rows, cols) -> tuple:
     """The canonical kernel basis read off a column-reversed ``fraction_rref``."""
     reduced, pivots = fraction_rref([r[::-1] for r in rows], cols)

@@ -84,6 +84,26 @@ def test_zero_sum_violation():
     assert spec.subspace.dim == 1 and sum(spec.subspace.basis[0]) == 0
 
 
+def test_kernel_spec_refuses_a_non_canonical_basis():
+    # the structure takes the spec's basis as its kernel: a repeated direction
+    # gave kernel.dim == 2 against a nullspace of dimension 1, and a scaled one
+    # a kernel unequal to the nullspace of its own experiment
+    for basis in (
+        ((1, -1, 0), (1, -1, 0)),
+        ((2, -2, 0),),
+        ((0, 0, 0),),
+        ((0, 1, -1), (1, -1, 0)),
+        ((1, -1, 0), (0, 1, -1)),
+    ):
+        with pytest.raises(ValueError, match="reduced row echelon form"):
+            idg.KernelSpec(idg.Subspace(3, tuple(idg.vector(v) for v in basis)))
+        canonical = idg.Subspace.from_vectors(3, [idg.vector(v) for v in basis])
+        structure = idg.kernel_to_experiment(idg.KernelSpec(canonical))
+        assert structure.kernel == idg.nullspace(structure.experiment) == canonical
+    repeated = idg.Subspace.from_vectors(3, [idg.vector((1, -1, 0))] * 2)
+    assert idg.kernel_to_experiment(idg.KernelSpec(repeated)).is_almost_fully_informative
+
+
 def test_kernel_round_trip_random():
     rng = random.Random(41)
     for _ in range(40):

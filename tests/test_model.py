@@ -291,6 +291,8 @@ FORMAT_OWNERS = {
     "_Feasible": ("lp.py", "model.py"),
     "_Standard": ("lp.py", "model.py"),
     "verify_outcome": ("lp.py", "__init__.py"),
+    "_combine": ("numerics.py", "lp.py"),
+    "_clear_column": ("numerics.py", "lp.py"),
 }
 
 

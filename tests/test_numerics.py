@@ -3,14 +3,21 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 import infodesign as idg
-from infodesign.numerics import Matrix, Subspace, dot, rref
+from infodesign.numerics import Matrix, Subspace, _clear_column, dot, rref
 
-from support import fraction_nullspace, fraction_rref, fraction_spans, raw_motivating_model
+from support import (
+    fraction_nullspace,
+    fraction_pivot_step,
+    fraction_rref,
+    fraction_spans,
+    raw_motivating_model,
+)
 
 
 def test_scalar_parsing_is_exact():
@@ -110,6 +117,39 @@ def test_integer_elimination_matches_fraction_oracle(case, data):
         b = Subspace.from_vectors(cols, rows[start:])
         assert idg.subspace_contains(a, b) == fraction_spans(a.basis, b.basis, cols)
         assert idg.subspace_contains(b, a) == fraction_spans(b.basis, a.basis, cols)
+
+
+@given(st.data())
+def test_integer_pivot_matches_fraction_step(data):
+    # the one row operation of rref, rank, nullspace and the simplex tableau
+    cols = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-(10**15), 10**15))
+    rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, cols - 1))
+    if not rows[r][c]:
+        rows[r][c] = data.draw(st.sampled_from((1, -1, 2, -3, 10**15 + 37)))
+    g = gcd(*rows[r])
+    rows[r] = [x // g for x in rows[r]]  # rows are kept with gcd 1, the pivot row included
+    start = data.draw(st.integers(0, len(rows)))
+    work = [list(row) for row in rows]
+    _clear_column(work, r, c, start)
+    expected = fraction_pivot_step(rows, r, c)
+    assert work[r][c] > 0 and work[r] in (rows[r], [-x for x in rows[r]])
+    for i, (row, got, want) in enumerate(zip(rows, work, expected)):
+        if i == r:
+            continue
+        if i < start or not row[c]:
+            assert got == row
+            continue
+        assert got[c] == 0 and gcd(*got) in (0, 1)
+        # a positive multiple of the Fraction step: one positive ratio t over every entry
+        lead = next((j for j, x in enumerate(want) if x), None)
+        if lead is None:
+            assert not any(got)
+        else:
+            t = F(got[lead]) / want[lead]
+            assert t > 0 and all(a == t * b for a, b in zip(got, want))
 
 
 def test_rank_identity_and_row():
