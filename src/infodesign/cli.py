@@ -83,16 +83,16 @@ EXIT_INTERNAL = 7
 
 
 def _parse_action(problem: DecisionProblem, text: str) -> MixedAction:
-    """A pure action label, or inline mixed weights like "t0:1/2,t1:1/2"."""
+    """An action label, else mixed weights like "t0:1/2,t1:1/2", each after its label's last ":"."""
+    if text in problem.actions:
+        return MixedAction.pure(problem.actions.index(text), problem.n_actions)
     if ":" not in text:
-        try:
-            index = problem.actions.index(text)
-        except ValueError:
-            raise DocumentError(f"unknown action {text!r}; choose from {list(problem.actions)}")
-        return MixedAction.pure(index, problem.n_actions)
+        raise DocumentError(f"unknown action {text!r}; choose from {list(problem.actions)}")
     weights: dict[int, Fraction] = {}
     for part in text.split(","):
-        label, _, weight = part.partition(":")
+        label, colon, weight = part.rpartition(":")
+        if not colon:  # no weight: the whole part is the label
+            label, weight = weight, ""
         label = label.strip()
         try:
             index = problem.actions.index(label)

@@ -46,15 +46,21 @@ free variables):
 * Unbounded:      a feasible base point plus a direction r with
   A_eq r = 0, A_ub r <= 0, r >= 0 on bounded variables, and an objective
   that strictly improves along r.
+
+``verify_outcome`` checks these against the raw program data. Optima and
+refutations share one dual test, and an optimum's point, a ray's base point
+and its direction share one point test (``_point_feasible``, which reads
+every rhs and bound as 0 for the direction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
+from operator import gt, lt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -374,90 +380,69 @@ def _row_duals(std: _Standard, z: list[int], unit: int) -> tuple[Vector, Vector,
     return tuple(y[: std.n_eq]), tuple(y[std.n_eq :]), tuple(lb)
 
 
-def _point_feasible(program: LinearProgram, point: Sequence[Fraction]) -> bool:
+def _point_feasible(
+    program: LinearProgram, point: Sequence[Fraction], homogeneous: bool = False
+) -> bool:
+    """Whether point meets every row and lower bound; homogeneous reads each rhs and bound as 0."""
     if len(point) != program.n_vars:
         return False
-    for lb, x in zip(program.bounds(), point):
-        if lb is not None and x < lb:
-            return False
-    for row, b in zip(program.eq_matrix, program.eq_rhs):
-        if dot(row, point) != b:
-            return False
-    for row, b in zip(program.ub_matrix, program.ub_rhs):
-        if dot(row, point) > b:
-            return False
-    return True
+    eq_rhs, ub_rhs, bounds = program.eq_rhs, program.ub_rhs, program.bounds()
+    if homogeneous:
+        eq_rhs = ub_rhs = repeat(F0)
+        bounds = [None if lb is None else F0 for lb in bounds]
+    if any(lb is not None and x < lb for lb, x in zip(bounds, point)):
+        return False
+    return all(dot(row, point) == b for row, b in zip(program.eq_matrix, eq_rhs)) and all(
+        dot(row, point) <= b for row, b in zip(program.ub_matrix, ub_rhs)
+    )
 
 
 def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome against the raw program data, exactly."""
-    n = program.n_vars
-    bounds = program.bounds()
-    rows = program.eq_matrix + program.ub_matrix
-
-    def stationarity(cert, target: Sequence[Fraction]) -> bool:
-        if len(cert.eq) != len(program.eq_matrix) or len(cert.ub) != len(program.ub_matrix):
-            return False
-        if len(cert.lb) != n:
-            return False
-        multipliers = (*cert.eq, *cert.ub)
-        return all(
-            cert.lb[j] + dot([row[j] for row in rows], multipliers) == target[j] for j in range(n)
-        )
-
-    def bound_value(cert) -> Optional[Fraction]:
-        if any(s for s, lb in zip(cert.lb, bounds) if lb is None):
-            return None
-        lows = tuple(F0 if lb is None else lb for lb in bounds)
-        return dot(cert.eq, program.eq_rhs) + dot(cert.ub, program.ub_rhs) + dot(cert.lb, lows)
-
-    if outcome.status is LpStatus.OPTIMAL:
-        cert = outcome.certificate
-        if not isinstance(cert, DualCertificate):
-            return False
-        if outcome.optimal_point is None or outcome.optimal_value is None:
-            return False
-        if not _point_feasible(program, outcome.optimal_point):
-            return False
-        if dot(program.objective, outcome.optimal_point) != outcome.optimal_value:
-            return False
-        if program.sense == "min":
-            if any(v > 0 for v in cert.ub) or any(v < 0 for v in cert.lb):
-                return False
-        else:
-            if any(v < 0 for v in cert.ub) or any(v > 0 for v in cert.lb):
-                return False
-        if not stationarity(cert, program.objective):
-            return False
-        return bound_value(cert) == outcome.optimal_value
-
-    if outcome.status is LpStatus.INFEASIBLE:
-        cert = outcome.certificate
-        if not isinstance(cert, FarkasCertificate):
-            return False
-        if any(v > 0 for v in cert.ub) or any(v < 0 for v in cert.lb):
-            return False
-        if not stationarity(cert, (F0,) * n):
-            return False
-        val = bound_value(cert)
-        return val is not None and val > 0
-
+    cert = outcome.certificate
     if outcome.status is LpStatus.UNBOUNDED:
-        cert = outcome.certificate
-        if not isinstance(cert, ImprovingRay):
+        # a ray is a feasible base point plus a feasible point of the homogeneous program
+        if not isinstance(cert, ImprovingRay) or not _point_feasible(program, cert.base_point):
             return False
-        if not _point_feasible(program, cert.base_point):
-            return False
-        # a ray is a feasible point of the homogeneous program
-        homogeneous = replace(
-            program,
-            eq_rhs=(F0,) * len(program.eq_rhs),
-            ub_rhs=(F0,) * len(program.ub_rhs),
-            lower_bounds=tuple(None if lb is None else F0 for lb in bounds),
-        )
-        if not _point_feasible(homogeneous, cert.direction):
+        if not _point_feasible(program, cert.direction, homogeneous=True):
             return False
         gain = dot(program.objective, cert.direction)
         return gain < 0 if program.sense == "min" else gain > 0
 
-    return False
+    n = program.n_vars
+    if outcome.status is LpStatus.OPTIMAL:
+        point, value = outcome.optimal_point, outcome.optimal_value
+        if not isinstance(cert, DualCertificate) or point is None or value is None:
+            return False
+        if not _point_feasible(program, point) or dot(program.objective, point) != value:
+            return False
+        # the comparisons that reject a w and an s: w >= 0 and s <= 0 at a max optimum
+        bad_w, bad_s = (lt, gt) if program.sense == "max" else (gt, lt)
+        target = program.objective
+    elif outcome.status is LpStatus.INFEASIBLE:
+        if not isinstance(cert, FarkasCertificate):
+            return False
+        bad_w, bad_s, target, value = gt, lt, (F0,) * n, None
+    else:
+        return False
+
+    # the one dual test: the signs of w and s, A_eq^T y + A_ub^T w + s = target,
+    # s = 0 on every free variable, and the bound b_eq.y + b_ub.w + l.s, which
+    # equals an optimum's value and is > 0 for a refutation
+    if any(bad_w(v, 0) for v in cert.ub) or any(bad_s(v, 0) for v in cert.lb):
+        return False
+    if len(cert.eq) != len(program.eq_matrix) or len(cert.ub) != len(program.ub_matrix):
+        return False
+    if len(cert.lb) != n:
+        return False
+    rows = program.eq_matrix + program.ub_matrix
+    multipliers = (*cert.eq, *cert.ub)
+    for j in range(n):  # == rather than !=: Fraction defines no __ne__ of its own
+        if not cert.lb[j] + dot([row[j] for row in rows], multipliers) == target[j]:
+            return False
+    bounds = program.bounds()
+    if any(s for s, lb in zip(cert.lb, bounds) if lb is None):
+        return False
+    lows = tuple(F0 if lb is None else lb for lb in bounds)
+    bound = dot(cert.eq, program.eq_rhs) + dot(cert.ub, program.ub_rhs) + dot(cert.lb, lows)
+    return bound > 0 if value is None else bound == value

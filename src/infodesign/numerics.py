@@ -14,9 +14,10 @@ nonzero entries and their integer numerators over one row denominator.
 the unreduced ``(numerator, denominator)`` pair, so a comparison can
 cross-multiply without building a Fraction.
 
-Subspace bases are stored in reduced row echelon form, which is unique for a
-given row space, so two subspaces are equal exactly when their stored bases
-are identical entry for entry. Because it is unique, ``rref`` can eliminate
+A subspace built here holds its basis in reduced row echelon form, which is
+unique for a given row space, so two such subspaces are equal exactly when
+their stored bases are identical entry for entry (``Subspace`` does not check
+a basis given by hand). Because it is unique, ``rref`` can eliminate
 on integers: each row is scaled by the lcm of its denominators, each pivot
 (``_clear_column``, which the simplex in ``lp`` shares) makes its head h
 positive and turns every other row with an entry f in its column into
@@ -299,7 +300,13 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace held as its unique reduced-row-echelon basis."""
+    """A linear subspace held as its unique reduced-row-echelon basis.
+
+    Only ``from_vectors``, ``zero``, ``nullspace`` and ``orthogonal_complement``
+    build that basis. The constructor keeps the vectors it is given unchecked,
+    and ``==`` compares stored bases, so two different bases of one space
+    compare unequal; ``design.KernelSpec`` refuses a basis that is not canonical.
+    """
 
     ambient_dim: int
     basis: tuple[Vector, ...]

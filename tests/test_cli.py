@@ -568,6 +568,25 @@ def test_action_weights_share_the_document_bound(tmp_path, capsys, action, outco
             assert "weight for action 'a" in err
 
 
+def test_an_action_label_may_hold_a_colon(tmp_path, capsys):
+    # an exact label wins over mixed weights, and a weight follows its label's last ":"
+    problem = tmp_path / "colon.json"
+    problem.write_text(json.dumps({
+        "states": ["s0", "s1"], "actions": ["go:now", "wait", "a", "a:1"],
+        "utility": [["1", "0"], ["0", "1"], ["1", "0"], ["0", "1"]], "mu": ["1/2", "1/2"],
+    }))
+    alpha_star = {}
+    for action in ("go:now", "go:now:1", "a:1", "a:1:1", "a:1/2,a:1:1/2"):
+        code, payload, err = machine(capsys, "implement", str(problem), action)
+        assert (code, err) == (0, ""), action
+        alpha_star[action] = payload["certificate"]["alpha_star"]
+    assert alpha_star["go:now"] == alpha_star["go:now:1"]
+    assert alpha_star["go:now"]["go:now"] == "1"
+    assert alpha_star["a:1"] == alpha_star["a:1:1"]
+    assert alpha_star["a:1"]["a:1"] == "1"
+    assert alpha_star["a:1/2,a:1:1/2"]["a"] == "1/2"
+
+
 def _oversized_documents(tmp_path):
     """Two states, one action, and numbers of about 2200 digits: valid input whose
     exact value has a numerator of about 4400 digits."""

@@ -45,10 +45,12 @@ second oracle that must have the same kernel.
 
 ``lp.verify_outcome`` computes its sums of products with ``dot``, and
 ``Subspace.contains_vector`` and ``subspace_contains`` decide membership by
-the pivot count of one integer elimination. Their oracles are the earlier loops: per-column
-Fraction sums for stationarity and the bound value, and subtracting each
-basis row at its pivot. Decisions must be ``==``, on untouched and tampered
-certificates and on vectors inside and outside a span.
+the pivot count of one integer elimination. Their oracles are the earlier
+loops, which share no code with ``lp``: per-column Fraction sums for
+stationarity and the bound value, per-row Fraction sums for an optimum's
+point and a ray's base point and direction, and subtracting each basis row
+at its pivot. Decisions must be ``==``, on untouched and tampered
+certificates and rays and on vectors inside and outside a span.
 
 A problem's fixed rows are compiled once into sparse integer rows, which
 only ``model`` reads: ``PriorPolytope.contains``, ``DecisionProblem.segment``,
@@ -1095,11 +1097,32 @@ def _fraction_bound_value(program, cert):
     return total
 
 
+def _fraction_point_feasible(program, point, homogeneous=False):
+    """Every bound and row over running Fraction sums; homogeneous reads each rhs and bound as 0."""
+    if len(point) != program.n_vars:
+        return False
+    for x, lb in zip(point, program.bounds()):
+        if lb is not None and x < (0 if homogeneous else lb):
+            return False
+    for row, b in zip(program.eq_matrix, program.eq_rhs):
+        if _dot(row, point) != (0 if homogeneous else b):
+            return False
+    for row, b in zip(program.ub_matrix, program.ub_rhs):
+        if _dot(row, point) > (0 if homogeneous else b):
+            return False
+    return True
+
+
 def _fraction_verify_outcome(program, outcome):
-    """The dual and Farkas checks over Fraction loops; a ray's check has no loop and is shared."""
+    """The ray, dual and Farkas checks over Fraction loops."""
     cert = outcome.certificate
     if outcome.status is lp.LpStatus.UNBOUNDED:
-        return lp.verify_outcome(program, outcome)
+        if not _fraction_point_feasible(program, cert.base_point):
+            return False
+        if not _fraction_point_feasible(program, cert.direction, homogeneous=True):
+            return False
+        gain = _dot(program.objective, cert.direction)
+        return gain < 0 if program.sense == "min" else gain > 0
     if outcome.status is lp.LpStatus.INFEASIBLE:
         if any(v > 0 for v in cert.ub) or any(v < 0 for v in cert.lb):
             return False
@@ -1107,7 +1130,7 @@ def _fraction_verify_outcome(program, outcome):
             return False
         value = _fraction_bound_value(program, cert)
         return value is not None and value > 0
-    if not lp._point_feasible(program, outcome.optimal_point):
+    if not _fraction_point_feasible(program, outcome.optimal_point):
         return False
     if _dot(program.objective, outcome.optimal_point) != outcome.optimal_value:
         return False
@@ -1121,19 +1144,32 @@ def _fraction_verify_outcome(program, outcome):
 
 @st.composite
 def tampered_outcomes(draw):
-    """An LP, its outcome, and a copy whose dual or Farkas certificate may be tampered.
+    """An LP, its outcome, and a copy whose certificate may be tampered.
 
     "entry" moves one multiplier; "row" moves the multiplier of row i by d
     and every lower-bound multiplier by -d A[i], which keeps stationarity, so
     the sign and bound-value checks decide (a free variable's multiplier
-    turns nonzero); "value" moves the optimal value.
+    turns nonzero); "value" moves the optimal value. A ray's direction is
+    negated, or its base point is moved along one coordinate until a nonzero
+    row's value is its rhs plus d: off an equality row unless d = 0, off a
+    <= row when d > 0, and perhaps off another row or a bound.
     """
     program = draw(rational_programs())
     outcome = lp.solve_lp(program)
     cert = outcome.certificate
-    if outcome.status is lp.LpStatus.UNBOUNDED:
-        return program, outcome, outcome
     delta = draw(st.one_of(st.just(F(0)), rationals))
+    if outcome.status is lp.LpStatus.UNBOUNDED:
+        lhs = program.eq_matrix + program.ub_matrix
+        rows = [(row, b) for row, b in zip(lhs, program.eq_rhs + program.ub_rhs) if any(row)]
+        if not rows or draw(st.booleans()):
+            negated = replace(cert, direction=tuple(-v for v in cert.direction))
+            return program, outcome, replace(outcome, certificate=negated)
+        row, b = draw(st.sampled_from(rows))
+        j = next(j for j, a in enumerate(row) if a)
+        point = list(cert.base_point)
+        point[j] += (b + delta - _dot(row, point)) / row[j]
+        moved = replace(cert, base_point=tuple(point))
+        return program, outcome, replace(outcome, certificate=moved)
     parts = {"eq": list(cert.eq), "ub": list(cert.ub), "lb": list(cert.lb)}
     kind = draw(st.sampled_from(("entry", "row", "value")))
     if kind == "value" and outcome.status is lp.LpStatus.OPTIMAL:

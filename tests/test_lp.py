@@ -241,6 +241,43 @@ def test_verify_rejects_float_certificate_entries():
         lp.verify_outcome(program, replace(outcome, certificate=floated))
 
 
+def test_verify_rejects_float_refutation_and_ray_entries():
+    # x <= -1 with x >= 0 is refuted by w = -1, s = 1; min -x s.t. x - y <= 0
+    # is unbounded along (1, 1). Each float meets a nonzero row entry.
+    empty = lp.LinearProgram(objective=(F(0),), ub_matrix=((F(1),),), ub_rhs=(F(-1),))
+    refuted = lp.solve_lp(empty)
+    assert refuted.certificate == lp.FarkasCertificate(eq=(), ub=(F(-1),), lb=(F(1),))
+    floated = replace(refuted.certificate, ub=(-1.0,))
+    with pytest.raises(TypeError, match="not an exact number"):
+        lp.verify_outcome(empty, replace(refuted, certificate=floated))
+
+    open_cone = lp.LinearProgram(
+        objective=(F(-1), F(0)), ub_matrix=((F(1), F(-1)),), ub_rhs=(F(0),)
+    )
+    ray = lp.solve_lp(open_cone)
+    assert ray.certificate == lp.ImprovingRay(direction=(F(1), F(1)), base_point=(F(0), F(0)))
+    floated = replace(ray.certificate, direction=(1.0, F(1)))
+    with pytest.raises(TypeError, match="not an exact number"):
+        lp.verify_outcome(open_cone, replace(ray, certificate=floated))
+
+
+def test_verifying_a_ray_builds_no_program(monkeypatch):
+    # the direction is tested against zero right-hand sides and bounds in place
+    program = lp.LinearProgram(objective=(F(-1), F(0)), ub_matrix=((F(1), F(-1)),), ub_rhs=(F(0),))
+    outcome = lp.solve_lp(program)
+    assert outcome.status is lp.LpStatus.UNBOUNDED
+    built = []
+    post_init = lp.LinearProgram.__post_init__
+
+    def counted(program):
+        built.append(program)
+        post_init(program)
+
+    monkeypatch.setattr(lp.LinearProgram, "__post_init__", counted)
+    assert lp.verify_outcome(program, outcome)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "fields",
     [
