@@ -48,8 +48,8 @@ from .numerics import (
     Subspace,
     Vector,
     orthogonal_complement,
+    rank,
     sparse_row,
-    subspace_contains,
     vec_sub,
 )
 from .solver import (
@@ -282,8 +282,10 @@ def robustly_more_informative(
         raise DimensionMismatch("structures live on different state spaces")
     k1 = kernel_of(first)
     k2 = kernel_of(second)
-    first_in_second = subspace_contains(k2, k1)
-    second_in_first = subspace_contains(k1, k2)
+    # one kernel lies in the other exactly when the joined bases have the other's rank
+    joined = rank(Matrix(k1.dim + k2.dim, first.n_states, k1.basis + k2.basis))
+    first_in_second = joined == k2.dim
+    second_in_first = joined == k1.dim
     if first_in_second and second_in_first:
         return InformativenessOrder.EQUAL
     if first_in_second:

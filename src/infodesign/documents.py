@@ -78,15 +78,13 @@ def _exact_vector(values, where: str, memo: dict[str, Fraction]) -> Vector:
     return tuple(out)
 
 
-def _exact_matrix(
-    rows, where: str, memo: dict[str, Fraction], cols: Optional[int] = None
-) -> tuple[Vector, ...]:
+def _exact_matrix(rows, where: str, memo: dict[str, Fraction], cols: int) -> tuple[Vector, ...]:
     if not isinstance(rows, list):
         raise DocumentError(f"{where}: expected a list of rows")
     out = []
     for i, row in enumerate(rows):
         vec = _exact_vector(row, f"{where}[{i}]", memo)
-        if cols is not None and len(vec) != cols:
+        if len(vec) != cols:
             raise DocumentError(f"{where}[{i}]: row has {len(vec)} entries, expected {cols}")
         out.append(vec)
     return tuple(out)

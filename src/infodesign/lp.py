@@ -108,6 +108,13 @@ def _check_exact(values: Iterable) -> None:
             )
 
 
+def _require_exact(*parts: Sequence) -> None:
+    """Raise TypeError on an entry of the parts that is not an int or a Fraction."""
+    for v in chain(*parts):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"not an exact number: {v!r}")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     objective: Vector
@@ -234,12 +241,6 @@ class _Standard:
         return tuple(out)
 
 
-def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
-    """Pivot on (r, c) in every row, the cost row (last) included."""
-    _clear_column(rows, r, c)
-    basis[r] = c
-
-
 def _price(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
     """The cost row with every basic column eliminated: the reduced costs."""
     for row, c in zip(rows, basis):
@@ -276,7 +277,8 @@ def _run(rows: list[list[int]], basis: list[int], n_allowed: int):
                     leave, best_rhs, best_t = i, row[-1], t
         if leave is None:
             return "unbounded", enter
-        _pivot(rows, basis, leave, enter)
+        _clear_column(rows, leave, enter)  # the cost row (last) included
+        basis[leave] = enter
 
 
 class _Feasible(NamedTuple):
@@ -311,7 +313,8 @@ def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
         if basis[r] >= n_struct:
             col = next((j for j in range(n_struct) if rows[r][j]), None)
             if col is not None:
-                _pivot(rows, basis, r, col)
+                _clear_column(rows, r, col)
+                basis[r] = col
     return _Feasible(std, rows[:m], basis)
 
 
@@ -398,11 +401,19 @@ def _point_feasible(
 
 
 def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
-    """Re-check an outcome against the raw program data, exactly."""
+    """Re-check an outcome against the raw program data, exactly.
+
+    Every entry that the status's test reads (the multipliers, the point,
+    the value, the ray) must be an int or a Fraction; any other raises
+    TypeError before any test runs.
+    """
     cert = outcome.certificate
     if outcome.status is LpStatus.UNBOUNDED:
         # a ray is a feasible base point plus a feasible point of the homogeneous program
-        if not isinstance(cert, ImprovingRay) or not _point_feasible(program, cert.base_point):
+        if not isinstance(cert, ImprovingRay):
+            return False
+        _require_exact(cert.direction, cert.base_point)
+        if not _point_feasible(program, cert.base_point):
             return False
         if not _point_feasible(program, cert.direction, homogeneous=True):
             return False
@@ -414,6 +425,7 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
         point, value = outcome.optimal_point, outcome.optimal_value
         if not isinstance(cert, DualCertificate) or point is None or value is None:
             return False
+        _require_exact(cert.eq, cert.ub, cert.lb, point, (value,))
         if not _point_feasible(program, point) or dot(program.objective, point) != value:
             return False
         # the comparisons that reject a w and an s: w >= 0 and s <= 0 at a max optimum
@@ -422,6 +434,7 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
     elif outcome.status is LpStatus.INFEASIBLE:
         if not isinstance(cert, FarkasCertificate):
             return False
+        _require_exact(cert.eq, cert.ub, cert.lb)
         bad_w, bad_s, target, value = gt, lt, (F0,) * n, None
     else:
         return False

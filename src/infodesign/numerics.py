@@ -24,9 +24,9 @@ positive and turns every other row with an entry f in its column into
 h * row - f * pivot row over the gcd of its entries (``_combine``), and a
 Fraction is built only for the rows it returns. ``rank``,
 ``Subspace.contains_vector`` and ``subspace_contains`` need only the number
-of pivots, which a forward elimination on the same integer rows gives
-without building any Fraction. An entry that is not an exact rational
-raises TypeError in all of them.
+of pivots, so they count the pivots of that same pass and build no
+Fraction. An entry that is not an exact rational raises TypeError in all of
+them.
 
 A kernel, and so an orthogonal complement of any dimension, costs one
 elimination: the matrix is reduced with its columns reversed, and the kernel
@@ -232,8 +232,8 @@ def _combine(row: list[int], f: int, prow: list[int], h: int) -> list[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _clear_column(rows: list[list[int]], r: int, c: int, start: int = 0) -> None:
-    """Pivot on (r, c): make the head positive, then clear column c in rows[start:], row r aside.
+def _clear_column(rows: list[list[int]], r: int, c: int) -> None:
+    """Pivot on (r, c): make the head positive, then clear column c in every other row.
 
     Rows are replaced, never written into; each keeps gcd 1, so a pivot row needs no division.
     """
@@ -242,18 +242,17 @@ def _clear_column(rows: list[list[int]], r: int, c: int, start: int = 0) -> None
     if h < 0:
         h = -h
         rows[r] = prow = [-x for x in prow]
-    for i in range(start, len(rows)):
+    for i in range(len(rows)):
         f = rows[i][c]
         if f and i != r:
             rows[i] = _combine(rows[i], f, prow, h)
 
 
-def _eliminate(work: list[list[int]], cols: int, above: bool) -> list[int]:
-    """Integer elimination of the rows in place; returns the pivot columns.
+def _eliminate(work: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of the integer rows in place; returns the pivot columns.
 
-    Only the rows below a pivot are cleared unless ``above`` is set, which
-    clears every other row (Gauss-Jordan): then each pivot row divided by its
-    head is a row of the reduced row echelon form.
+    Each pivot clears its column in every other row, so each pivot row
+    divided by its head is a row of the reduced row echelon form.
     """
     pivots: list[int] = []
     r = 0
@@ -267,7 +266,7 @@ def _eliminate(work: list[list[int]], cols: int, above: bool) -> list[int]:
         if i == n:
             continue
         work[i], work[r] = work[r], work[i]
-        _clear_column(work, r, c, 0 if above else r + 1)
+        _clear_column(work, r, c)
         pivots.append(c)
         r += 1
     return pivots
@@ -280,7 +279,7 @@ def rref(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[list[Vector], l
     divided by its head, and only its entries become Fractions.
     """
     work = _integer_rows(rows)
-    pivots = _eliminate(work, cols, above=True)
+    pivots = _eliminate(work, cols)
     out = []
     for row, c in zip(work, pivots):
         h = row[c]
@@ -289,8 +288,8 @@ def rref(rows: Sequence[Sequence[Fraction]], cols: int) -> tuple[list[Vector], l
 
 
 def _pivot_count(rows: Sequence[Sequence[Fraction]], cols: int) -> int:
-    """The rank of the rows, by forward elimination on integers; builds no Fraction."""
-    return len(_eliminate(_integer_rows(rows), cols, above=False))
+    """The rank of the rows: the number of pivots of ``rref``'s pass; builds no Fraction."""
+    return len(_eliminate(_integer_rows(rows), cols))
 
 
 def rank(m: Matrix) -> int:

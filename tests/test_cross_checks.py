@@ -50,7 +50,8 @@ loops, which share no code with ``lp``: per-column Fraction sums for
 stationarity and the bound value, per-row Fraction sums for an optimum's
 point and a ray's base point and direction, and subtracting each basis row
 at its pivot. Decisions must be ``==``, on untouched and tampered
-certificates and rays and on vectors inside and outside a span.
+certificates and rays and on vectors inside and outside a span; a float
+anywhere the check reads must raise the same TypeError in both.
 
 A problem's fixed rows are compiled once into sparse integer rows, which
 only ``model`` reads: ``PriorPolytope.contains``, ``DecisionProblem.segment``,
@@ -1114,8 +1115,17 @@ def _fraction_point_feasible(program, point, homogeneous=False):
 
 
 def _fraction_verify_outcome(program, outcome):
-    """The ray, dual and Farkas checks over Fraction loops."""
+    """The ray, dual and Farkas checks over Fraction loops; an inexact entry raises TypeError."""
     cert = outcome.certificate
+    if outcome.status is lp.LpStatus.UNBOUNDED:
+        read = (*cert.direction, *cert.base_point)
+    else:
+        read = (*cert.eq, *cert.ub, *cert.lb)
+    if outcome.status is lp.LpStatus.OPTIMAL:
+        read += (*outcome.optimal_point, outcome.optimal_value)
+    for v in read:
+        if not isinstance(v, (int, F)):
+            raise TypeError(f"not an exact number: {v!r}")
     if outcome.status is lp.LpStatus.UNBOUNDED:
         if not _fraction_point_feasible(program, cert.base_point):
             return False
@@ -1152,11 +1162,24 @@ def tampered_outcomes(draw):
     turns nonzero); "value" moves the optimal value. A ray's direction is
     negated, or its base point is moved along one coordinate until a nonzero
     row's value is its rhs plus d: off an equality row unless d = 0, off a
-    <= row when d > 0, and perhaps off another row or a bound.
+    <= row when d > 0, and perhaps off another row or a bound. Or one entry
+    that the check reads, zero or not, is made a float.
     """
     program = draw(rational_programs())
     outcome = lp.solve_lp(program)
     cert = outcome.certificate
+    if draw(st.integers(0, 4)) == 0:
+        parts = dict(vars(cert))
+        if outcome.status is lp.LpStatus.OPTIMAL:
+            parts.update(optimal_point=outcome.optimal_point, optimal_value=(outcome.optimal_value,))
+        part = draw(st.sampled_from([p for p in parts if parts[p]]))
+        i = draw(st.integers(0, len(parts[part]) - 1))
+        floated = parts[part][:i] + (float(parts[part][i]),) + parts[part][i + 1 :]
+        if part == "optimal_value":
+            return program, outcome, replace(outcome, optimal_value=floated[0])
+        if part == "optimal_point":
+            return program, outcome, replace(outcome, optimal_point=floated)
+        return program, outcome, replace(outcome, certificate=replace(cert, **{part: floated}))
     delta = draw(st.one_of(st.just(F(0)), rationals))
     if outcome.status is lp.LpStatus.UNBOUNDED:
         lhs = program.eq_matrix + program.ub_matrix
@@ -1188,7 +1211,14 @@ def tampered_outcomes(draw):
 def test_verify_outcome_matches_fraction_oracle(case):
     program, outcome, tampered = case
     assert lp.verify_outcome(program, outcome)
-    assert lp.verify_outcome(program, tampered) == _fraction_verify_outcome(program, tampered)
+    try:
+        expected = _fraction_verify_outcome(program, tampered)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as info:
+            lp.verify_outcome(program, tampered)
+        assert str(info.value) == str(exc)
+    else:
+        assert lp.verify_outcome(program, tampered) == expected
 
 
 def _fraction_mixed_utility(problem, alpha):

@@ -12,6 +12,7 @@ from infodesign.design import InformativenessOrder
 
 from support import (
     display_direction,
+    fraction_spans,
     paired_problem,
     random_member,
     random_zero_sum_subspace,
@@ -281,6 +282,45 @@ def test_informativeness_order():
     e1 = idg.kernel_to_experiment(idg.KernelSpec(s1))
     e2 = idg.kernel_to_experiment(idg.KernelSpec(s2))
     assert idg.robustly_more_informative(e1, e2) is InformativenessOrder.INCOMPARABLE
+
+
+@st.composite
+def zero_sum_kernel_pairs(draw):
+    """The ambient dimension and two zero-sum kernels; one may extend the other's vectors.
+
+    An extension spans at least what it extends (equal when the extra
+    vectors lie in its span), so every verdict of the order is drawn.
+    """
+    n = draw(st.integers(2, 6))
+    heads = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)
+
+    def vectors():
+        return [(*head, -sum(head)) for head in draw(st.lists(heads, max_size=n - 1))]
+
+    first, second = vectors(), vectors()
+    nesting = draw(st.sampled_from(("none", "second extends first", "first extends second")))
+    if nesting == "second extends first":
+        second = first + second
+    elif nesting == "first extends second":
+        first = second + first
+    return n, idg.Subspace.from_vectors(n, first), idg.Subspace.from_vectors(n, second)
+
+
+@given(zero_sum_kernel_pairs())
+def test_informativeness_order_matches_fraction_spans(case):
+    n, k1, k2 = case
+    # each structure is rebuilt from its matrix, so the order reads kernels recomputed by nullspace
+    built = [idg.kernel_to_experiment(idg.KernelSpec(k)) for k in (k1, k2)]
+    first, second = [idg.InformationStructure(s.messages, s.experiment) for s in built]
+    first_in_second = fraction_spans(k2.basis, k1.basis, n)
+    second_in_first = fraction_spans(k1.basis, k2.basis, n)
+    expected = {
+        (True, True): InformativenessOrder.EQUAL,
+        (True, False): InformativenessOrder.MORE,
+        (False, True): InformativenessOrder.LESS,
+        (False, False): InformativenessOrder.INCOMPARABLE,
+    }[first_in_second, second_in_first]
+    assert idg.robustly_more_informative(first, second) is expected
 
 
 def test_display_structure_more_informative_than_marginal():

@@ -261,6 +261,25 @@ def test_verify_rejects_float_refutation_and_ray_entries():
         lp.verify_outcome(open_cone, replace(ray, certificate=floated))
 
 
+def test_verify_rejects_float_entries_that_meet_only_zeros():
+    # min x s.t. x <= 5: the float lower-bound multiplier meets a zero bound
+    program = lp.LinearProgram(objective=(F(1),), ub_matrix=((F(1),),), ub_rhs=(F(5),))
+    outcome = lp.solve_lp(program)
+    floated = lp.DualCertificate(eq=(), ub=(0,), lb=(1.0,))
+    with pytest.raises(TypeError, match="not an exact number: 1.0"):
+        lp.verify_outcome(program, replace(outcome, certificate=floated))
+    # min y s.t. 0x + 0y <= 0, y <= 1: the float multiplier sits on an all-zero row
+    program = lp.LinearProgram(
+        objective=(F(0), F(1)),
+        ub_matrix=((F(0), F(0)), (F(0), F(1))),
+        ub_rhs=(F(0), F(1)),
+    )
+    outcome = lp.solve_lp(program)
+    floated = replace(outcome.certificate, ub=(-0.5, F(0)))
+    with pytest.raises(TypeError, match="not an exact number: -0.5"):
+        lp.verify_outcome(program, replace(outcome, certificate=floated))
+
+
 def test_verifying_a_ray_builds_no_program(monkeypatch):
     # the direction is tested against zero right-hand sides and bounds in place
     program = lp.LinearProgram(objective=(F(-1), F(0)), ub_matrix=((F(1), F(-1)),), ub_rhs=(F(0),))

@@ -291,6 +291,9 @@ FORMAT_OWNERS = {
     "_Feasible": ("lp.py", "model.py"),
     "_Standard": ("lp.py", "model.py"),
     "verify_outcome": ("lp.py", "__init__.py"),
+    "_eliminate": ("numerics.py",),
+    "_integer_rows": ("numerics.py",),
+    "_pivot_count": ("numerics.py",),
     "_combine": ("numerics.py", "lp.py"),
     "_clear_column": ("numerics.py", "lp.py"),
 }
