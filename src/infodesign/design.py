@@ -65,30 +65,16 @@ F0 = Fraction(0)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A prescribed experiment kernel: a subspace of zero-sum directions.
-
-    The structure built from it takes its basis as its kernel, so the basis
-    must be canonical (in RREF, as ``Subspace.from_vectors`` builds it).
-    """
+    """A prescribed experiment kernel: a subspace of zero-sum directions."""
 
     subspace: Subspace
 
     def __post_init__(self) -> None:
-        basis = self.subspace.basis
         # a direction sums to zero iff its integer numerators over the lcm of
         # its denominators do
-        for v in basis:
+        for v in self.subspace.basis:
             if sum(sparse_row(v).numerators):
                 raise ZeroSumViolation("kernel directions must have zero coordinate sum")
-        # leading 1s in increasing columns (so 0 at earlier pivots), and 0 at later pivots
-        leads = [next((j for j, x in enumerate(v) if x), None) for v in basis]
-        if (
-            None in leads
-            or leads != sorted(set(leads))
-            or any(v[j] != 1 for v, j in zip(basis, leads))
-            or any(v[j] for i, v in enumerate(basis) for j in leads[i + 1 :])
-        ):
-            raise ValueError("a kernel basis must be in reduced row echelon form")
 
 
 def kernel_to_experiment(spec: KernelSpec) -> InformationStructure:

@@ -99,20 +99,11 @@ class ImprovingRay:
 Certificate = Union[DualCertificate, FarkasCertificate, ImprovingRay]
 
 
-def _check_exact(values: Iterable) -> None:
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(
-                f"LinearProgram numbers must be int or Fraction, got {v!r} of type"
-                f" {type(v).__name__}"
-            )
-
-
-def _require_exact(*parts: Sequence) -> None:
+def _require_exact(*parts: Iterable) -> None:
     """Raise TypeError on an entry of the parts that is not an int or a Fraction."""
     for v in chain(*parts):
         if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"not an exact number: {v!r}")
+            raise TypeError(f"not an exact number: {v!r} (int or Fraction required)")
 
 
 @dataclass(frozen=True)
@@ -142,7 +133,7 @@ class LinearProgram:
         if self.lower_bounds is not None and len(self.lower_bounds) != n:
             raise DimensionMismatch("lower_bounds length differs from variable count")
         bounded = [lb for lb in self.lower_bounds or () if lb is not None]
-        _check_exact(chain(self.objective, *rows, self.eq_rhs, self.ub_rhs, bounded))
+        _require_exact(self.objective, *rows, self.eq_rhs, self.ub_rhs, bounded)
 
     @property
     def n_vars(self) -> int:
@@ -320,7 +311,7 @@ def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
 
 def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> LpOutcome:
     """Bland's phase 2 for one objective, from a copy of phase 1's tableau."""
-    _check_exact(objective)
+    _require_exact(objective)
     std = start.std
     rows = start.rows + [_price(std.cost_row(objective, sense), start.rows, start.basis)]
     basis = list(start.basis)

@@ -14,19 +14,17 @@ nonzero entries and their integer numerators over one row denominator.
 the unreduced ``(numerator, denominator)`` pair, so a comparison can
 cross-multiply without building a Fraction.
 
-A subspace built here holds its basis in reduced row echelon form, which is
-unique for a given row space, so two such subspaces are equal exactly when
-their stored bases are identical entry for entry (``Subspace`` does not check
-a basis given by hand). Because it is unique, ``rref`` can eliminate
-on integers: each row is scaled by the lcm of its denominators, each pivot
-(``_clear_column``, which the simplex in ``lp`` shares) makes its head h
-positive and turns every other row with an entry f in its column into
+A subspace holds its basis in reduced row echelon form, which is unique for
+a given row space, so two subspaces are equal exactly when their stored
+bases are identical entry for entry. Because it is unique, ``rref`` can
+eliminate on integers: each row is scaled by the lcm of its denominators,
+each pivot (``_clear_column``, which the simplex in ``lp`` shares) makes its
+head h positive and turns every other row with an entry f in its column into
 h * row - f * pivot row over the gcd of its entries (``_combine``), and a
 Fraction is built only for the rows it returns. ``rank``,
 ``Subspace.contains_vector`` and ``subspace_contains`` need only the number
-of pivots, so they count the pivots of that same pass and build no
-Fraction. An entry that is not an exact rational raises TypeError in all of
-them.
+of pivots, so they count the pivots of that same pass and build no Fraction.
+An entry that is not an exact rational raises TypeError in all of them.
 
 A kernel, and so an orthogonal complement of any dimension, costs one
 elimination: the matrix is reduced with its columns reversed, and the kernel
@@ -301,10 +299,8 @@ def rank(m: Matrix) -> int:
 class Subspace:
     """A linear subspace held as its unique reduced-row-echelon basis.
 
-    Only ``from_vectors``, ``zero``, ``nullspace`` and ``orthogonal_complement``
-    build that basis. The constructor keeps the vectors it is given unchecked,
-    and ``==`` compares stored bases, so two different bases of one space
-    compare unequal; ``design.KernelSpec`` refuses a basis that is not canonical.
+    The constructor reduces the vectors it is given, so ``==``, which
+    compares stored bases, holds exactly for equal spans.
     """
 
     ambient_dim: int
@@ -316,16 +312,11 @@ class Subspace:
                 raise DimensionMismatch(
                     f"basis vector of length {len(b)} in ambient dimension {self.ambient_dim}"
                 )
+        object.__setattr__(self, "basis", tuple(rref(self.basis, self.ambient_dim)[0]))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        rows, _ = rref(vectors, ambient_dim)
-        return cls(ambient_dim, tuple(rows))
+        return cls(ambient_dim, tuple(vectors))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -367,7 +358,15 @@ def nullspace(m: Matrix) -> Subspace:
             if row[f]:
                 v[p] = -row[f]
         basis.append(tuple(v))
-    return Subspace(n, tuple(basis))
+    return _canonical(n, tuple(basis))
+
+
+def _canonical(ambient_dim: int, basis: tuple[Vector, ...]) -> Subspace:
+    """A subspace over a basis already in reduced row echelon form, not reduced again."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "basis", basis)
+    return s
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

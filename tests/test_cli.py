@@ -234,6 +234,28 @@ def test_implement_roundtrip(example_files, tmp_path, capsys):
     assert [[idg.format_scalar(v) for v in row] for row in kernel.basis] == basis
 
 
+def test_a_scaled_kernel_basis_reads_as_the_same_kernel(example_files, tmp_path, capsys):
+    # each basis row doubled, plus one row repeated: the same span, so the same structure
+    prob, _ = example_files
+    k = tmp_path / "k.json"
+    code, _, _ = machine(capsys, "implement", str(prob), "t1", "--out", str(k))
+    assert code == 0
+    doc = json.loads(k.read_text())
+    doubled = [[str(2 * Fraction(x)) for x in row] for row in doc["kernel"]["basis"]]
+    assert doubled and doubled != doc["kernel"]["basis"]
+    doc["kernel"]["basis"] = doubled + doubled[:1]
+    k2 = tmp_path / "k2.json"
+    k2.write_text(json.dumps(doc))
+    code, payload, _ = machine(capsys, "check", str(prob), str(k), str(k2))
+    assert code == 0
+    assert payload["ordering"] == "equal"
+    code, first, _ = run(capsys, "--format", "machine", "solve", str(prob), str(k))
+    assert code == 0
+    code, second, _ = run(capsys, "--format", "machine", "solve", str(prob), str(k2))
+    assert code == 0
+    assert second == first
+
+
 def test_implement_untreated_action_is_fully_informative(example_files, tmp_path, capsys):
     prob, _ = example_files
     out_path = tmp_path / "full.json"

@@ -486,16 +486,15 @@ def sympy():
 
 
 def _sympy_nullspace(sympy, m):
-    """sympy's kernel basis, stacked as rows and reduced by sympy's rref."""
+    """sympy's kernel basis, stacked as rows and reduced by sympy's rref, as a tuple of rows."""
     cells = [sympy.Rational(x.numerator, x.denominator) for row in m.entries for x in row]
     kernel = sympy.Matrix(m.rows, m.cols, cells).nullspace()
     if not kernel:
-        return idg.Subspace.zero(m.cols)
+        return ()
     reduced, _ = sympy.Matrix.hstack(*kernel).T.rref()
-    basis = tuple(
+    return tuple(
         tuple(F(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(reduced.rows)
     )
-    return idg.Subspace(m.cols, basis)
 
 
 @st.composite
@@ -529,8 +528,15 @@ def test_nullspace_matches_two_pass_routine(m):
 
 
 @given(rational_matrices())
+def test_nullspace_is_a_fixed_point_of_the_constructor(m):
+    # nullspace stores its basis without reducing it again; reducing it changes nothing
+    kernel = idg.nullspace(m)
+    assert idg.Subspace(m.cols, kernel.basis) == kernel
+
+
+@given(rational_matrices())
 def test_nullspace_matches_sympy(sympy, m):
-    assert idg.nullspace(m) == _sympy_nullspace(sympy, m)
+    assert idg.nullspace(m).basis == _sympy_nullspace(sympy, m)
 
 
 @given(rational_matrices())
@@ -1125,7 +1131,7 @@ def _fraction_verify_outcome(program, outcome):
         read += (*outcome.optimal_point, outcome.optimal_value)
     for v in read:
         if not isinstance(v, (int, F)):
-            raise TypeError(f"not an exact number: {v!r}")
+            raise TypeError(f"not an exact number: {v!r} (int or Fraction required)")
     if outcome.status is lp.LpStatus.UNBOUNDED:
         if not _fraction_point_feasible(program, cert.base_point):
             return False

@@ -88,7 +88,8 @@ def test_zero_sum_violation():
 def test_kernel_spec_refuses_a_non_canonical_basis():
     # the structure takes the spec's basis as its kernel: a repeated direction
     # gave kernel.dim == 2 against a nullspace of dimension 1, and a scaled one
-    # a kernel unequal to the nullspace of its own experiment
+    # a kernel unequal to the nullspace of its own experiment. A hand-built
+    # subspace now holds the canonical basis, so no such basis reaches a spec.
     for basis in (
         ((1, -1, 0), (1, -1, 0)),
         ((2, -2, 0),),
@@ -96,10 +97,10 @@ def test_kernel_spec_refuses_a_non_canonical_basis():
         ((0, 1, -1), (1, -1, 0)),
         ((1, -1, 0), (0, 1, -1)),
     ):
-        with pytest.raises(ValueError, match="reduced row echelon form"):
-            idg.KernelSpec(idg.Subspace(3, tuple(idg.vector(v) for v in basis)))
+        by_hand = idg.Subspace(3, tuple(idg.vector(v) for v in basis))
         canonical = idg.Subspace.from_vectors(3, [idg.vector(v) for v in basis])
-        structure = idg.kernel_to_experiment(idg.KernelSpec(canonical))
+        assert by_hand == canonical
+        structure = idg.kernel_to_experiment(idg.KernelSpec(by_hand))
         assert structure.kernel == idg.nullspace(structure.experiment) == canonical
     repeated = idg.Subspace.from_vectors(3, [idg.vector((1, -1, 0))] * 2)
     assert idg.kernel_to_experiment(idg.KernelSpec(repeated)).is_almost_fully_informative

@@ -294,6 +294,7 @@ FORMAT_OWNERS = {
     "_eliminate": ("numerics.py",),
     "_integer_rows": ("numerics.py",),
     "_pivot_count": ("numerics.py",),
+    "_canonical": ("numerics.py",),
     "_combine": ("numerics.py", "lp.py"),
     "_clear_column": ("numerics.py", "lp.py"),
 }

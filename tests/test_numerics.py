@@ -47,16 +47,13 @@ def test_elimination_refuses_inexact_entries():
     exact = Subspace.from_vectors(3, [(F(1), F(-1), F(0))])
     for bad in (0.5, Decimal("0.5")):
         row = (bad, F(-1, 4), F(-1, 4))
-        inexact = Subspace(3, (row,))
         calls = [
             lambda: rref([row], 3),
             lambda: idg.nullspace(Matrix(1, 3, (row,))),
+            lambda: Subspace(3, (row,)),
             lambda: Subspace.from_vectors(3, [row]),
             lambda: idg.rank(Matrix(1, 3, (row,))),
             lambda: exact.contains_vector(row),
-            lambda: inexact.contains_vector((F(1), F(0), F(0))),
-            lambda: idg.subspace_contains(exact, inexact),
-            lambda: idg.subspace_contains(inexact, exact),
         ]
         for call in calls:
             with pytest.raises(TypeError, match="not an exact number"):
@@ -117,6 +114,29 @@ def test_integer_elimination_matches_fraction_oracle(case, data):
         b = Subspace.from_vectors(cols, rows[start:])
         assert idg.subspace_contains(a, b) == fraction_spans(a.basis, b.basis, cols)
         assert idg.subspace_contains(b, a) == fraction_spans(b.basis, a.basis, cols)
+
+
+@given(exact_matrices(), st.data())
+def test_the_constructor_holds_the_canonical_basis(case, data):
+    rows, cols = case
+    # nonzero multiples of some rows, appended, span nothing new
+    scales = data.draw(st.lists(st.sampled_from((2, -1, F(1, 3), F(-7, 2))), max_size=len(rows)))
+    rows += tuple(tuple(k * x for x in row) for k, row in zip(scales, rows))
+    s = Subspace(cols, rows)
+    assert s == Subspace.from_vectors(cols, rows)
+    exact = tuple(tuple(F(x) for x in row) for row in rows)
+    assert s.basis == tuple(fraction_rref(exact, cols)[0])
+    assert Subspace(cols, s.basis) == s
+
+
+def test_a_hand_built_subspace_equals_the_reduced_one():
+    by_hand = Subspace(3, ((2, -2, 0),))
+    reduced = Subspace.from_vectors(3, [(1, -1, 0)])
+    assert by_hand == reduced
+    assert idg.subspace_contains(by_hand, reduced) and idg.subspace_contains(reduced, by_hand)
+    assert idg.orthogonal_complement(idg.orthogonal_complement(by_hand)) == by_hand
+    assert Subspace(3, ((0, 0, 0), (1, -1, 0), (3, -3, 0))) == reduced
+    assert Subspace.zero(3) == Subspace(3, ((0, 0, 0),))
 
 
 @given(st.data())
