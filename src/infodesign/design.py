@@ -11,10 +11,13 @@ dimension.
 The construction is one formula for every kernel dimension k: over the
 canonical basis w_1..w_{n-k} of the kernel's orthogonal complement, message i
 sends (x_i + w_i) / (1 + sum_j x_j) with x_i = max(0, -min w_i), so n - k
-messages, the fewest any experiment with that kernel can have. It computes on
-integers: the nonzero entries of the complement basis are scaled by their
-common denominator, and a Fraction is built only for each returned entry,
-equal to what the rational formula gives.
+messages, the fewest any experiment with that kernel can have. It reads no
+Fraction of the complement: it computes on the integer rows over one
+denominator that ``nullspace`` hands over with the basis, and builds its
+matrix with ``Matrix._over``, one Fraction per distinct entry, equal to what
+the rational formula gives. The matrix keeps those integers, so the
+structure checks its columns on them. The concealed direction nu - mu is
+taken once, as integers on its line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import lp
@@ -47,6 +49,7 @@ from .numerics import (
     Matrix,
     Subspace,
     Vector,
+    _integer_difference,
     orthogonal_complement,
     rank,
     sparse_row,
@@ -95,28 +98,16 @@ def kernel_to_experiment(spec: KernelSpec) -> InformationStructure:
     n = subspace.ambient_dim
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least one")
-    ws = orthogonal_complement(subspace).basis
-    # den * w_i is integral and x_i = x_num[i] / den, so the entry
-    # (x_i + w_ij) / (1 + sum_j x_j) is (x_num[i] + den * w_ij) / total; the
-    # basis is walked once, to find each row's nonzero entries, only those are
-    # scaled, and every other entry of row i is x_num[i] / total
-    support = [[j for j, wj in enumerate(w) if wj] for w in ws]
-    den = lcm(*[w[j].denominator for w, nonzero in zip(ws, support) for j in nonzero])
-    scaled = [
-        [w[j].numerator * (den // w[j].denominator) for j in nonzero]
-        for w, nonzero in zip(ws, support)
-    ]
-    x_num = [max(0, -min(values)) for values in scaled]
+    # the complement's basis is w_i = ws[i] / den over integers, so with
+    # x_i = x_num[i] / den the entry (x_i + w_ij) / (1 + sum_j x_j) is
+    # (x_num[i] + ws[i][j]) / total; an unshifted row is the complement's list itself
+    den, ws = orthogonal_complement(subspace)._integer_basis
+    x_num = [max(0, -min(w)) for w in ws]
     total = den + sum(x_num)
-    rows: list[Vector] = []
-    for x, nonzero, values in zip(x_num, support, scaled):
-        row = [Fraction(x, total)] * n
-        for j, wj in zip(nonzero, values):
-            row[j] = Fraction(x + wj, total)
-        rows.append(tuple(row))
+    rows = [[x + wj for wj in w] if x else w for x, w in zip(x_num, ws)]
 
     messages = tuple(f"m{i}" for i in range(len(rows)))
-    structure = InformationStructure(messages, Matrix(len(rows), n, tuple(rows)))
+    structure = InformationStructure(messages, Matrix._over(total, rows, n))
     structure.__dict__["kernel"] = subspace
     return structure
 
@@ -190,7 +181,7 @@ def implement_at_prior(
     mu = problem.mu
     if nu != mu:
         nu = boundary_adjust(problem, nu)
-    spec = KernelSpec(Subspace.from_vectors(problem.n_states, (vec_sub(nu, mu),)))
+    spec = KernelSpec(Subspace.from_vectors(problem.n_states, (_integer_difference(nu, mu),)))
     structure = kernel_to_experiment(spec)
     certificate = SaddleCertificate(alpha, nu, payoff(alpha, nu, problem))
     if not certificate.verify(problem, structure):

@@ -11,6 +11,10 @@ the actions' utilities, are compiled once per object into sparse integer
 form (``numerics.SparseRow``) and cached on it; only this module reads them.
 Membership, segments, payoffs and best responses compare integers by
 cross-multiplying, and ``IdentifiedSet.minimize`` reuses the set's phase 1.
+Each action's payoff at mu is compiled once per problem and read whenever
+mu itself is passed. An experiment matrix that keeps the integer rows it
+was built from (``Matrix._integer_entries``) has its columns checked on those
+integers; any other matrix has each column checked on its Fractions.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from .numerics import (
     SparseRow,
     Subspace,
     Vector,
+    _integer_difference,
     dot,
     nullspace,
     sparse_dot,
     sparse_row,
-    vec_sub,
     vector,
 )
 
@@ -190,6 +194,13 @@ class InformationStructure:
             )
         if not self.messages:
             raise DimensionMismatch("experiment needs at least one message")
+        integers = self.experiment._integer_entries
+        if integers is not None:  # entries rows[i][j] / den: compare integer column sums
+            den, rows = integers
+            for j, col in enumerate(zip(*rows)):
+                if min(col) < 0 or sum(col) != den:
+                    raise ValueError(f"experiment column {j} is not a probability vector")
+            return
         for j, col in enumerate(zip(*self.experiment.entries)):
             if not _is_distribution(col):
                 raise ValueError(f"experiment column {j} is not a probability vector")
@@ -269,11 +280,22 @@ class DecisionProblem:
         """Each action's utility row, compiled once for payoffs and best responses."""
         return tuple([sparse_row(row) for row in self.utility.entries])
 
-    def pure_payoffs(self, nu: Sequence[Fraction]) -> Vector:
-        """Each pure action's payoff u_a . nu, exactly; nu need not be a distribution."""
+    @cached_property
+    def _mu_payoffs(self) -> tuple[tuple[int, int], ...]:
+        """Each action's payoff u_a . mu as a ``sparse_dot`` pair, compiled once."""
+        return tuple([sparse_dot(row, self.mu) for row in self._utility_rows])
+
+    def _payoff_pairs(self, nu: Sequence[Fraction]) -> Sequence[tuple[int, int]]:
+        """Each action's u_a . nu as a ``sparse_dot`` pair; mu itself reads the compiled ones."""
+        if nu is self.mu:
+            return self._mu_payoffs
         if len(nu) != self.n_states:
             raise DimensionMismatch("state distribution length does not match the problem")
-        return tuple([Fraction(*sparse_dot(row, nu)) for row in self._utility_rows])
+        return [sparse_dot(row, nu) for row in self._utility_rows]
+
+    def pure_payoffs(self, nu: Sequence[Fraction]) -> Vector:
+        """Each pure action's payoff u_a . nu, exactly; nu need not be a distribution."""
+        return tuple([Fraction(*pair) for pair in self._payoff_pairs(nu)])
 
     def segment(self, d: Vector) -> tuple[Fraction, Fraction]:
         """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
@@ -361,20 +383,22 @@ def payoff(alpha: MixedAction, nu: Sequence[Fraction], problem: DecisionProblem)
         raise DimensionMismatch("state distribution length does not match the problem")
     if len(alpha) != problem.n_actions:
         raise DimensionMismatch("mixed action length does not match the action count")
-    rows = problem._utility_rows
     support = alpha.support
+    if nu is problem.mu:
+        pairs = [problem._mu_payoffs[a] for a in support]
+    else:
+        rows = problem._utility_rows
+        pairs = [sparse_dot(rows[a], nu) for a in support]
     if len(support) == 1:  # a pure action: its compiled row
-        return Fraction(*sparse_dot(rows[support[0]], nu))
+        return Fraction(*pairs[0])
     # sum_a w_a (u_a . nu) over the support, with no per-state mixed row
     weights = alpha.weights
-    return dot([weights[a] for a in support], [Fraction(*sparse_dot(rows[a], nu)) for a in support])
+    return dot([weights[a] for a in support], [Fraction(*pair) for pair in pairs])
 
 
 def best_responses(problem: DecisionProblem, nu: Sequence[Fraction]) -> tuple[int, ...]:
     """Indices of pure actions maximizing expected utility under nu, exactly."""
-    if len(nu) != problem.n_states:
-        raise DimensionMismatch("state distribution length does not match the problem")
-    payoffs = [sparse_dot(row, nu) for row in problem._utility_rows]
+    payoffs = problem._payoff_pairs(nu)
     top_num, top_den = payoffs[0]
     for num, den in payoffs:
         if num * top_den > top_num * den:
@@ -405,7 +429,10 @@ class IdentifiedSet:
     experiment: Matrix
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.base.contains(point) and self.kernel.contains_vector(vec_sub(point, self.mu))
+        if not self.base.contains(point):
+            return False
+        # the shift from mu, taken as integers on its line, must lie in the kernel
+        return self.kernel.contains_vector(_integer_difference(point, self.mu))
 
     @property
     def pinned_pushforward(self) -> Vector:

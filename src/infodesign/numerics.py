@@ -29,6 +29,14 @@ An entry that is not an exact rational raises TypeError in all of them.
 A kernel, and so an orthogonal complement of any dimension, costs one
 elimination: the matrix is reduced with its columns reversed, and the kernel
 vectors read off that are already in canonical form (see ``nullspace``).
+
+Exact objects keep the integers they are built from, for the constructions
+that compute on them. ``nullspace`` hands its basis over as integer rows
+over one denominator, cached on the subspace (``Subspace._integer_basis``;
+any other subspace computes it from its basis, once). ``Matrix._over`` builds
+a matrix from integer rows over one denominator, with one Fraction per
+distinct value, and keeps the rows. ``_integer_difference`` is u - v scaled
+to integers, for a caller that needs only the line of the difference.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -153,6 +162,26 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _integer_difference(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[int, ...]:
+    """u - v times the lcm of every denominator in u and v: integers on the line of u - v.
+
+    An entry that is not an exact rational raises TypeError.
+    """
+    if len(u) != len(v):
+        raise DimensionMismatch(f"subtracting vectors of lengths {len(u)} and {len(v)}")
+    try:
+        den = lcm(*[a.denominator for a in u], *[b.denominator for b in v])
+        return tuple(
+            [
+                a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)
+                for a, b in zip(u, v)
+            ]
+        )
+    except AttributeError:
+        bad = next(x for x in (*u, *v) if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
+        raise TypeError(f"not an exact number: {bad!r}") from None
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense rational matrix with row-major entries."""
@@ -194,6 +223,24 @@ class Matrix:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
+
+    # (den, rows) for a matrix built by ``_over``, where entry (i, j) is
+    # rows[i][j] / den; None for any other. Not a field: == and repr ignore it.
+    _integer_entries = None
+
+    @classmethod
+    def _over(cls, den: int, rows: list[list[int]], cols: int) -> "Matrix":
+        """The matrix with entries Fraction(x, den) over integer rows, den positive.
+
+        One Fraction is built per distinct value. The matrix keeps the rows
+        themselves, not a copy, as ``_integer_entries``; nothing may change
+        them afterwards.
+        """
+        values = {x: Fraction(x, den) for x in set().union(*rows)}
+        get = values.__getitem__
+        m = cls(len(rows), cols, tuple([tuple(map(get, row)) for row in rows]))
+        object.__setattr__(m, "_integer_entries", (den, rows))
+        return m
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -329,6 +376,16 @@ class Subspace:
     def basis_matrix(self) -> Matrix:
         return Matrix(len(self.basis), self.ambient_dim, self.basis)
 
+    @cached_property
+    def _integer_basis(self) -> tuple[int, list[list[int]]]:
+        """(den, rows): the basis over one denominator, basis[i][j] = rows[i][j] / den.
+
+        ``nullspace`` fills it in as it builds its basis; for any other
+        subspace it is computed here, once. Nothing may change the rows.
+        """
+        den = lcm(*[x.denominator for row in self.basis for x in row])
+        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.basis]
+
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         """Whether v lies in the span: adding it to the basis leaves the rank at dim."""
         if len(v) != self.ambient_dim:
@@ -344,21 +401,38 @@ def nullspace(m: Matrix) -> Subspace:
     Reducing with the columns reversed leaves each pivot row zero past its
     pivot p, so free column f gives e_f - sum_p row_p[f] e_p with leading 1
     at f and zeros at the other free columns: already the canonical basis.
+
+    The basis is also handed over as integer rows over one denominator den,
+    the lcm of the pivot rows' denominators (``Subspace._integer_basis``):
+    free column f's row is den at f and -den * row_p[f] at each pivot p.
     """
     n = m.cols
     rows, pivots = rref([r[::-1] for r in m.entries], n)
-    pivot_rows = {n - 1 - p: row[::-1] for p, row in zip(pivots, rows)}
+    den = lcm(*[x.denominator for row in rows for x in row])
+    # each pivot row in column order, as Fractions and as integers over den
+    pivot_rows = [
+        (n - 1 - p, row[::-1], [x.numerator * (den // x.denominator) for x in reversed(row)])
+        for p, row in zip(pivots, rows)
+    ]
+    pivot_columns = {p for p, _, _ in pivot_rows}
     basis: list[Vector] = []
+    integers: list[list[int]] = []
     for f in range(n):
-        if f in pivot_rows:
+        if f in pivot_columns:
             continue
         v = [F0] * n
         v[f] = F1
-        for p, row in pivot_rows.items():
-            if row[f]:
+        w = [0] * n
+        w[f] = den
+        for p, row, ints in pivot_rows:
+            if ints[f]:
                 v[p] = -row[f]
+                w[p] = -ints[f]
         basis.append(tuple(v))
-    return _canonical(n, tuple(basis))
+        integers.append(w)
+    s = _canonical(n, tuple(basis))
+    s.__dict__["_integer_basis"] = (den, integers)
+    return s
 
 
 def _canonical(ambient_dim: int, basis: tuple[Vector, ...]) -> Subspace:

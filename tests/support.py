@@ -353,6 +353,20 @@ def fraction_nullspace(rows, cols) -> tuple:
     return tuple(basis)
 
 
+def fraction_experiment(kernel_basis, n) -> tuple:
+    """The rows of ``kernel_to_experiment``'s matrix, from its formula in plain Fractions.
+
+    Over the canonical basis w_1..w_{n-k} of the kernel's orthogonal
+    complement (``fraction_nullspace`` of the kernel basis), message i sends
+    (x_i + w_ij) / (1 + sum_j x_j) in state j, with x_i = max(0, -min w_i).
+    It shares no code with ``numerics`` or ``design``.
+    """
+    ws = fraction_nullspace(kernel_basis, n)
+    xs = [max(F0, -min(w)) for w in ws]
+    total = 1 + sum(xs)
+    return tuple(tuple((x + wj) / total for wj in w) for x, w in zip(xs, ws))
+
+
 def fraction_spans(basis, vectors, cols) -> bool:
     """Whether adding the vectors to a basis leaves its ``fraction_rref`` rank unchanged."""
     return len(fraction_rref(tuple(basis) + tuple(vectors), cols)[1]) == len(basis)

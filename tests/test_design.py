@@ -12,6 +12,8 @@ from infodesign.design import InformativenessOrder
 
 from support import (
     display_direction,
+    fraction_experiment,
+    fraction_rref,
     fraction_spans,
     paired_problem,
     random_member,
@@ -42,6 +44,35 @@ def _assert_single_formula(sub, structure):
         column = structure.experiment.column(j)
         assert all(v >= 0 for v in column) and sum(column) == 1
     assert idg.nullspace(structure.experiment) == sub == idg.kernel_of(structure)
+
+
+@st.composite
+def zero_sum_subspaces(draw):
+    """A zero-sum subspace of every dimension k from 0 to n - 1, n <= 8.
+
+    k drawn rational zero-sum vectors are topped up with unit differences
+    e_i - e_{n-1}, which span every zero-sum vector, until they reach rank k.
+    """
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n - 1))
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    heads = st.lists(entry, min_size=n - 1, max_size=n - 1)
+    vectors = [(*head, -sum(head)) for head in draw(st.lists(heads, min_size=k, max_size=k))]
+    for i in range(n - 1):
+        if len(fraction_rref(vectors, n)[1]) == k:
+            break
+        unit = tuple(F(1) if j == i else F(-1) if j == n - 1 else F(0) for j in range(n))
+        if len(fraction_rref(vectors + [unit], n)[1]) > len(fraction_rref(vectors, n)[1]):
+            vectors.append(unit)
+    sub = idg.Subspace.from_vectors(n, vectors)
+    assert sub.dim == k
+    return sub
+
+
+@given(zero_sum_subspaces())
+def test_construction_matches_the_formula_over_fractions(sub):
+    structure = idg.kernel_to_experiment(idg.KernelSpec(sub))
+    assert structure.experiment.entries == fraction_experiment(sub.basis, sub.ambient_dim)
 
 
 def test_zero_kernel_gives_identity():

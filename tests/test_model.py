@@ -4,7 +4,9 @@ import ast
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,16 @@ import pytest
 import infodesign as idg
 from infodesign import lp
 from infodesign.model import PayoffPartition
+from infodesign.numerics import _integer_difference
 
-from support import paired_problem, random_member, raw_motivating_model, tamper_refutations
+from support import (
+    fraction_spans,
+    paired_problem,
+    random_member,
+    random_treatment_model,
+    raw_motivating_model,
+    tamper_refutations,
+)
 
 
 def test_payoff_examples(example_problem):
@@ -282,10 +292,78 @@ def test_column_stochastic_validation():
         idg.InformationStructure(("m0",), idg.Matrix.from_rows([["1/2", "1"]]))
 
 
+def _column_error(matrix):
+    with pytest.raises(ValueError) as caught:
+        idg.InformationStructure(tuple(f"m{i}" for i in range(matrix.rows)), matrix)
+    return str(caught.value)
+
+
+def test_integer_columns_are_refused_like_fraction_columns():
+    # over den = 3: column 1 holds a negative entry, then sums to 4/3
+    for rows in ([[1, -1], [2, 4]], [[1, 2], [2, 2]]):
+        over = idg.Matrix._over(3, rows, 2)
+        plain = idg.Matrix(2, 2, tuple(tuple(F(x, 3) for x in row) for row in rows))
+        message = "experiment column 1 is not a probability vector"
+        assert _column_error(over) == _column_error(plain) == message
+    assert idg.InformationStructure(("m0", "m1"), idg.Matrix._over(3, [[1, 2], [2, 1]], 2)).n_states == 2
+
+
+def _moved_one_unit(nu):
+    """nu with one unit of its denominator grid moved from each charged state to each other state."""
+    unit = F(1, lcm(*[v.denominator for v in nu]))
+    for s, mass in enumerate(nu):
+        if mass:
+            for t in range(len(nu)):
+                if t != s:
+                    moved = list(nu)
+                    moved[s] -= unit
+                    moved[t] += unit
+                    yield tuple(moved)
+
+
+def test_identified_set_membership_matches_fraction_spans():
+    inside = outside = 0
+    for seed in range(6):
+        model = random_treatment_model(seed)
+        problem = idg.build_treatment_problem(model)
+        mu, n = problem.mu, problem.n_states
+        for t in range(model.n_treatments):
+            alpha = idg.MixedAction.pure(t, model.n_treatments)
+            structure, certificate = idg.implement_treatment(model, alpha, problem)
+            iset = idg.identified_set(problem, structure)
+            nu = certificate.nu_star
+            for point in (nu, *_moved_one_unit(nu)):
+                shift = tuple(a - b for a, b in zip(point, mu))
+                expected = problem.priors.contains(point) and fraction_spans(iset.kernel.basis, (shift,), n)
+                assert iset.contains(point) == expected
+                inside += expected
+                outside += not expected
+            assert iset.contains(nu)
+    assert inside and outside
+
+
+def test_the_integer_difference_is_exact_and_refuses_floats(example_problem):
+    half = (F(1, 2), F(1, 2))
+    assert _integer_difference((F(1, 3), F(2, 3)), half) == (-1, 1)
+    for u, v in [((F(1, 2), 0.5), half), (half, (0.5, F(1, 2)))]:
+        with pytest.raises(TypeError, match=r"^not an exact number: 0\.5$"):
+            _integer_difference(u, v)
+    p = example_problem
+    iset = idg.identified_set(p, idg.InformationStructure.identity(p.n_states))
+    with pytest.raises(TypeError, match=r"^not an exact number: 0\.5$"):
+        replace(iset, mu=(0.5,) + p.mu[1:]).contains(p.mu)
+
+
 # each exact format is read only by the modules that own it
 FORMAT_OWNERS = {
     "_sparse_rows": ("model.py",),
     "_utility_rows": ("model.py",),
+    "_mu_payoffs": ("model.py",),
+    "_payoff_pairs": ("model.py",),
+    "_integer_difference": ("numerics.py", "model.py", "design.py"),
+    "_integer_basis": ("numerics.py", "design.py"),
+    "_integer_entries": ("numerics.py", "model.py"),
+    "_over": ("numerics.py", "design.py"),
     "_phase_one": ("lp.py", "model.py"),
     "_phase_two": ("lp.py", "model.py"),
     "_Feasible": ("lp.py", "model.py"),

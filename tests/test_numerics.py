@@ -171,6 +171,31 @@ def test_integer_pivot_matches_fraction_step(data):
             assert t > 0 and all(a == t * b for a, b in zip(got, want))
 
 
+@given(exact_matrices())
+def test_nullspace_hands_over_the_integer_basis_its_subspace_would_compute(case):
+    rows, cols = case
+    kernel = idg.nullspace(Matrix(len(rows), cols, rows))
+    den, integers = kernel._integer_basis
+    assert den > 0
+    assert tuple(tuple(F(x, den) for x in row) for row in integers) == kernel.basis
+    # a subspace not made by nullspace computes the view from its basis
+    assert Subspace(cols, kernel.basis)._integer_basis == (den, integers)
+
+
+@given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 6), st.data())
+def test_a_matrix_over_integers_equals_the_matrix_of_its_fractions(den, n_rows, cols, data):
+    row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    m = Matrix._over(den, rows, cols)
+    plain = Matrix(n_rows, cols, tuple(tuple(F(x, den) for x in r) for r in rows))
+    assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+    assert m._integer_entries == (den, rows) and plain._integer_entries is None
+    # one Fraction per distinct value
+    seen = {}
+    for x, entry in zip((x for r in rows for x in r), (e for r in m.entries for e in r)):
+        assert seen.setdefault(x, entry) is entry
+
+
 def test_rank_identity_and_row():
     assert idg.rank(Matrix.identity(3)) == 3
     assert idg.rank(Matrix.from_rows([[1, 1, 1, 1]])) == 1
