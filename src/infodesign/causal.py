@@ -413,11 +413,10 @@ def marginal_structure(model: TreatmentModel, spec) -> InformationStructure:
     # _domains is in state order, so this product enumerates the states by index
     picked = [i for i, v in enumerate(domains) if v in chosen]
     states = itertools.product(*(range(len(d)) for d in domains.values()))
-    rows = [[F0] * model.n_states for _ in message_values]
+    rows = [[0] * model.n_states for _ in message_values]
     for s, values in enumerate(states):
-        rows[message_index[tuple(values[i] for i in picked)]][s] = F1
-    matrix = Matrix(len(rows), model.n_states, tuple(tuple(r) for r in rows))
-    return InformationStructure(labels, matrix)
+        rows[message_index[tuple(values[i] for i in picked)]][s] = 1
+    return InformationStructure(labels, Matrix._over(1, rows, model.n_states))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ The construction is one formula for every kernel dimension k: over the
 canonical basis w_1..w_{n-k} of the kernel's orthogonal complement, message i
 sends (x_i + w_i) / (1 + sum_j x_j) with x_i = max(0, -min w_i), so n - k
 messages, the fewest any experiment with that kernel can have. It reads no
-Fraction of the complement: it computes on the integer rows over one
-denominator that ``nullspace`` hands over with the basis, and builds its
-matrix with ``Matrix._over``, one Fraction per distinct entry, equal to what
-the rational formula gives. The matrix keeps those integers, so the
-structure checks its columns on them. The concealed direction nu - mu is
-taken once, as integers on its line.
+Fraction of the complement: it computes on the integer view of the
+complement's basis matrix, which ``nullspace`` hands over with the basis, and
+builds its matrix with ``Matrix._over``, one Fraction per distinct entry,
+equal to what the rational formula gives. That matrix's view is those
+integers, so the structure checks its columns on them. The concealed
+direction nu - mu is taken once, as integers on its line.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def kernel_to_experiment(spec: KernelSpec) -> InformationStructure:
     # the complement's basis is w_i = ws[i] / den over integers, so with
     # x_i = x_num[i] / den the entry (x_i + w_ij) / (1 + sum_j x_j) is
     # (x_num[i] + ws[i][j]) / total; an unshifted row is the complement's list itself
-    den, ws = orthogonal_complement(subspace)._integer_basis
+    den, ws = orthogonal_complement(subspace).basis_matrix()._integer_entries
     x_num = [max(0, -min(w)) for w in ws]
     total = den + sum(x_num)
     rows = [[x + wj for wj in w] if x else w for x, w in zip(x_num, ws)]

@@ -280,8 +280,9 @@ class _Feasible(NamedTuple):
     basis: list[int]
 
 
-def _phase_one(std: _Standard) -> Union[_Feasible, FarkasCertificate]:
+def _phase_one(program: LinearProgram) -> Union[_Feasible, FarkasCertificate]:
     """Phase 1 and the drive-out of artificials, or a Farkas certificate of emptiness."""
+    std = _Standard(program)
     m = len(std.rows)
     n_struct = std.n_struct
     rows = list(std.rows)
@@ -347,7 +348,7 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
 
 def solve_lp(program: LinearProgram) -> LpOutcome:
     """Solve exactly; an outcome that fails ``verify_outcome`` raises AssertionError instead."""
-    start = _phase_one(_Standard(program))
+    start = _phase_one(program)
     if isinstance(start, FarkasCertificate):
         outcome = LpOutcome(status=LpStatus.INFEASIBLE, certificate=start)
     else:

@@ -12,9 +12,9 @@ form (``numerics.SparseRow``) and cached on it; only this module reads them.
 Membership, segments, payoffs and best responses compare integers by
 cross-multiplying, and ``IdentifiedSet.minimize`` reuses the set's phase 1.
 Each action's payoff at mu is compiled once per problem and read whenever
-mu itself is passed. An experiment matrix that keeps the integer rows it
-was built from (``Matrix._integer_entries``) has its columns checked on those
-integers; any other matrix has each column checked on its Fractions.
+mu itself is passed. An experiment's columns are checked on its matrix's
+integer view (``Matrix._integer_entries``), the one that ``nullspace`` later
+eliminates, so each experiment is converted to integers once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatch
@@ -107,7 +107,7 @@ class PriorPolytope:
 
     @classmethod
     def simplex(cls, dimension: int) -> "PriorPolytope":
-        uniform = (F1 / dimension,) * dimension
+        uniform = (F1 / dimension,) * dimension if dimension else ()  # 0 is refused, not divided by
         return cls(dimension, known_member=uniform)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
@@ -194,15 +194,9 @@ class InformationStructure:
             )
         if not self.messages:
             raise DimensionMismatch("experiment needs at least one message")
-        integers = self.experiment._integer_entries
-        if integers is not None:  # entries rows[i][j] / den: compare integer column sums
-            den, rows = integers
-            for j, col in enumerate(zip(*rows)):
-                if min(col) < 0 or sum(col) != den:
-                    raise ValueError(f"experiment column {j} is not a probability vector")
-            return
-        for j, col in enumerate(zip(*self.experiment.entries)):
-            if not _is_distribution(col):
+        den, rows = self.experiment._integer_entries  # entry (i, j) is rows[i][j] / den
+        for j, col in enumerate(zip(*rows)):
+            if min(col) < 0 or sum(col) != den:
                 raise ValueError(f"experiment column {j} is not a probability vector")
 
     @property
@@ -456,7 +450,7 @@ class IdentifiedSet:
         if len(objective) != self.base.dimension:
             raise DimensionMismatch("objective length does not match the state count")
         start = self._phase_one
-        if not isinstance(start, lp._Feasible):
+        if isinstance(start, lp.FarkasCertificate):
             raise AssertionError("the identified set contains mu, so phase 1 must be feasible")
         out = lp._phase_two(start, objective, "min")
         if out.status is not lp.LpStatus.OPTIMAL:
@@ -464,7 +458,7 @@ class IdentifiedSet:
         return out.optimal_value, out.optimal_point
 
     @cached_property
-    def _phase_one(self) -> Union[lp._Feasible, lp.FarkasCertificate]:
+    def _phase_one(self):
         """The simplex's phase 1 over these rows; it reads no objective, so one serves them all."""
         eq, eq_rhs = self.equality_rows()
         ub, ub_rhs = self.inequality_rows()
@@ -475,7 +469,7 @@ class IdentifiedSet:
             ub_matrix=ub,
             ub_rhs=ub_rhs,
         )
-        return lp._phase_one(lp._Standard(program))
+        return lp._phase_one(program)
 
 
 def identified_set(problem: DecisionProblem, structure: InformationStructure) -> IdentifiedSet:

@@ -30,13 +30,13 @@ A kernel, and so an orthogonal complement of any dimension, costs one
 elimination: the matrix is reduced with its columns reversed, and the kernel
 vectors read off that are already in canonical form (see ``nullspace``).
 
-Exact objects keep the integers they are built from, for the constructions
-that compute on them. ``nullspace`` hands its basis over as integer rows
-over one denominator, cached on the subspace (``Subspace._integer_basis``;
-any other subspace computes it from its basis, once). ``Matrix._over`` builds
-a matrix from integer rows over one denominator, with one Fraction per
-distinct value, and keeps the rows. ``_integer_difference`` is u - v scaled
-to integers, for a caller that needs only the line of the difference.
+Every matrix has one integer view, ``Matrix._integer_entries``: its entries
+as integer rows over one denominator, computed on first read and cached.
+``Matrix._over`` builds a matrix from integer rows, one Fraction per distinct
+value, and keeps the rows as its view. ``nullspace`` eliminates the view's
+rows, and hands its basis's view over on the subspace's one ``basis_matrix()``.
+``_integer_difference`` is u - v scaled to integers, for a caller that needs
+only the line of the difference.
 """
 
 from __future__ import annotations
@@ -120,13 +120,18 @@ class SparseRow(NamedTuple):
     denominator: int
 
 
+def _inexact(values) -> TypeError:
+    """The TypeError naming the first of values that is not an exact rational."""
+    bad = next(x for x in values if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
+    return TypeError(f"not an exact number: {bad!r}")
+
+
 def sparse_row(values: Sequence[Fraction]) -> SparseRow:
     """Compile a row of exact rationals; an inexact entry raises TypeError."""
     try:
         indices = [j for j, v in enumerate(values) if v.numerator]
     except AttributeError:
-        bad = next(v for v in values if not hasattr(v, "numerator"))
-        raise TypeError(f"not an exact number: {bad!r}") from None
+        raise _inexact(values) from None
     den = lcm(*[values[j].denominator for j in indices])
     numerators = [values[j].numerator * (den // values[j].denominator) for j in indices]
     return SparseRow(tuple(indices), tuple(numerators), den)
@@ -178,8 +183,7 @@ def _integer_difference(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[i
             ]
         )
     except AttributeError:
-        bad = next(x for x in (*u, *v) if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
-        raise TypeError(f"not an exact number: {bad!r}") from None
+        raise _inexact((*u, *v)) from None
 
 
 @dataclass(frozen=True)
@@ -224,22 +228,31 @@ class Matrix:
             raise DimensionMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
 
-    # (den, rows) for a matrix built by ``_over``, where entry (i, j) is
-    # rows[i][j] / den; None for any other. Not a field: == and repr ignore it.
-    _integer_entries = None
+    @cached_property
+    def _integer_entries(self) -> tuple[int, list[list[int]]]:
+        """(den, rows) with entry (i, j) = rows[i][j] / den, den positive; nothing may change rows.
+
+        Computed from the entries on first read, unless ``_over`` or ``nullspace``
+        supplied it. Not a field: == and repr ignore it. An inexact entry raises TypeError.
+        """
+        entries = self.entries
+        try:
+            den = lcm(*[x.denominator for row in entries for x in row])
+            return den, [[x.numerator * (den // x.denominator) for x in row] for row in entries]
+        except AttributeError:
+            raise _inexact(x for row in entries for x in row) from None
 
     @classmethod
     def _over(cls, den: int, rows: list[list[int]], cols: int) -> "Matrix":
         """The matrix with entries Fraction(x, den) over integer rows, den positive.
 
-        One Fraction is built per distinct value. The matrix keeps the rows
-        themselves, not a copy, as ``_integer_entries``; nothing may change
-        them afterwards.
+        One Fraction is built per distinct value. The rows themselves, not a
+        copy, become ``_integer_entries``; nothing may change them afterwards.
         """
-        values = {x: Fraction(x, den) for x in set().union(*rows)}
-        get = values.__getitem__
-        m = cls(len(rows), cols, tuple([tuple(map(get, row)) for row in rows]))
-        object.__setattr__(m, "_integer_entries", (den, rows))
+        get = {x: Fraction(x, den) for x in set().union(*rows)}.__getitem__
+        # tuple() of a list, as in lp._row_duals: from a map, +1 MB peak RSS on marginal-solve
+        m = cls(len(rows), cols, tuple([tuple(list(map(get, row))) for row in rows]))
+        m.__dict__["_integer_entries"] = (den, rows)
         return m
 
 
@@ -259,8 +272,7 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
             else:
                 ints = [x.numerator * (den // x.denominator) for x in row]
         except AttributeError:
-            bad = next(x for x in row if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
-            raise TypeError(f"not an exact number: {bad!r}") from None
+            raise _inexact(row) from None
         g = gcd(*ints)
         if g:
             out.append([x // g for x in ints] if g != 1 else ints)
@@ -374,17 +386,11 @@ class Subspace:
         return len(self.basis)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(len(self.basis), self.ambient_dim, self.basis)
-
-    @cached_property
-    def _integer_basis(self) -> tuple[int, list[list[int]]]:
-        """(den, rows): the basis over one denominator, basis[i][j] = rows[i][j] / den.
-
-        ``nullspace`` fills it in as it builds its basis; for any other
-        subspace it is computed here, once. Nothing may change the rows.
-        """
-        den = lcm(*[x.denominator for row in self.basis for x in row])
-        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.basis]
+        """The basis as a matrix, one row per vector: built once, then the same object."""
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = self.__dict__["_matrix"] = Matrix(len(self.basis), self.ambient_dim, self.basis)
+        return m
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         """Whether v lies in the span: adding it to the basis leaves the rank at dim."""
@@ -402,12 +408,12 @@ def nullspace(m: Matrix) -> Subspace:
     pivot p, so free column f gives e_f - sum_p row_p[f] e_p with leading 1
     at f and zeros at the other free columns: already the canonical basis.
 
-    The basis is also handed over as integer rows over one denominator den,
-    the lcm of the pivot rows' denominators (``Subspace._integer_basis``):
-    free column f's row is den at f and -den * row_p[f] at each pivot p.
+    It eliminates m's integer view, and hands over its ``basis_matrix()``'s view
+    over den, the lcm of the pivot rows' denominators: free column f's row
+    is den at f and -den * row_p[f] at each pivot p.
     """
     n = m.cols
-    rows, pivots = rref([r[::-1] for r in m.entries], n)
+    rows, pivots = rref([r[::-1] for r in m._integer_entries[1]], n)
     den = lcm(*[x.denominator for row in rows for x in row])
     # each pivot row in column order, as Fractions and as integers over den
     pivot_rows = [
@@ -431,7 +437,8 @@ def nullspace(m: Matrix) -> Subspace:
         basis.append(tuple(v))
         integers.append(w)
     s = _canonical(n, tuple(basis))
-    s.__dict__["_integer_basis"] = (den, integers)
+    matrix = s.__dict__["_matrix"] = Matrix(len(basis), n, s.basis)
+    matrix.__dict__["_integer_entries"] = (den, integers)
     return s
 
 

@@ -21,11 +21,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import lp
-from .model import (  # best_responses is re-exported from here
+from .model import (
     DecisionProblem,
     InformationStructure,
     MixedAction,
-    best_responses,
     identified_set,
     is_best_response,
     payoff,

@@ -260,8 +260,8 @@ def tamper_refutations(monkeypatch) -> None:
     """
     phase_one = lp._phase_one
 
-    def tampered(std):
-        start = phase_one(std)
+    def tampered(program):
+        start = phase_one(program)
         if not isinstance(start, lp.FarkasCertificate):
             return start
         negated = [tuple(-v for v in part) for part in (start.eq, start.ub, start.lb)]

@@ -306,6 +306,18 @@ def test_integer_columns_are_refused_like_fraction_columns():
         message = "experiment column 1 is not a probability vector"
         assert _column_error(over) == _column_error(plain) == message
     assert idg.InformationStructure(("m0", "m1"), idg.Matrix._over(3, [[1, 2], [2, 1]], 2)).n_states == 2
+    # an inexact entry is refused by the integer view, among ints and among Fractions alike
+    for row in ((1, 0.5), (F(1, 2), 0.5)):
+        matrix = idg.Matrix(2, 2, (row, (0, F(1, 2))))
+        for call in (lambda: idg.InformationStructure(("m0", "m1"), matrix), lambda: idg.nullspace(matrix)):
+            with pytest.raises(TypeError, match=r"^not an exact number: 0\.5$"):
+                call()
+
+
+def test_an_empty_simplex_is_refused_before_dividing():
+    for n in (0, -1):
+        with pytest.raises(idg.DimensionMismatch, match="^prior polytope needs at least one state$"):
+            idg.PriorPolytope.simplex(n)
 
 
 def _moved_one_unit(nu):
@@ -361,13 +373,12 @@ FORMAT_OWNERS = {
     "_mu_payoffs": ("model.py",),
     "_payoff_pairs": ("model.py",),
     "_integer_difference": ("numerics.py", "model.py", "design.py"),
-    "_integer_basis": ("numerics.py", "design.py"),
-    "_integer_entries": ("numerics.py", "model.py"),
-    "_over": ("numerics.py", "design.py"),
+    "_integer_entries": ("numerics.py", "model.py", "design.py"),
+    "_over": ("numerics.py", "design.py", "causal.py"),
     "_phase_one": ("lp.py", "model.py"),
     "_phase_two": ("lp.py", "model.py"),
-    "_Feasible": ("lp.py", "model.py"),
-    "_Standard": ("lp.py", "model.py"),
+    "_Feasible": ("lp.py",),
+    "_Standard": ("lp.py",),
     "verify_outcome": ("lp.py", "__init__.py"),
     "_eliminate": ("numerics.py",),
     "_integer_rows": ("numerics.py",),

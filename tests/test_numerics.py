@@ -175,25 +175,53 @@ def test_integer_pivot_matches_fraction_step(data):
 def test_nullspace_hands_over_the_integer_basis_its_subspace_would_compute(case):
     rows, cols = case
     kernel = idg.nullspace(Matrix(len(rows), cols, rows))
-    den, integers = kernel._integer_basis
+    matrix = kernel.basis_matrix()
+    assert matrix is kernel.basis_matrix() and matrix.entries == kernel.basis
+    den, integers = matrix._integer_entries
     assert den > 0
     assert tuple(tuple(F(x, den) for x in row) for row in integers) == kernel.basis
-    # a subspace not made by nullspace computes the view from its basis
-    assert Subspace(cols, kernel.basis)._integer_basis == (den, integers)
+    # a matrix not made by nullspace computes the same view from its entries
+    assert Matrix(kernel.dim, cols, kernel.basis)._integer_entries == (den, integers)
+
+
+@given(exact_matrices())
+def test_every_matrix_has_an_integer_view_of_its_entries(case):
+    rows, cols = case
+    m = Matrix(len(rows), cols, rows)
+    den, integers = m._integer_entries
+    assert den > 0 and m._integer_entries is m._integer_entries
+    assert [len(row) for row in integers] == [cols] * len(rows)
+    for row, entries in zip(integers, m.entries):
+        assert all(F(x, den) == entry for x, entry in zip(row, entries))
+
+
+def _integer_rows_and_fractions(den, n_rows, cols, data):
+    row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return rows, Matrix(n_rows, cols, tuple(tuple(F(x, den) for x in r) for r in rows))
 
 
 @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 6), st.data())
 def test_a_matrix_over_integers_equals_the_matrix_of_its_fractions(den, n_rows, cols, data):
-    row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
-    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    rows, plain = _integer_rows_and_fractions(den, n_rows, cols, data)
     m = Matrix._over(den, rows, cols)
-    plain = Matrix(n_rows, cols, tuple(tuple(F(x, den) for x in r) for r in rows))
     assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
-    assert m._integer_entries == (den, rows) and plain._integer_entries is None
+    assert m._integer_entries == (den, rows)
     # one Fraction per distinct value
     seen = {}
     for x, entry in zip((x for r in rows for x in r), (e for r in m.entries for e in r)):
         assert seen.setdefault(x, entry) is entry
+
+
+@given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 6), st.data())
+def test_nullspace_of_a_matrix_over_integers_is_that_of_its_fractions(den, n_rows, cols, data):
+    rows, plain = _integer_rows_and_fractions(den, n_rows, cols, data)
+    kept = [list(r) for r in rows]
+    over = idg.nullspace(Matrix._over(den, rows, cols))
+    assert rows == kept  # the elimination leaves the view's rows as they were
+    expected = idg.nullspace(plain)
+    assert over == expected
+    assert over.basis_matrix()._integer_entries == expected.basis_matrix()._integer_entries
 
 
 def test_rank_identity_and_row():
