@@ -50,7 +50,11 @@ free variables):
 ``verify_outcome`` checks these against the raw program data. Optima and
 refutations share one dual test, and an optimum's point, a ray's base point
 and its direction share one point test (``_point_feasible``, which reads
-every rhs and bound as 0 for the direction).
+every rhs and bound as 0 for the direction). The dual test's stationarity
+(``_stationary``) runs on integers row by row: each row with a nonzero
+multiplier is compiled with ``numerics.sparse_row``, the weighted rows are
+summed over one lcm, and each column is compared with target - s by
+cross-multiplying. Its other sums, and the point test's, go through ``dot``.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from operator import gt, lt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
-from .numerics import Vector, _clear_column, _combine, dot
+from .numerics import Vector, _clear_column, _combine, _nonzero, dot, sparse_row
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -226,7 +230,7 @@ class _Standard:
             x = by_col.get(col, F0)
             if lb is None:
                 x -= by_col.get(col + 1, F0)
-            elif shift:
+            elif shift and lb:
                 x += lb
             out.append(x)
         return tuple(out)
@@ -236,7 +240,7 @@ def _price(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int
     """The cost row with every basic column eliminated: the reduced costs."""
     for row, c in zip(rows, basis):
         if cost[c]:
-            cost = _combine(cost, cost[c], row, row[c])
+            cost = _combine(cost, cost[c], _nonzero(row), row[c])
     return cost
 
 
@@ -392,12 +396,47 @@ def _point_feasible(
     )
 
 
+def _stationary(
+    rows: Sequence[Sequence[Fraction]],
+    multipliers: Sequence[Fraction],
+    s: Sequence[Fraction],
+    target: Sequence[Fraction],
+) -> bool:
+    """Whether sum_i multipliers[i] * rows[i] + s == target, computed on integers.
+
+    Each row with a nonzero multiplier y is compiled with ``sparse_row`` and
+    weighted by y; the weighted rows are summed as integers over one common
+    denominator, the lcm of each y's denominator times its row's, and each
+    column's sum is compared with target - s by cross-multiplying. Every
+    entry must be exact, as ``verify_outcome`` has checked.
+    """
+    terms = []
+    for y, row in zip(multipliers, rows):
+        if y:
+            compiled = sparse_row(row)
+            terms.append((y.numerator, y.denominator * compiled.denominator, compiled))
+    den = lcm(*[d for _, d, _ in terms])
+    sums = [0] * len(target)
+    for num, d, compiled in terms:
+        k = num * (den // d)
+        for j, a in zip(compiled.indices, compiled.numerators):
+            sums[j] += k * a
+    for total, sj, t in zip(sums, s, target):
+        # total / den == t - sj, with t - sj over t.denominator * sj.denominator
+        td, sd = t.denominator, sj.denominator
+        if total * td * sd != (t.numerator * sd - sj.numerator * td) * den:
+            return False
+    return True
+
+
 def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome against the raw program data, exactly.
 
     Every entry that the status's test reads (the multipliers, the point,
     the value, the ray) must be an int or a Fraction; any other raises
-    TypeError before any test runs.
+    TypeError before any test runs. Stationarity is tested on integers, one
+    compiled row per nonzero multiplier (``_stationary``); the sign,
+    free-variable, point and bound tests read Fractions.
     """
     cert = outcome.certificate
     if outcome.status is LpStatus.UNBOUNDED:
@@ -441,10 +480,8 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
     if len(cert.lb) != n:
         return False
     rows = program.eq_matrix + program.ub_matrix
-    multipliers = (*cert.eq, *cert.ub)
-    for j in range(n):  # == rather than !=: Fraction defines no __ne__ of its own
-        if not cert.lb[j] + dot([row[j] for row in rows], multipliers) == target[j]:
-            return False
+    if not _stationary(rows, (*cert.eq, *cert.ub), cert.lb, target):
+        return False
     bounds = program.bounds()
     if any(s for s, lb in zip(cert.lb, bounds) if lb is None):
         return False

@@ -428,9 +428,9 @@ class IdentifiedSet:
         # the shift from mu, taken as integers on its line, must lie in the kernel
         return self.kernel.contains_vector(_integer_difference(point, self.mu))
 
-    @property
+    @cached_property
     def pinned_pushforward(self) -> Vector:
-        """The message distribution mu induces, which every member reproduces."""
+        """The message distribution mu induces, which every member reproduces; computed once."""
         return self.experiment.matvec(self.mu)
 
     def equality_rows(self) -> tuple[tuple[Vector, ...], Vector]:

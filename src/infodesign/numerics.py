@@ -21,9 +21,14 @@ eliminate on integers: each row is scaled by the lcm of its denominators,
 each pivot (``_clear_column``, which the simplex in ``lp`` shares) makes its
 head h positive and turns every other row with an entry f in its column into
 h * row - f * pivot row over the gcd of its entries (``_combine``), and a
-Fraction is built only for the rows it returns. ``rank``,
-``Subspace.contains_vector`` and ``subspace_contains`` need only the number
-of pivots, so they count the pivots of that same pass and build no Fraction.
+Fraction is built only for the rows it returns. A pivot lists its row's
+nonzero (column, entry) pairs once, and ``_combine`` divides h and f by
+their gcd, copies the row (or scales it by the reduced h) and updates it
+only at those columns. It never writes into a row it is given, because the
+simplex shares tableau rows between a cached phase 1 and its phase-2
+copies. ``rank``, ``Subspace.contains_vector`` and ``subspace_contains``
+need only the number of pivots, so they count the pivots of that same pass
+and build no Fraction.
 An entry that is not an exact rational raises TypeError in all of them.
 
 A kernel, and so an orthogonal complement of any dimension, costs one
@@ -279,12 +284,26 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _combine(row: list[int], f: int, prow: list[int], h: int) -> list[int]:
-    """h * row - f * prow over its gcd; for h > 0 a positive multiple of row - (f/h) * prow."""
-    if h == 1:
-        out = [a - f * b if b else a for a, b in zip(row, prow)]
-    else:
-        out = [a * h - f * b if b else a * h for a, b in zip(row, prow)]
+def _nonzero(row: list[int]) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of row's nonzero entries."""
+    return [(j, b) for j, b in enumerate(row) if b]
+
+
+def _combine(row: list[int], f: int, pivot: list[tuple[int, int]], h: int) -> list[int]:
+    """h * row - f * prow over its gcd; for h > 0 a positive multiple of row - (f/h) * prow.
+
+    pivot is ``_nonzero(prow)``. h and f are first divided by their gcd, which
+    leaves the result, a primitive vector, unchanged. The result is a new
+    list: row is copied (or scaled) and then updated only at prow's nonzero
+    columns, so a row shared with another tableau is never written into.
+    """
+    g = gcd(h, f)
+    if g > 1:
+        h //= g
+        f //= g
+    out = row.copy() if h == 1 else [a * h for a in row]
+    for j, b in pivot:
+        out[j] -= f * b
     g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
 
@@ -299,10 +318,11 @@ def _clear_column(rows: list[list[int]], r: int, c: int) -> None:
     if h < 0:
         h = -h
         rows[r] = prow = [-x for x in prow]
-    for i in range(len(rows)):
-        f = rows[i][c]
-        if f and i != r:
-            rows[i] = _combine(rows[i], f, prow, h)
+    targets = [i for i, row in enumerate(rows) if row[c] and i != r]
+    if targets:
+        pivot = _nonzero(prow)
+        for i in targets:
+            rows[i] = _combine(rows[i], rows[i][c], pivot, h)
 
 
 def _eliminate(work: list[list[int]], cols: int) -> list[int]:

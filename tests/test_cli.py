@@ -364,6 +364,21 @@ def test_tampered_optimum_exits_seven(example_files, capsys, monkeypatch):
     ]
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_certificates_match_the_recorded_outputs(example_files, capsys):
+    # solve on the Y,T marginal (k >= 2: the maxmin program and the worst cases)
+    # and the refutation of a dominated action, byte for byte as recorded under
+    # tests/data; CI compares the installed console script with the same files
+    prob, marg = example_files
+    code, out, _ = run(capsys, "--format", "machine", "solve", str(prob), str(marg))
+    assert code == 0 and out.encode() == (DATA / "solve-yt.json").read_bytes()
+    dominated = str(DATA / "dominated.json")
+    code, out, _ = run(capsys, "--format", "machine", "implement", dominated, "a1")
+    assert code == 3 and out.encode() == (DATA / "implement-dominated.json").read_bytes()
+
+
 def test_farkas_report_checks_against_the_documented_rows(tmp_path, capsys):
     # the README's row order and signs alone, in Fractions, without verify_outcome
     doc = {

@@ -43,7 +43,8 @@ structures (messages and matrix) must be ``==``. The paper's two-sided
 construction, with 2(n - k) messages x_i + w_i and y_i - w_i, is kept as a
 second oracle that must have the same kernel.
 
-``lp.verify_outcome`` computes its sums of products with ``dot``, and
+``lp.verify_outcome`` tests stationarity on integers, one compiled row at a
+time, and computes its other sums of products with ``dot``; and
 ``Subspace.contains_vector`` and ``subspace_contains`` decide membership by
 the pivot count of one integer elimination. Their oracles are the earlier
 loops, which share no code with ``lp``: per-column Fraction sums for
@@ -729,6 +730,58 @@ def test_simplex_matches_fraction_oracle(program):
     assert lp.solve_lp(program) == _fraction_simplex(program)
 
 
+def _dense_program(rng, n):
+    """A dense min program over n variables with rational data, feasible and bounded.
+
+    Every variable is nonnegative or shifted, and the rows hold at a known
+    point: equalities exactly, inequalities with slack, and one row caps the
+    sum of the variables.
+    """
+
+    def entry():
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    point = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+    lower = [rng.choice([F(0), F(0), min(x, F(rng.randint(-2, 0)))]) for x in point]
+    eq = [tuple(entry() for _ in range(n)) for _ in range(4)]
+    ub = [tuple(entry() for _ in range(n)) for _ in range(7)] + [(F(1),) * n]
+    return lp.LinearProgram(
+        objective=tuple(entry() for _ in range(n)),
+        eq_matrix=tuple(eq),
+        eq_rhs=tuple(_dot(row, point) for row in eq),
+        ub_matrix=tuple(ub),
+        ub_rhs=tuple(_dot(row, point) + F(rng.randint(0, 3), 2) for row in ub),
+        lower_bounds=tuple(lower),
+    )
+
+
+def test_simplex_matches_fraction_oracle_on_wide_programs():
+    # the supporting-prior programs of treatment models are sparse and 20-40
+    # columns wide, the shape of the benchmark's tableaux. Every treatment is
+    # implementable, so each pure action's program is also asked for a payoff
+    # 1 below mu's, which no prior meets (payoffs lie in [0, 1]). One dense
+    # program has 24 variables.
+    rng = random.Random("wide-programs")
+    programs = []
+    for seed in range(30):
+        problem = idg.build_treatment_problem(random_treatment_model(seed))
+        if 20 <= problem.n_states <= 40:
+            actions = [idg.MixedAction.pure(a, problem.n_actions) for a in range(problem.n_actions)]
+            for alpha in actions + [random_mixed(rng, problem.n_actions)]:
+                programs.append(solver.supporting_prior_program(problem, alpha))
+            for program in programs[-len(actions) - 1 : -1]:
+                lowered = program.ub_rhs[:-1] + (program.ub_rhs[-1] - 1,)
+                programs.append(replace(program, ub_rhs=lowered))
+    programs.append(_dense_program(rng, 24))
+    statuses = set()
+    for program in programs:
+        outcome = lp.solve_lp(program)
+        assert outcome == _fraction_simplex(program)
+        statuses.add(outcome.status)
+    assert len(programs) >= 20 and statuses == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
+    assert outcome.status is lp.LpStatus.OPTIMAL  # the dense program
+
+
 def _oracle_labels(model):
     cells = tuple(itertools.product(*model.covariate_domains))
     return tuple(
@@ -1225,6 +1278,47 @@ def test_verify_outcome_matches_fraction_oracle(case):
         assert str(info.value) == str(exc)
     else:
         assert lp.verify_outcome(program, tampered) == expected
+
+
+def _verifiers_agree(program, outcome, **changes):
+    tampered = replace(outcome, certificate=replace(outcome.certificate, **changes))
+    expected = _fraction_verify_outcome(program, tampered)
+    assert lp.verify_outcome(program, tampered) == expected
+    return expected
+
+
+def test_verify_outcome_with_every_row_multiplier_zero():
+    # the optimum 0 of min x + 2y over x + y <= 5 is certified by the lower-bound
+    # multipliers alone, so the stationarity sum over the rows is empty
+    program = lp.LinearProgram(objective=(F(1), F(2)), ub_matrix=((F(1), F(1)),), ub_rhs=(F(5),))
+    outcome = lp.solve_lp(program)
+    assert outcome.certificate == lp.DualCertificate((), (F(0),), (F(1), F(2)))
+    assert _verifiers_agree(program, outcome)
+    for lb in [(F(1), F(3)), (F(0), F(2)), (F(1), F(2, 3))]:
+        assert not _verifiers_agree(program, outcome, lb=lb)
+
+
+def test_verify_outcome_on_multipliers_coprime_to_their_rows():
+    # the rows are over 2 and 4 and the multipliers over 45, so the weighted
+    # rows are over 90 and 180 and the stationarity sum is over their lcm 180;
+    # moving one multiplier by 1/180 must break it
+    program = lp.LinearProgram(
+        objective=(F(1, 3), F(1, 5)),
+        eq_matrix=((F(1), F(1, 2)), (F(1, 4), F(1, 2))),
+        eq_rhs=(F(3, 2), F(3, 4)),
+        ub_matrix=((F(1, 2), F(-1, 6)),),
+        ub_rhs=(F(7),),
+    )
+    outcome = lp.solve_lp(program)
+    cert = outcome.certificate
+    assert cert.eq == (F(14, 45), F(4, 45)) and cert.ub == (F(0),)
+    assert _verifiers_agree(program, outcome, eq=cert.eq)
+    for i in range(2):
+        for delta in (F(1, 180), F(-1, 180)):
+            eq = list(cert.eq)
+            eq[i] += delta
+            assert not _verifiers_agree(program, outcome, eq=tuple(eq))
+    assert not _verifiers_agree(program, outcome, ub=(F(-1, 180),))
 
 
 def _fraction_mixed_utility(problem, alpha):

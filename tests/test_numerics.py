@@ -141,18 +141,34 @@ def test_a_hand_built_subspace_equals_the_reduced_one():
 
 @given(st.data())
 def test_integer_pivot_matches_fraction_step(data):
-    # the one row operation of rref, rank, nullspace and the simplex tableau
-    cols = data.draw(st.integers(1, 7))
+    # the one row operation of rref, rank, nullspace and the simplex tableau,
+    # on narrow dense rows and on wide rows that are mostly zero, the shape of
+    # a supporting-prior tableau (up to 45 columns, about 10 nonzeros a row)
+    cols = data.draw(st.integers(1, 45))
     entry = st.one_of(st.integers(-6, 6), st.integers(-(10**15), 10**15))
-    rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    dense = st.lists(entry, min_size=cols, max_size=cols)
+    sparse = st.dictionaries(st.integers(0, cols - 1), entry, max_size=10).map(
+        lambda at: [at.get(j, 0) for j in range(cols)]
+    )
+    row = dense if cols <= 7 else st.one_of(dense, sparse)
+    rows = data.draw(st.lists(row, min_size=1, max_size=6))
     r = data.draw(st.integers(0, len(rows) - 1))
     c = data.draw(st.integers(0, cols - 1))
     if not rows[r][c]:
-        rows[r][c] = data.draw(st.sampled_from((1, -1, 2, -3, 10**15 + 37)))
+        rows[r][c] = data.draw(st.sampled_from((1, -1, 2, -3, 6, -12, 10**15 + 37)))
     g = gcd(*rows[r])
     rows[r] = [x // g for x in rows[r]]  # rows are kept with gcd 1, the pivot row included
-    work = [list(row) for row in rows]
+    # entries f in the pivot column that share a factor with the head h, or that
+    # h divides, so that h / gcd(h, f) is 1
+    h = abs(rows[r][c])
+    for i in range(len(rows)):
+        if i != r and data.draw(st.booleans()):
+            factor = data.draw(st.sampled_from((h, gcd(h, 6), gcd(h, 10))))
+            rows[i][c] = factor * data.draw(st.sampled_from((1, -1, 2, -5, 7)))
+    before = [list(row) for row in rows]
+    work = list(rows)  # the row lists themselves: the pivot must not write into them
     _clear_column(work, r, c)
+    assert rows == before
     expected = fraction_pivot_step(rows, r, c)
     assert work[r][c] > 0 and work[r] in (rows[r], [-x for x in rows[r]])
     for i, (row, got, want) in enumerate(zip(rows, work, expected)):
@@ -161,6 +177,7 @@ def test_integer_pivot_matches_fraction_step(data):
         if not row[c]:
             assert got == row
             continue
+        assert got is not row
         assert got[c] == 0 and gcd(*got) in (0, 1)
         # a positive multiple of the Fraction step: one positive ratio t over every entry
         lead = next((j for j, x in enumerate(want) if x), None)
