@@ -21,10 +21,16 @@ denominator is positive, a stored entry has the sign of the value it stands
 for, and the ratio rhs/t of a row is ``row[-1] / row[enter]`` (the row's
 denominator cancels), compared by cross-multiplying. Bland's rule thus sees
 the same signs and the same ratios as over a Fraction tableau, makes the
-same choices, and returns the same outcomes and certificates. Each
-standard-form row is built directly as integers over the least common
-denominator of its nonzero entries and rhs. Fractions are built only for the
-returned point, value and certificate.
+same choices, and returns the same outcomes and certificates. Fractions
+are built only for the returned point, value and certificate.
+
+A program's rows are read through one integer view, ``LinearProgram._rows``:
+the eq rows, then the ub rows, each a ``numerics.SparseRow``, computed with
+``sparse_row`` on first read and cached, unless the builder handed the same
+rows over already compiled (as ``model`` does for the programs it builds
+from a problem's compiled rows). Each standard-form row is built from it as
+integers over the lcm of its row denominator and its rhs's, and phase 1's
+priced cost row is one integer sum of those rows.
 
 Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
 artificials out, returning the feasible tableau (or a Farkas certificate);
@@ -47,14 +53,15 @@ free variables):
   A_eq r = 0, A_ub r <= 0, r >= 0 on bounded variables, and an objective
   that strictly improves along r.
 
-``verify_outcome`` checks these against the raw program data. Optima and
-refutations share one dual test, and an optimum's point, a ray's base point
-and its direction share one point test (``_point_feasible``, which reads
-every rhs and bound as 0 for the direction). The dual test's stationarity
-(``_stationary``) runs on integers row by row: each row with a nonzero
-multiplier is compiled with ``numerics.sparse_row``, the weighted rows are
-summed over one lcm, and each column is compared with target - s by
-cross-multiplying. Its other sums, and the point test's, go through ``dot``.
+``verify_outcome`` checks these against the program's data, its rows read
+through the same view. Optima and refutations share one dual test, and an
+optimum's point, a ray's base point and its direction share one point test
+(``_point_feasible``, which reads every rhs and bound as 0 for the
+direction, and tests each row with ``numerics.sparse_dot``, compared by
+cross-multiplying). The dual test's stationarity (``_stationary``) sums the
+rows with a nonzero multiplier, weighted, as integers over one lcm, and
+compares each column with target - s by cross-multiplying. Its other sums
+go through ``dot``.
 """
 
 from __future__ import annotations
@@ -62,13 +69,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
-from math import lcm
-from operator import gt, lt
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import gt, lt, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
-from .numerics import Vector, _clear_column, _combine, _nonzero, dot, sparse_row
+from .numerics import (
+    SparseRow,
+    Vector,
+    _clear_column,
+    _combine,
+    _nonzero,
+    dot,
+    sparse_dot,
+    sparse_row,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -103,8 +120,18 @@ class ImprovingRay:
 Certificate = Union[DualCertificate, FarkasCertificate, ImprovingRay]
 
 
+_EXACT_TYPES = {int, Fraction}
+
+
 def _require_exact(*parts: Iterable) -> None:
-    """Raise TypeError on an entry of the parts that is not an int or a Fraction."""
+    """Raise TypeError on an entry of the parts that is not an int or a Fraction.
+
+    Parts holding only ints and Fractions pass in one pass over their types;
+    any other type (a bool, a subclass, a float) runs the isinstance loop,
+    which accepts bools and subclasses and names the first bad entry.
+    """
+    if set(map(type, chain(*parts))) <= _EXACT_TYPES:
+        return
     for v in chain(*parts):
         if not isinstance(v, (int, Fraction)):
             raise TypeError(f"not an exact number: {v!r} (int or Fraction required)")
@@ -148,6 +175,16 @@ class LinearProgram:
             return (F0,) * self.n_vars
         return self.lower_bounds
 
+    @cached_property
+    def _rows(self) -> tuple[SparseRow, ...]:
+        """The eq rows, then the ub rows, each compiled with ``sparse_row``; nothing may change it.
+
+        Computed on first read, unless the builder handed over the same rows
+        compiled. Not a field: == and repr ignore it, and ``replace`` computes
+        it afresh. Every part of the solver and its checker reads rows here.
+        """
+        return tuple([sparse_row(row) for row in self.eq_matrix + self.ub_matrix])
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -160,11 +197,13 @@ class LpOutcome:
 class _Standard:
     """Standard form rows z = rhs (rhs >= 0), z >= 0, held as integer rows.
 
-    Each row is built directly as integers over the least common denominator
-    of its nonzero entries and its rhs, with its slack (for a <= row) and its
-    artificial column: [structural | artificial identity | 0 | rhs]. The
-    objective is not read; ``cost_row`` lays one out over the same columns,
-    with its denominator in the column that every constraint row leaves 0.
+    Each row is built from the program's compiled row (``_rows``) as integers
+    over the lcm of its denominator and its rhs's, with its slack (for a <=
+    row) and its artificial column: [structural | artificial identity | 0 |
+    rhs]. The rhs is shifted by the lower bounds only where one is nonzero.
+    The objective is not read; ``cost_row`` lays one out over the same
+    columns, with its denominator in the column that every constraint row
+    leaves 0.
     """
 
     def __init__(self, program: LinearProgram) -> None:
@@ -180,23 +219,24 @@ class _Standard:
         self.var_cols = var_cols
         self.n_base = n_base
         n_eq = self.n_eq = len(program.eq_matrix)
-        lhs = program.eq_matrix + program.ub_matrix
+        compiled = program._rows
         n_struct = self.n_struct = n_base + len(program.ub_matrix)
-        self.width = n_struct + len(lhs) + 2
+        self.width = n_struct + len(compiled) + 2
+        # the lower bounds as a vector, None read as 0, if any is nonzero
+        lows = tuple([lb or F0 for lb in bounds]) if any(bounds) else None
 
         # Equality rows first, then <= rows with their slacks; a row whose
         # shifted rhs is negative is negated (sign -1 in signs).
         self.rows: list[list[int]] = []
         self.signs: list[int] = []
-        for i, (coeffs, b) in enumerate(zip(lhs, (*program.eq_rhs, *program.ub_rhs))):
-            nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
-            r = b
-            for j, a in nonzero:
-                if bounds[j]:
-                    r -= a * bounds[j]
+        for i, (coeffs, r) in enumerate(zip(compiled, chain(program.eq_rhs, program.ub_rhs))):
+            if lows is not None:
+                shift, shift_den = sparse_dot(coeffs, lows)
+                if shift:
+                    r -= Fraction(shift, shift_den)
             sign = -1 if r < 0 else 1
-            den = lcm(r.denominator, *[a.denominator for _, a in nonzero])
-            row = self._place(nonzero, sign, den)
+            den = lcm(r.denominator, coeffs.denominator)
+            row = self._place(coeffs.indices, coeffs.numerators, sign * (den // coeffs.denominator))
             if i >= n_eq:
                 row[n_base + i - n_eq] = sign * den
             row[n_struct + i] = den
@@ -204,14 +244,15 @@ class _Standard:
             self.rows.append(row)
             self.signs.append(sign)
 
-    def _place(self, nonzero: list[tuple[int, Fraction]], sign: int, den: int) -> list[int]:
-        """A zero row of the tableau's width with sign * a * den at each variable's column(s)."""
+    def _place(self, indices: Sequence[int], numerators: Sequence[int], scale: int) -> list[int]:
+        """A zero row of the tableau's width, scale * numerators[i] at variable indices[i]'s columns."""
         row = [0] * self.width
-        for j, a in nonzero:
-            x = sign * a.numerator * (den // a.denominator)
-            col = self.var_cols[j]
+        var_cols, bounds = self.var_cols, self.bounds
+        for j, a in zip(indices, numerators):
+            x = scale * a
+            col = var_cols[j]
             row[col] = x
-            if self.bounds[j] is None:
+            if bounds[j] is None:
                 row[col + 1] = -x
         return row
 
@@ -219,7 +260,11 @@ class _Standard:
         """The objective to minimize (negated for max) as one integer row over its lcm."""
         nonzero = [(j, c) for j, c in enumerate(objective) if c]
         den = lcm(*[c.denominator for _, c in nonzero])
-        row = self._place(nonzero, -1 if sense == "max" else 1, den)
+        row = self._place(
+            [j for j, _ in nonzero],
+            [c.numerator * (den // c.denominator) for _, c in nonzero],
+            -1 if sense == "max" else 1,
+        )
         row[-2] = den
         return row
 
@@ -242,6 +287,28 @@ def _price(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int
         if cost[c]:
             cost = _combine(cost, cost[c], _nonzero(row), row[c])
     return cost
+
+
+def _artificial_cost(std: _Standard) -> list[int]:
+    """Phase 1's priced cost row: the sum of the artificials, every artificial column eliminated.
+
+    Row i has its artificial's entry h_i in column n_struct + i, so over
+    L = lcm(h_i) the row is -sum_i rows[i] * (L / h_i), with 0 in each
+    artificial column and L in the denominator column, divided by its gcd.
+    ``_price`` would fold the rows in one at a time to the same primitive row.
+    """
+    rows, n_struct = std.rows, std.n_struct
+    m = len(rows)
+    heads = [row[n_struct + i] for i, row in enumerate(rows)]
+    den = lcm(*heads)
+    if rows:
+        scales = [den // h for h in heads]
+        cost = [-sum(map(mul, scales, column)) for column in zip(*rows)]
+    else:
+        cost = [0] * std.width
+    cost[n_struct:-1] = [0] * m + [den]
+    g = gcd(*cost)
+    return [x // g for x in cost] if g > 1 else cost
 
 
 def _run(rows: list[list[int]], basis: list[int], n_allowed: int):
@@ -293,9 +360,7 @@ def _phase_one(program: LinearProgram) -> Union[_Feasible, FarkasCertificate]:
     basis = [n_struct + i for i in range(m)]
 
     # Minimize the sum of artificials, priced out from the start.
-    cost = [0] * std.width
-    cost[n_struct:-1] = [1] * (m + 1)  # each artificial, then the denominator 1
-    rows.append(_price(cost, rows, basis))
+    rows.append(_artificial_cost(std))
 
     status, _ = _run(rows, basis, n_struct)
     if status != "optimal":
@@ -382,38 +447,47 @@ def _row_duals(std: _Standard, z: list[int], unit: int) -> tuple[Vector, Vector,
 def _point_feasible(
     program: LinearProgram, point: Sequence[Fraction], homogeneous: bool = False
 ) -> bool:
-    """Whether point meets every row and lower bound; homogeneous reads each rhs and bound as 0."""
+    """Whether point meets every row and lower bound; homogeneous reads each rhs and bound as 0.
+
+    Each row is the program's compiled row, multiplied with ``sparse_dot`` and
+    compared with its rhs by cross-multiplying.
+    """
     if len(point) != program.n_vars:
         return False
-    eq_rhs, ub_rhs, bounds = program.eq_rhs, program.ub_rhs, program.bounds()
+    bounds = program.bounds()
     if homogeneous:
-        eq_rhs = ub_rhs = repeat(F0)
         bounds = [None if lb is None else F0 for lb in bounds]
     if any(lb is not None and x < lb for lb, x in zip(bounds, point)):
         return False
-    return all(dot(row, point) == b for row, b in zip(program.eq_matrix, eq_rhs)) and all(
-        dot(row, point) <= b for row, b in zip(program.ub_matrix, ub_rhs)
-    )
+    n_eq = len(program.eq_matrix)
+    for i, (row, b) in enumerate(zip(program._rows, chain(program.eq_rhs, program.ub_rhs))):
+        num, den = sparse_dot(row, point)
+        if homogeneous:
+            lhs, rhs = num, 0
+        else:
+            lhs, rhs = num * b.denominator, b.numerator * den
+        if (lhs != rhs) if i < n_eq else (lhs > rhs):
+            return False
+    return True
 
 
 def _stationary(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[SparseRow],
     multipliers: Sequence[Fraction],
     s: Sequence[Fraction],
     target: Sequence[Fraction],
 ) -> bool:
     """Whether sum_i multipliers[i] * rows[i] + s == target, computed on integers.
 
-    Each row with a nonzero multiplier y is compiled with ``sparse_row`` and
-    weighted by y; the weighted rows are summed as integers over one common
-    denominator, the lcm of each y's denominator times its row's, and each
-    column's sum is compared with target - s by cross-multiplying. Every
-    entry must be exact, as ``verify_outcome`` has checked.
+    Each compiled row with a nonzero multiplier y is weighted by y; the
+    weighted rows are summed as integers over one common denominator, the
+    lcm of each y's denominator times its row's, and each column's sum is
+    compared with target - s by cross-multiplying. Every entry must be
+    exact, as ``verify_outcome`` has checked.
     """
     terms = []
-    for y, row in zip(multipliers, rows):
+    for y, compiled in zip(multipliers, rows):
         if y:
-            compiled = sparse_row(row)
             terms.append((y.numerator, y.denominator * compiled.denominator, compiled))
     den = lcm(*[d for _, d, _ in terms])
     sums = [0] * len(target)
@@ -434,9 +508,10 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
 
     Every entry that the status's test reads (the multipliers, the point,
     the value, the ray) must be an int or a Fraction; any other raises
-    TypeError before any test runs. Stationarity is tested on integers, one
-    compiled row per nonzero multiplier (``_stationary``); the sign,
-    free-variable, point and bound tests read Fractions.
+    TypeError before any test runs. The point and stationarity tests read
+    the program's compiled rows (``_rows``) and compare integers by
+    cross-multiplying; the sign, free-variable, objective and bound tests
+    read Fractions.
     """
     cert = outcome.certificate
     if outcome.status is LpStatus.UNBOUNDED:
@@ -479,8 +554,7 @@ def verify_outcome(program: LinearProgram, outcome: LpOutcome) -> bool:
         return False
     if len(cert.lb) != n:
         return False
-    rows = program.eq_matrix + program.ub_matrix
-    if not _stationary(rows, (*cert.eq, *cert.ub), cert.lb, target):
+    if not _stationary(program._rows, (*cert.eq, *cert.ub), cert.lb, target):
         return False
     bounds = program.bounds()
     if any(s for s, lb in zip(cert.lb, bounds) if lb is None):

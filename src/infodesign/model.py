@@ -15,6 +15,14 @@ Each action's payoff at mu is compiled once per problem and read whenever
 mu itself is passed. An experiment's columns are checked on its matrix's
 integer view (``Matrix._integer_entries``), the one that ``nullspace`` later
 eliminates, so each experiment is converted to integers once.
+
+The linear programs built here hand their rows over to ``lp`` already
+compiled (``LinearProgram._rows``), so the simplex and its checker compile
+none of them: ``PriorPolytope.feasibility_program`` hands over the prior
+set's rows, and an identified set's phase 1 and ``maxmin``'s program
+(``IdentifiedSet._maxmin_program``) hand over the prior set's rows, the
+experiment's rows read off its integer view, and each action's utility row
+with the t column appended.
 """
 
 from __future__ import annotations
@@ -131,9 +139,13 @@ class PriorPolytope:
     def feasibility_program(
         self, ub_matrix: tuple[Vector, ...] = (), ub_rhs: Vector = ()
     ) -> lp.LinearProgram:
-        """A zero-objective program: sum to one, the equalities, the set's <= rows, then these."""
+        """A zero-objective program: sum to one, the equalities, the set's <= rows, then these.
+
+        The set's rows are handed over compiled; the sum-to-one row and the
+        added rows are compiled here.
+        """
         n = self.dimension
-        return lp.LinearProgram(
+        program = lp.LinearProgram(
             objective=(F0,) * n,
             sense="min",
             eq_matrix=((F1,) * n,) + self.eq_matrix,
@@ -141,6 +153,11 @@ class PriorPolytope:
             ub_matrix=self.ub_matrix + ub_matrix,
             ub_rhs=self.ub_rhs + ub_rhs,
         )
+        eq_rows, ub_rows = self._sparse_rows
+        added = tuple([sparse_row(row) for row in ub_matrix])
+        ones = SparseRow(tuple(range(n)), (1,) * n, 1)
+        program.__dict__["_rows"] = (ones,) + eq_rows + ub_rows + added
+        return program
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
@@ -442,6 +459,54 @@ class IdentifiedSet:
     def inequality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
         return self.base.ub_matrix, self.base.ub_rhs
 
+    @cached_property
+    def _compiled_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
+        """``equality_rows()`` and ``inequality_rows()`` compiled, as ``sparse_row`` would.
+
+        The prior set's rows are its ``_sparse_rows``. A pinning row is the
+        experiment's integer view over den, divided by the gcd of den and its
+        entries: x / den over that gcd is the lcm of its entries' denominators.
+        """
+        den, rows = self.experiment._integer_entries
+        pinning = []
+        for row in rows:
+            g = gcd(den, *row)
+            indices = tuple([j for j, x in enumerate(row) if x])
+            pinning.append(SparseRow(indices, tuple([row[j] // g for j in indices]), den // g))
+        eq_rows, ub_rows = self.base._sparse_rows
+        return eq_rows + tuple(pinning), ub_rows
+
+    def _maxmin_program(self, problem: DecisionProblem) -> lp.LinearProgram:
+        """min t over (nu, t), nu in the set and u_a . nu <= t for every action a of problem.
+
+        Rows: the set's equalities, then one row u_a - t per action, then the
+        set's inequalities, with t a free last variable. They are handed over
+        compiled: the set's own, and each action's ``_utility_rows`` entry with
+        the t column appended.
+        """
+        n = self.base.dimension
+        eq, eq_rhs = self.equality_rows()
+        ub, ub_rhs = self.inequality_rows()
+        program = lp.LinearProgram(
+            objective=(F0,) * n + (F1,),
+            sense="min",
+            eq_matrix=tuple([row + (F0,) for row in eq]),
+            eq_rhs=eq_rhs,
+            ub_matrix=tuple([row + (-F1,) for row in problem.utility.entries])
+            + tuple([row + (F0,) for row in ub]),
+            ub_rhs=(F0,) * problem.n_actions + ub_rhs,
+            lower_bounds=(F0,) * n + (None,),
+        )
+        eq_rows, ub_rows = self._compiled_rows
+        actions = tuple(
+            [
+                SparseRow(row.indices + (n,), row.numerators + (-row.denominator,), row.denominator)
+                for row in problem._utility_rows
+            ]
+        )
+        program.__dict__["_rows"] = eq_rows + actions + ub_rows
+        return program
+
     def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
         """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only.
 
@@ -469,6 +534,8 @@ class IdentifiedSet:
             ub_matrix=ub,
             ub_rhs=ub_rhs,
         )
+        eq_rows, ub_rows = self._compiled_rows
+        program.__dict__["_rows"] = eq_rows + ub_rows
         return lp._phase_one(program)
 
 

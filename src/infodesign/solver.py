@@ -89,34 +89,21 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
       inside the segment, or, at a kink, the flat mix of the steepest rising
       and falling active actions.
     * k >= 2: one linear program, min t over nu in the identified set
-      subject to u_a . nu <= t for every action a. nu* is its optimal point
-      and alpha* the negated duals of the action rows; ``lp.solve_lp`` has
-      verified both.
+      subject to u_a . nu <= t for every action a, which the set builds from
+      its compiled rows (``IdentifiedSet._maxmin_program``). nu* is its
+      optimal point and alpha* the negated duals of the action rows;
+      ``lp.solve_lp`` has verified both.
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:
         weights, nu, value = _segment_saddle(problem, iset.kernel, problem.pure_payoffs)
         return SaddleCertificate(MixedAction(weights), nu, value)
 
-    n_actions = problem.n_actions
-    rows = tuple(problem.utility_row(a) for a in range(n_actions))
-    n = problem.n_states
-    eq, eq_rhs = iset.equality_rows()
-    ub, ub_rhs = iset.inequality_rows()
-    program = lp.LinearProgram(
-        objective=(F0,) * n + (F1,),
-        sense="min",
-        eq_matrix=tuple(row + (F0,) for row in eq),
-        eq_rhs=eq_rhs,
-        ub_matrix=tuple(row + (-F1,) for row in rows) + tuple(row + (F0,) for row in ub),
-        ub_rhs=(F0,) * n_actions + ub_rhs,
-        lower_bounds=(F0,) * n + (None,),
-    )
-    out = lp.solve_lp(program)
+    out = lp.solve_lp(iset._maxmin_program(problem))
     if out.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError("maxmin program must have an optimum")
-    alpha_star = MixedAction(tuple(-w for w in out.certificate.ub[:n_actions]))
-    return SaddleCertificate(alpha_star, out.optimal_point[:n], out.optimal_value)
+    alpha_star = MixedAction(tuple(-w for w in out.certificate.ub[: problem.n_actions]))
+    return SaddleCertificate(alpha_star, out.optimal_point[: problem.n_states], out.optimal_value)
 
 
 def _segment_saddle(

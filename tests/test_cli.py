@@ -368,12 +368,17 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_certificates_match_the_recorded_outputs(example_files, capsys):
-    # solve on the Y,T marginal (k >= 2: the maxmin program and the worst cases)
-    # and the refutation of a dominated action, byte for byte as recorded under
+    # solve on the Y,T marginal (k >= 2: the maxmin program and the worst cases),
+    # solve on a generic problem with prior inequalities, and the refutation of a dominated action, byte for byte as recorded under
     # tests/data; CI compares the installed console script with the same files
     prob, marg = example_files
     code, out, _ = run(capsys, "--format", "machine", "solve", str(prob), str(marg))
     assert code == 0 and out.encode() == (DATA / "solve-yt.json").read_bytes()
+    # a generic k >= 2 solve over a prior set with inequality rows, so the
+    # maxmin program carries slack columns and a nonzero inequality dual
+    generic = [str(DATA / name) for name in ("generic-ub.json", "generic-ub-structure.json")]
+    code, out, _ = run(capsys, "--format", "machine", "solve", *generic)
+    assert code == 0 and out.encode() == (DATA / "solve-generic-ub.json").read_bytes()
     dominated = str(DATA / "dominated.json")
     code, out, _ = run(capsys, "--format", "machine", "implement", dominated, "a1")
     assert code == 3 and out.encode() == (DATA / "implement-dominated.json").read_bytes()

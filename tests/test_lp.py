@@ -310,3 +310,83 @@ def test_float_data_rejected(fields):
     # a float would make the exact outcome and its verification inexact
     with pytest.raises(TypeError, match="int or Fraction"):
         lp.LinearProgram(**fields)
+
+
+def _wide_program(n: int = 30) -> dict:
+    """The fields of a 30-variable program with 12 rows, every entry a Fraction."""
+    r = random.Random("wide")
+
+    def entries(count):
+        return tuple(F(r.randint(-4, 4), r.randint(1, 6)) for _ in range(count))
+
+    return dict(
+        objective=entries(n),
+        eq_matrix=tuple(entries(n) for _ in range(6)),
+        eq_rhs=entries(6),
+        ub_matrix=tuple(entries(n) for _ in range(6)),
+        ub_rhs=entries(6),
+        lower_bounds=(F(0),) * (n - 1) + (F(-1, 2),),
+    )
+
+
+def _last_set(values: tuple, bad) -> tuple:
+    return values[:-1] + (bad,)
+
+
+@pytest.mark.parametrize(
+    "field", ["objective", "eq_matrix", "eq_rhs", "ub_matrix", "ub_rhs", "lower_bounds"]
+)
+def test_a_float_after_many_fractions_is_named(field):
+    # the one-pass type test must not hide which entry is bad
+    fields = _wide_program()
+    if field.endswith("matrix"):
+        fields[field] = _last_set(fields[field], _last_set(fields[field][-1], 0.5))
+    else:
+        fields[field] = _last_set(fields[field], 0.5)
+    with pytest.raises(TypeError, match=r"^not an exact number: 0\.5 \(int or Fraction required\)$"):
+        lp.LinearProgram(**fields)
+
+
+@pytest.mark.parametrize("part", ["eq", "ub", "lb"])
+def test_a_float_after_many_fractions_in_a_certificate_is_named(part):
+    n = 30
+    program = lp.LinearProgram(
+        objective=tuple(F(j + 1, 3) for j in range(n)),
+        eq_matrix=((F(1),) * n,),
+        eq_rhs=(F(1),),
+        ub_matrix=tuple(tuple(F(i == j, 2) for j in range(n)) for i in range(n)),
+        ub_rhs=(F(1),) * n,
+    )
+    outcome = lp.solve_lp(program)
+    assert outcome.status is lp.LpStatus.OPTIMAL
+    cert = outcome.certificate
+    bad = replace(cert, **{part: _last_set(getattr(cert, part), 0.5)})
+    with pytest.raises(TypeError, match=r"^not an exact number: 0\.5 \(int or Fraction required\)$"):
+        lp.verify_outcome(program, replace(outcome, certificate=bad))
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+def test_bools_and_subclasses_of_int_and_fraction_are_exact():
+    plain = lp.LinearProgram(
+        objective=(F(1), F(2), F(1, 2)),
+        eq_matrix=((F(1), F(1), F(1)),),
+        eq_rhs=(F(1),),
+        ub_matrix=((F(1), F(0), F(-1, 3)),),
+        ub_rhs=(F(1, 2),),
+    )
+    odd = lp.LinearProgram(
+        objective=(True, _Int(2), _Fraction(1, 2)),
+        eq_matrix=((True, _Int(1), _Fraction(1)),),
+        eq_rhs=(_Int(1),),
+        ub_matrix=((_Fraction(1), False, _Fraction(-1, 3)),),
+        ub_rhs=(_Fraction(1, 2),),
+        lower_bounds=(False, _Int(0), _Fraction(0)),
+    )
+    assert lp.solve_lp(odd) == lp.solve_lp(plain)

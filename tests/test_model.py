@@ -10,11 +10,12 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import infodesign as idg
-from infodesign import lp
+from infodesign import documents, lp, solver
 from infodesign.model import PayoffPartition
-from infodesign.numerics import _integer_difference
+from infodesign.numerics import _integer_difference, sparse_row
 
 from support import (
     fraction_spans,
@@ -368,6 +369,7 @@ def test_the_integer_difference_is_exact_and_refuses_floats(example_problem):
 
 # each exact format is read only by the modules that own it
 FORMAT_OWNERS = {
+    "_rows": ("lp.py", "model.py"),
     "_sparse_rows": ("model.py",),
     "_utility_rows": ("model.py",),
     "_mu_payoffs": ("model.py",),
@@ -419,3 +421,97 @@ def test_the_library_imports_only_the_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {module}"
+
+
+def _wide_identified_set(seed: int, treatment: bool):
+    """A problem and a structure of kernel dimension >= 2, seeded.
+
+    Either a random treatment model's one-variable marginal (equality prior
+    rows only) or a paired generic problem, prior inequalities included, seen
+    through a random three-message experiment: the first row's entries are
+    halves and the second's thirds, so each row's integer view over the
+    matrix's denominator 6 has a common factor with it.
+    """
+    r = random.Random(f"handover-{seed}")
+    if treatment:
+        model = random_treatment_model(f"handover-{seed}")
+        problem = idg.build_treatment_problem(model)
+        structure = idg.marginal_structure(model, [r.choice(["Y", "T"])])
+    else:
+        problem, _ = paired_problem(f"handover-{seed}")
+        halves = [F(r.randint(0, 1), 2) for _ in range(problem.n_states)]
+        thirds = [F(r.randint(0, 1), 3) for _ in range(problem.n_states)]
+        rest = [1 - a - b for a, b in zip(halves, thirds)]
+        matrix = idg.Matrix(3, problem.n_states, (tuple(halves), tuple(thirds), tuple(rest)))
+        structure = idg.InformationStructure(("m0", "m1", "m2"), matrix)
+    assume(idg.kernel_of(structure).dim >= 2)
+    return problem, structure, r
+
+
+def _built_programs(problem, structure, r) -> list:
+    """Every program the set's builders make: maxmin's, the set's phase 1, the prior set's."""
+    iset = replace(idg.identified_set(problem, structure))  # nothing cached on it yet
+    phase_one = []
+    run = lp._phase_one
+
+    def spy(program):
+        phase_one.append(program)
+        return run(program)
+
+    lp._phase_one = spy
+    try:
+        iset._phase_one
+    finally:
+        lp._phase_one = run
+    alpha = idg.MixedAction.pure(r.randrange(problem.n_actions), problem.n_actions)
+    return [
+        iset._maxmin_program(problem),
+        *phase_one,
+        problem.priors.feasibility_program(),
+        solver.supporting_prior_program(problem, alpha),
+    ]
+
+
+@given(st.integers(0, 2**32), st.booleans())
+def test_builders_hand_over_the_rows_sparse_row_compiles(seed, treatment):
+    problem, structure, r = _wide_identified_set(seed, treatment)
+    programs = _built_programs(problem, structure, r)
+    assert len(programs) == 4
+    for program in programs:
+        assert "_rows" in program.__dict__  # handed over, not computed on a read
+        rows = program.eq_matrix + program.ub_matrix
+        assert program._rows == tuple(sparse_row(row) for row in rows)
+        # replace builds the program again, and its view is computed afresh
+        assert lp.solve_lp(replace(program)) == lp.solve_lp(program)
+
+
+def _generic_ub():
+    data = Path(__file__).parent / "data"
+    loaded = documents.parse_problem_document(documents.load_json(str(data / "generic-ub.json")))
+    structure_doc = documents.load_json(str(data / "generic-ub-structure.json"))
+    return loaded.problem, documents.parse_structure_document(structure_doc, loaded)
+
+
+@pytest.mark.parametrize("case", ["example", "generic-ub"])
+def test_solving_the_maxmin_program_compiles_none_of_its_rows(
+    case, example_problem, example_marginal_yt, monkeypatch
+):
+    # the set hands its compiled rows over, so neither the standard form nor
+    # the checker compiles a row; a program built afresh compiles each once
+    problem, structure = (
+        (example_problem, example_marginal_yt) if case == "example" else _generic_ub()
+    )
+    program = idg.identified_set(problem, structure)._maxmin_program(problem)
+    assert case == "example" or program.ub_matrix[problem.n_actions:]
+    compiled = []
+    real = lp.sparse_row
+
+    def counted(row):
+        compiled.append(row)
+        return real(row)
+
+    monkeypatch.setattr(lp, "sparse_row", counted)
+    outcome = lp.solve_lp(program)
+    assert compiled == []
+    assert lp.solve_lp(replace(program)) == outcome
+    assert len(compiled) == len(program.eq_matrix) + len(program.ub_matrix)
