@@ -27,10 +27,14 @@ are built only for the returned point, value and certificate.
 A program's rows are read through one integer view, ``LinearProgram._rows``:
 the eq rows, then the ub rows, each a ``numerics.SparseRow``, computed with
 ``sparse_row`` on first read and cached, unless the builder handed the same
-rows over already compiled (as ``model`` does for the programs it builds
-from a problem's compiled rows). Each standard-form row is built from it as
-integers over the lcm of its row denominator and its rhs's, and phase 1's
-priced cost row is one integer sum of those rows.
+rows over already compiled (``_with_rows``, as ``model`` does for the
+programs it builds from a problem's compiled rows). The checker then reads
+the builder's rows, not its own compilation of the Fraction rows: it checks
+an outcome against the view, and the builder vouches that the view is the
+program. Each standard-form row is built from the view as integers over the
+lcm of its row denominator and its rhs's. A cost row is priced (``_price``)
+as one integer sum of the rows whose basic columns it holds, over the lcm
+of their heads.
 
 Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
 artificials out, returning the feasible tableau (or a Farkas certificate);
@@ -72,7 +76,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import gt, lt, mul
+from operator import gt, lt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -80,8 +84,6 @@ from .numerics import (
     SparseRow,
     Vector,
     _clear_column,
-    _combine,
-    _nonzero,
     dot,
     sparse_dot,
     sparse_row,
@@ -180,10 +182,28 @@ class LinearProgram:
         """The eq rows, then the ub rows, each compiled with ``sparse_row``; nothing may change it.
 
         Computed on first read, unless the builder handed over the same rows
-        compiled. Not a field: == and repr ignore it, and ``replace`` computes
-        it afresh. Every part of the solver and its checker reads rows here.
+        compiled (``_with_rows``). Not a field: == and repr ignore it, and
+        ``replace`` computes it afresh. Every part of the solver and its
+        checker reads rows here.
         """
         return tuple([sparse_row(row) for row in self.eq_matrix + self.ub_matrix])
+
+
+def _with_rows(program: LinearProgram, rows: tuple[SparseRow, ...]) -> LinearProgram:
+    """The program, its ``_rows`` view handed over: its eq rows, then its ub rows, compiled.
+
+    For a builder that already holds those rows compiled. The simplex and its
+    checker both read this view, so a view that disagreed with the Fraction
+    rows would mislead both alike: the builder vouches for every entry. Only
+    the count is checked here; each read pairs the view with the rhs strictly.
+    """
+    if len(rows) != len(program.eq_matrix) + len(program.ub_matrix):
+        raise DimensionMismatch(
+            f"{len(rows)} compiled rows handed over for "
+            f"{len(program.eq_matrix) + len(program.ub_matrix)} constraint rows"
+        )
+    program.__dict__["_rows"] = rows
+    return program
 
 
 @dataclass(frozen=True)
@@ -229,7 +249,8 @@ class _Standard:
         # shifted rhs is negative is negated (sign -1 in signs).
         self.rows: list[list[int]] = []
         self.signs: list[int] = []
-        for i, (coeffs, r) in enumerate(zip(compiled, chain(program.eq_rhs, program.ub_rhs))):
+        rhs = chain(program.eq_rhs, program.ub_rhs)
+        for i, (coeffs, r) in enumerate(zip(compiled, rhs, strict=True)):
             if lows is not None:
                 shift, shift_den = sparse_dot(coeffs, lows)
                 if shift:
@@ -282,33 +303,27 @@ class _Standard:
 
 
 def _price(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
-    """The cost row with every basic column eliminated: the reduced costs."""
-    for row, c in zip(rows, basis):
-        if cost[c]:
-            cost = _combine(cost, cost[c], _nonzero(row), row[c])
-    return cost
+    """The cost row with every basic column eliminated: the reduced costs.
 
-
-def _artificial_cost(std: _Standard) -> list[int]:
-    """Phase 1's priced cost row: the sum of the artificials, every artificial column eliminated.
-
-    Row i has its artificial's entry h_i in column n_struct + i, so over
-    L = lcm(h_i) the row is -sum_i rows[i] * (L / h_i), with 0 in each
-    artificial column and L in the denominator column, divided by its gcd.
-    ``_price`` would fold the rows in one at a time to the same primitive row.
+    Row i stands for row_i / h_i, h_i = row_i[basis[i]] > 0, and every other
+    row holds 0 in its basic column. So over L = lcm of the h_i whose basic
+    column the cost row prices, the reduced costs are the one integer sum
+    L * cost - sum_i cost[basis[i]] * (L / h_i) * row_i, added in at each
+    row's nonzero entries and divided by its gcd: the one primitive row with
+    a positive denominator, whatever order the rows are taken in.
     """
-    rows, n_struct = std.rows, std.n_struct
-    m = len(rows)
-    heads = [row[n_struct + i] for i, row in enumerate(rows)]
-    den = lcm(*heads)
-    if rows:
-        scales = [den // h for h in heads]
-        cost = [-sum(map(mul, scales, column)) for column in zip(*rows)]
-    else:
-        cost = [0] * std.width
-    cost[n_struct:-1] = [0] * m + [den]
-    g = gcd(*cost)
-    return [x // g for x in cost] if g > 1 else cost
+    terms = [(row, cost[c], row[c]) for row, c in zip(rows, basis) if cost[c]]
+    if not terms:
+        return cost
+    den = lcm(*[h for _, _, h in terms])
+    priced = [den * x for x in cost] if den > 1 else cost.copy()
+    for row, f, h in terms:
+        k = -f * (den // h)
+        for j, x in enumerate(row):
+            if x:
+                priced[j] += k * x
+    g = gcd(*priced)
+    return [x // g for x in priced] if g > 1 else priced
 
 
 def _run(rows: list[list[int]], basis: list[int], n_allowed: int):
@@ -359,8 +374,8 @@ def _phase_one(program: LinearProgram) -> Union[_Feasible, FarkasCertificate]:
     rows = list(std.rows)
     basis = [n_struct + i for i in range(m)]
 
-    # Minimize the sum of artificials, priced out from the start.
-    rows.append(_artificial_cost(std))
+    # Minimize the sum of artificials (denominator 1), priced out from the start.
+    rows.append(_price([0] * n_struct + [1] * m + [1, 0], rows, basis))
 
     status, _ = _run(rows, basis, n_struct)
     if status != "optimal":
@@ -460,7 +475,8 @@ def _point_feasible(
     if any(lb is not None and x < lb for lb, x in zip(bounds, point)):
         return False
     n_eq = len(program.eq_matrix)
-    for i, (row, b) in enumerate(zip(program._rows, chain(program.eq_rhs, program.ub_rhs))):
+    rhs = chain(program.eq_rhs, program.ub_rhs)
+    for i, (row, b) in enumerate(zip(program._rows, rhs, strict=True)):
         num, den = sparse_dot(row, point)
         if homogeneous:
             lhs, rhs = num, 0
@@ -486,7 +502,7 @@ def _stationary(
     exact, as ``verify_outcome`` has checked.
     """
     terms = []
-    for y, compiled in zip(multipliers, rows):
+    for y, compiled in zip(multipliers, rows, strict=True):
         if y:
             terms.append((y.numerator, y.denominator * compiled.denominator, compiled))
     den = lcm(*[d for _, d, _ in terms])

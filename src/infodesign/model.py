@@ -156,8 +156,7 @@ class PriorPolytope:
         eq_rows, ub_rows = self._sparse_rows
         added = tuple([sparse_row(row) for row in ub_matrix])
         ones = SparseRow(tuple(range(n)), (1,) * n, 1)
-        program.__dict__["_rows"] = (ones,) + eq_rows + ub_rows + added
-        return program
+        return lp._with_rows(program, (ones,) + eq_rows + ub_rows + added)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
@@ -482,7 +481,8 @@ class IdentifiedSet:
         Rows: the set's equalities, then one row u_a - t per action, then the
         set's inequalities, with t a free last variable. They are handed over
         compiled: the set's own, and each action's ``_utility_rows`` entry with
-        the t column appended.
+        the t column appended. problem is the one the set was identified for;
+        a problem over another number of states raises DimensionMismatch.
         """
         n = self.base.dimension
         eq, eq_rhs = self.equality_rows()
@@ -504,8 +504,7 @@ class IdentifiedSet:
                 for row in problem._utility_rows
             ]
         )
-        program.__dict__["_rows"] = eq_rows + actions + ub_rows
-        return program
+        return lp._with_rows(program, eq_rows + actions + ub_rows)
 
     def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
         """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only.
@@ -535,8 +534,7 @@ class IdentifiedSet:
             ub_rhs=ub_rhs,
         )
         eq_rows, ub_rows = self._compiled_rows
-        program.__dict__["_rows"] = eq_rows + ub_rows
-        return lp._phase_one(program)
+        return lp._phase_one(lp._with_rows(program, eq_rows + ub_rows))
 
 
 def identified_set(problem: DecisionProblem, structure: InformationStructure) -> IdentifiedSet:

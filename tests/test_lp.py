@@ -1,5 +1,6 @@
 """The exact simplex: examples, certificates, determinism."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -174,6 +175,52 @@ def test_determinism_and_duality_on_random_programs():
         first = lp.solve_lp(p)
         assert lp.verify_outcome(p, first)
         assert lp.solve_lp(p) == first
+
+
+def _fraction_priced(cost, rows, basis) -> list:
+    """The reduced costs over Fractions: each basic column eliminated in turn, over cost[-2]."""
+    values = [F(x) for x in cost]
+    for row, c in zip(rows, basis):
+        f = values[c] / row[c]
+        values = [v - f * x for v, x in zip(values, row)]
+    return [v / values[-2] for v in values]
+
+
+def test_pricing_is_the_primitive_row_of_the_reduced_costs():
+    # one integer sum over the lcm of the heads, in phase 1 and in phase 2
+    rng = random.Random(34)
+    priced = 0
+    for _ in range(120):
+        p = random_program(rng)
+        std = lp._Standard(p)
+        m = len(std.rows)
+        cases = [
+            ([0] * std.n_struct + [1] * m + [1, 0], std.rows, [std.n_struct + i for i in range(m)])
+        ]
+        start = lp._phase_one(p)
+        if isinstance(start, lp._Feasible):
+            cases.append((std.cost_row(p.objective, p.sense), start.rows, start.basis))
+        for cost, rows, basis in cases:
+            row = lp._price(list(cost), rows, basis)
+            assert row[-2] > 0 and math.gcd(*row) == 1
+            assert [F(x, row[-2]) for x in row] == _fraction_priced(cost, rows, basis)
+            assert all(row[c] == 0 for c in basis)
+            priced += 1
+    assert priced > 150
+
+
+def test_a_handed_over_view_needs_one_row_per_constraint():
+    program = lp.LinearProgram(
+        objective=(F(1), F(-1)),
+        eq_matrix=((F(1), F(1)),),
+        eq_rhs=(F(1),),
+        ub_matrix=((F(1, 2), F(0)),),
+        ub_rhs=(F(1, 3),),
+    )
+    rows = replace(program)._rows
+    with pytest.raises(idg.DimensionMismatch, match="1 compiled rows handed over for 2"):
+        lp._with_rows(replace(program), rows[:1])
+    assert lp.solve_lp(lp._with_rows(replace(program), rows)) == lp.solve_lp(program)
 
 
 def test_malformed_dimensions_rejected():

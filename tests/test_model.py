@@ -370,6 +370,7 @@ def test_the_integer_difference_is_exact_and_refuses_floats(example_problem):
 # each exact format is read only by the modules that own it
 FORMAT_OWNERS = {
     "_rows": ("lp.py", "model.py"),
+    "_with_rows": ("lp.py", "model.py"),
     "_sparse_rows": ("model.py",),
     "_utility_rows": ("model.py",),
     "_mu_payoffs": ("model.py",),
@@ -386,7 +387,7 @@ FORMAT_OWNERS = {
     "_integer_rows": ("numerics.py",),
     "_pivot_count": ("numerics.py",),
     "_canonical": ("numerics.py",),
-    "_combine": ("numerics.py", "lp.py"),
+    "_combine": ("numerics.py",),
     "_clear_column": ("numerics.py", "lp.py"),
 }
 
@@ -472,9 +473,7 @@ def _built_programs(problem, structure, r) -> list:
     ]
 
 
-@given(st.integers(0, 2**32), st.booleans())
-def test_builders_hand_over_the_rows_sparse_row_compiles(seed, treatment):
-    problem, structure, r = _wide_identified_set(seed, treatment)
+def _assert_hands_over_the_rows_sparse_row_compiles(problem, structure, r) -> None:
     programs = _built_programs(problem, structure, r)
     assert len(programs) == 4
     for program in programs:
@@ -485,11 +484,27 @@ def test_builders_hand_over_the_rows_sparse_row_compiles(seed, treatment):
         assert lp.solve_lp(replace(program)) == lp.solve_lp(program)
 
 
+@given(st.integers(0, 2**32), st.booleans())
+def test_builders_hand_over_the_rows_sparse_row_compiles(seed, treatment):
+    _assert_hands_over_the_rows_sparse_row_compiles(*_wide_identified_set(seed, treatment))
+
+
 def _generic_ub():
     data = Path(__file__).parent / "data"
     loaded = documents.parse_problem_document(documents.load_json(str(data / "generic-ub.json")))
     structure_doc = documents.load_json(str(data / "generic-ub-structure.json"))
     return loaded.problem, documents.parse_structure_document(structure_doc, loaded)
+
+
+@pytest.mark.parametrize("case", ["example", "generic-ub"])
+def test_the_recorded_sets_hand_over_the_rows_sparse_row_compiles(
+    case, example_problem, example_marginal_yt
+):
+    # the recorded Y,T marginal (equality rows only) and generic-ub (inequality rows too)
+    problem, structure = (
+        (example_problem, example_marginal_yt) if case == "example" else _generic_ub()
+    )
+    _assert_hands_over_the_rows_sparse_row_compiles(problem, structure, random.Random(case))
 
 
 @pytest.mark.parametrize("case", ["example", "generic-ub"])
