@@ -25,16 +25,15 @@ same choices, and returns the same outcomes and certificates. Fractions
 are built only for the returned point, value and certificate.
 
 A program's rows are read through one integer view, ``LinearProgram._rows``:
-the eq rows, then the ub rows, each a ``numerics.SparseRow``, computed with
-``sparse_row`` on first read and cached, unless the builder handed the same
-rows over already compiled (``_with_rows``, as ``model`` does for the
-programs it builds from a problem's compiled rows). The checker then reads
-the builder's rows, not its own compilation of the Fraction rows: it checks
-an outcome against the view, and the builder vouches that the view is the
-program. Each standard-form row is built from the view as integers over the
-lcm of its row denominator and its rhs's. A cost row is priced (``_price``)
-as one integer sum of the rows whose basic columns it holds, over the lcm
-of their heads.
+the eq rows, then the ub rows, each ``numerics.sparse_row`` of its row,
+computed on first read and cached, unless the builder handed the same rows
+over already compiled (``_with_rows``, as ``model`` does). The checker then
+reads the builder's rows, not its own compilation of the Fraction rows: it
+checks an outcome against the view, and the builder vouches that the view is
+the program. Each standard-form row is built from the view as integers over
+the lcm of its row denominator and its rhs's; the objective is laid out as
+``sparse_row`` of it. A cost row is priced (``_price``) as one integer sum of
+the rows whose basic columns it holds, over the lcm of their heads.
 
 Phase 1 does not read the objective. ``_phase_one`` runs it and drives the
 artificials out, returning the feasible tableau (or a Farkas certificate);
@@ -278,15 +277,10 @@ class _Standard:
         return row
 
     def cost_row(self, objective: Sequence[Fraction], sense: str) -> list[int]:
-        """The objective to minimize (negated for max) as one integer row over its lcm."""
-        nonzero = [(j, c) for j, c in enumerate(objective) if c]
-        den = lcm(*[c.denominator for _, c in nonzero])
-        row = self._place(
-            [j for j, _ in nonzero],
-            [c.numerator * (den // c.denominator) for _, c in nonzero],
-            -1 if sense == "max" else 1,
-        )
-        row[-2] = den
+        """The objective to minimize (negated for max): ``sparse_row`` of it, over its lcm."""
+        compiled = sparse_row(objective)
+        row = self._place(compiled.indices, compiled.numerators, -1 if sense == "max" else 1)
+        row[-2] = compiled.denominator
         return row
 
     def point_from(self, by_col: dict[int, Fraction], shift: bool = True) -> Vector:
@@ -402,13 +396,14 @@ def _phase_two(start: _Feasible, objective: Sequence[Fraction], sense: str) -> L
     basis = list(start.basis)
 
     status, enter = _run(rows, basis, std.n_struct)
-    z_by_col = {c: Fraction(row[-1], row[c]) for row, c in zip(rows, basis)}
+    n_base = std.n_base  # point_from reads no slack or artificial column: none is built
+    z_by_col = {c: Fraction(row[-1], row[c]) for row, c in zip(rows, basis) if c < n_base}
 
     if status == "unbounded":
         d_by_col = {enter: F1}
         for row, c in zip(rows, basis):
             t = row[enter]
-            if t:
+            if t and c < n_base:
                 d_by_col[c] = Fraction(-t, row[c])
         ray = ImprovingRay(
             direction=std.point_from(d_by_col, shift=False),

@@ -14,15 +14,15 @@ cross-multiplying, and ``IdentifiedSet.minimize`` reuses the set's phase 1.
 Each action's payoff at mu is compiled once per problem and read whenever
 mu itself is passed. An experiment's columns are checked on its matrix's
 integer view (``Matrix._integer_entries``), the one that ``nullspace`` later
-eliminates, so each experiment is converted to integers once.
+eliminates, so the check and the kernel share one conversion.
 
 The linear programs built here hand their rows over to ``lp`` already
-compiled (``LinearProgram._rows``), so the simplex and its checker compile
-none of them: ``PriorPolytope.feasibility_program`` hands over the prior
-set's rows, and an identified set's phase 1 and ``maxmin``'s program
-(``IdentifiedSet._maxmin_program``) hand over the prior set's rows, the
-experiment's rows read off its integer view, and each action's utility row
-with the t column appended.
+compiled (``LinearProgram._rows``), each ``sparse_row`` of the program's own
+row, so the simplex and its checker compile none of them and a view agrees
+with its program by construction. ``PriorPolytope.feasibility_program``
+hands over the prior set's rows; each identified set builds one program over
+its rows (``IdentifiedSet._program``), which its phase 1 solves and
+``maxmin``'s program extends with one u_a - t row per action.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class PriorPolytope:
         """A zero-objective program: sum to one, the equalities, the set's <= rows, then these.
 
         The set's rows are handed over compiled; the sum-to-one row and the
-        added rows are compiled here.
+        added rows are compiled here, from the program's own rows.
         """
         n = self.dimension
         program = lp.LinearProgram(
@@ -155,7 +155,7 @@ class PriorPolytope:
         )
         eq_rows, ub_rows = self._sparse_rows
         added = tuple([sparse_row(row) for row in ub_matrix])
-        ones = SparseRow(tuple(range(n)), (1,) * n, 1)
+        ones = sparse_row(program.eq_matrix[0])
         return lp._with_rows(program, (ones,) + eq_rows + ub_rows + added)
 
     @cached_property
@@ -311,29 +311,24 @@ class DecisionProblem:
         """Exact [lo, hi] such that mu + lam d is in the prior set iff lo <= lam <= hi.
 
         [0, 0] when d is zero or breaks an equality of the prior set, the sum to
-        one included (d's sum is kept as one integer over its lcm). Each cut
-        c lam <= b (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept
-        as the integer ratio b / c = p / q, q of the sign of c, and the cuts are
+        one included (d is compiled once, by ``sparse_row``). Each cut c lam <= b
+        (a <= row of the prior set, or mu_s + lam d_s >= 0) is kept as the
+        integer ratio b / c = p / q, q of the sign of c, and the cuts are
         compared by cross-multiplying; only lo and hi become Fractions.
         """
         if len(d) != self.n_states:
             raise DimensionMismatch("direction length does not match the state count")
+        step = sparse_row(d)  # d_s = a / den at each of its nonzero s
+        if not step.indices or sum(step.numerators):
+            return F0, F0
         eq_rows, ub_rows = self.priors._sparse_rows
         if any([sparse_dot(row, d)[0] for row in eq_rows]):
             return F0, F0
-        ratios = []
-        num, den = 0, 1
-        try:
-            for ds, ms in zip(d, self.mu):  # -d_s lam <= mu_s
-                dn, dd = ds.numerator, ds.denominator
-                if dn:
-                    ratios.append((ms.numerator * dd, -ms.denominator * dn))
-                    g = gcd(dd, den)
-                    num, den = num * (dd // g) + dn * (den // g), den // g * dd
-        except AttributeError:
-            raise TypeError(f"not an exact number: {ds!r}") from None
-        if num or not ratios:
-            return F0, F0
+        mu, den = self.mu, step.denominator
+        ratios = [  # -d_s lam <= mu_s
+            (mu[s].numerator * den, -mu[s].denominator * a)
+            for s, a in zip(step.indices, step.numerators)
+        ]
         for row, b in zip(ub_rows, self.priors.ub_rhs):  # (row . d) lam <= b - row . mu
             c_num, c_den = sparse_dot(row, d)
             if c_num:
@@ -451,60 +446,49 @@ class IdentifiedSet:
 
     def equality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
         """Full equality block of the H-representation (base rows plus pinning rows)."""
-        rows = self.base.eq_matrix + self.experiment.entries
-        rhs = self.base.eq_rhs + self.pinned_pushforward
-        return rows, rhs
+        return self._program.eq_matrix, self._program.eq_rhs
 
     def inequality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
-        return self.base.ub_matrix, self.base.ub_rhs
+        return self._program.ub_matrix, self._program.ub_rhs
 
     @cached_property
-    def _compiled_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
-        """``equality_rows()`` and ``inequality_rows()`` compiled, as ``sparse_row`` would.
-
-        The prior set's rows are its ``_sparse_rows``. A pinning row is the
-        experiment's integer view over den, divided by the gcd of den and its
-        entries: x / den over that gcd is the lcm of its entries' denominators.
-        """
-        den, rows = self.experiment._integer_entries
-        pinning = []
-        for row in rows:
-            g = gcd(den, *row)
-            indices = tuple([j for j, x in enumerate(row) if x])
-            pinning.append(SparseRow(indices, tuple([row[j] // g for j in indices]), den // g))
+    def _program(self) -> lp.LinearProgram:
+        """The zero-objective program over the prior set's and the pinning rows, compiled once."""
         eq_rows, ub_rows = self.base._sparse_rows
-        return eq_rows + tuple(pinning), ub_rows
+        pinning = tuple([sparse_row(row) for row in self.experiment.entries])
+        program = lp.LinearProgram(
+            objective=(F0,) * self.base.dimension,
+            eq_matrix=self.base.eq_matrix + self.experiment.entries,
+            eq_rhs=self.base.eq_rhs + self.pinned_pushforward,
+            ub_matrix=self.base.ub_matrix,
+            ub_rhs=self.base.ub_rhs,
+        )
+        return lp._with_rows(program, eq_rows + pinning + ub_rows)
 
     def _maxmin_program(self, problem: DecisionProblem) -> lp.LinearProgram:
         """min t over (nu, t), nu in the set and u_a . nu <= t for every action a of problem.
 
         Rows: the set's equalities, then one row u_a - t per action, then the
-        set's inequalities, with t a free last variable. They are handed over
-        compiled: the set's own, and each action's ``_utility_rows`` entry with
-        the t column appended. problem is the one the set was identified for;
-        a problem over another number of states raises DimensionMismatch.
+        set's inequalities, with t a free last variable. The set's rows and
+        their compiled view are ``_program``'s (a zero t entry leaves a compiled
+        row as it is). problem is the one the set was identified for; a
+        problem over another number of states raises DimensionMismatch.
         """
         n = self.base.dimension
-        eq, eq_rhs = self.equality_rows()
-        ub, ub_rhs = self.inequality_rows()
+        base = self._program
+        actions = tuple([row + (-F1,) for row in problem.utility.entries])
         program = lp.LinearProgram(
             objective=(F0,) * n + (F1,),
             sense="min",
-            eq_matrix=tuple([row + (F0,) for row in eq]),
-            eq_rhs=eq_rhs,
-            ub_matrix=tuple([row + (-F1,) for row in problem.utility.entries])
-            + tuple([row + (F0,) for row in ub]),
-            ub_rhs=(F0,) * problem.n_actions + ub_rhs,
+            eq_matrix=tuple([row + (F0,) for row in base.eq_matrix]),
+            eq_rhs=base.eq_rhs,
+            ub_matrix=actions + tuple([row + (F0,) for row in base.ub_matrix]),
+            ub_rhs=(F0,) * problem.n_actions + base.ub_rhs,
             lower_bounds=(F0,) * n + (None,),
         )
-        eq_rows, ub_rows = self._compiled_rows
-        actions = tuple(
-            [
-                SparseRow(row.indices + (n,), row.numerators + (-row.denominator,), row.denominator)
-                for row in problem._utility_rows
-            ]
-        )
-        return lp._with_rows(program, eq_rows + actions + ub_rows)
+        n_eq = len(base.eq_matrix)
+        compiled = tuple([sparse_row(row) for row in actions])
+        return lp._with_rows(program, base._rows[:n_eq] + compiled + base._rows[n_eq:])
 
     def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
         """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only.
@@ -523,18 +507,8 @@ class IdentifiedSet:
 
     @cached_property
     def _phase_one(self):
-        """The simplex's phase 1 over these rows; it reads no objective, so one serves them all."""
-        eq, eq_rhs = self.equality_rows()
-        ub, ub_rhs = self.inequality_rows()
-        program = lp.LinearProgram(
-            objective=(F0,) * self.base.dimension,
-            eq_matrix=eq,
-            eq_rhs=eq_rhs,
-            ub_matrix=ub,
-            ub_rhs=ub_rhs,
-        )
-        eq_rows, ub_rows = self._compiled_rows
-        return lp._phase_one(lp._with_rows(program, eq_rows + ub_rows))
+        """The simplex's phase 1 on ``_program``; it reads no objective, so one serves them all."""
+        return lp._phase_one(self._program)
 
 
 def identified_set(problem: DecisionProblem, structure: InformationStructure) -> IdentifiedSet:

@@ -89,10 +89,10 @@ def maxmin(problem: DecisionProblem, structure: InformationStructure) -> SaddleC
       inside the segment, or, at a kink, the flat mix of the steepest rising
       and falling active actions.
     * k >= 2: one linear program, min t over nu in the identified set
-      subject to u_a . nu <= t for every action a, which the set builds from
-      its compiled rows (``IdentifiedSet._maxmin_program``). nu* is its
-      optimal point and alpha* the negated duals of the action rows;
-      ``lp.solve_lp`` has verified both.
+      subject to u_a . nu <= t for every action a, which the set builds on
+      its one program over its rows (``IdentifiedSet._maxmin_program``).
+      nu* is its optimal point and alpha* the negated duals of the action
+      rows; ``lp.solve_lp`` has verified both.
     """
     iset = identified_set(problem, structure)
     if iset.kernel.dim <= 1:

@@ -5,9 +5,11 @@ rational arithmetic) and prints one PASS line; run with ``pytest -v -s
 tests/test_acceptance.py`` to see the lines as they complete.
 """
 
+import ast
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +233,26 @@ def test_criterion_11_informativeness_monotonicity():
         coarse = idg.kernel_to_experiment(idg.KernelSpec(big))
         assert idg.maxmin(problem, fine).value >= idg.maxmin(problem, coarse).value
     _ok(11, "maxmin value is weakly higher under every nested finer kernel on 60 pairs")
+
+
+def test_the_readme_library_tour_runs_as_written():
+    # the README's "Library tour" block, run statement by statement: each
+    # expression with a comment on its line must equal the comment's value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = tour.splitlines()
+    namespace: dict = {}
+    values = []
+    for statement in ast.parse(tour).body:
+        line = lines[statement.end_lineno - 1]
+        if isinstance(statement, ast.Expr) and "#" in line:
+            expected = eval(line.split("#", 1)[1].split(":")[0], namespace)
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            assert value == expected, (ast.unparse(statement), value, expected)
+            values.append(value)
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
+    # the two counterfactual means; alpha* and the value under the Y,T
+    # marginal; the implementing kernel's dimension and its maximality
+    assert values == [F(1, 4), F(1, 8), (0, 1), F(1, 8), 1, True]
+    assert values[-1] is True

@@ -369,8 +369,10 @@ DATA = Path(__file__).parent / "data"
 
 def test_certificates_match_the_recorded_outputs(example_files, capsys):
     # solve on the Y,T marginal (k >= 2: the maxmin program and the worst cases),
-    # solve on a generic problem with prior inequalities, and the refutation of a dominated action, byte for byte as recorded under
-    # tests/data; CI compares the installed console script with the same files
+    # solve on a generic problem with prior inequalities, the refutation of a
+    # dominated action, and an implement of t1 and the solve over its kernel,
+    # byte for byte as recorded under tests/data; CI compares the installed
+    # console script with the same files
     prob, marg = example_files
     code, out, _ = run(capsys, "--format", "machine", "solve", str(prob), str(marg))
     assert code == 0 and out.encode() == (DATA / "solve-yt.json").read_bytes()
@@ -382,6 +384,14 @@ def test_certificates_match_the_recorded_outputs(example_files, capsys):
     dominated = str(DATA / "dominated.json")
     code, out, _ = run(capsys, "--format", "machine", "implement", dominated, "a1")
     assert code == 3 and out.encode() == (DATA / "implement-dominated.json").read_bytes()
+    # k <= 1: the implementing kernel of t1 and the solve over it run on the
+    # segment (DecisionProblem.segment and the closed-form saddle), no LP
+    kernel = prob.parent / "k.json"
+    implement = ("implement", str(prob), "t1", "--out", str(kernel))
+    code, out, _ = run(capsys, "--format", "machine", *implement)
+    assert code == 0 and out.encode() == (DATA / "implement-t1.json").read_bytes()
+    code, out, _ = run(capsys, "--format", "machine", "solve", str(prob), str(kernel))
+    assert code == 0 and out.encode() == (DATA / "solve-k1.json").read_bytes()
 
 
 def test_farkas_report_checks_against_the_documented_rows(tmp_path, capsys):

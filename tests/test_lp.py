@@ -230,6 +230,52 @@ def test_malformed_dimensions_rejected():
         lp.LinearProgram(objective=())
 
 
+def test_each_malformed_program_raises_its_own_error():
+    one = (F(1),)
+    with pytest.raises(ValueError, match="sense must be 'min' or 'max', got 'maximize'"):
+        lp.LinearProgram(objective=one, sense="maximize")
+    with pytest.raises(idg.DimensionMismatch, match="^equality matrix and rhs lengths differ$"):
+        lp.LinearProgram(objective=one, eq_matrix=(one,), eq_rhs=())
+    with pytest.raises(idg.DimensionMismatch, match="^inequality matrix and rhs lengths differ$"):
+        lp.LinearProgram(objective=one, ub_matrix=(one,), ub_rhs=(F(1), F(2)))
+    with pytest.raises(idg.DimensionMismatch, match="^lower_bounds length differs"):
+        lp.LinearProgram(objective=one, lower_bounds=(F(0), None))
+
+
+def test_verify_rejects_malformed_outcomes():
+    # min x s.t. x <= 5, x >= 0: the optimum x = 0, and each outcome below
+    # must read False, not raise
+    capped = lp.LinearProgram(objective=(F(1),), ub_matrix=((F(1),),), ub_rhs=(F(5),))
+    optimum = lp.solve_lp(capped)
+    assert optimum.status is lp.LpStatus.OPTIMAL and lp.verify_outcome(capped, optimum)
+    cert = optimum.certificate
+    # a ray that improves x but leaves its bound: base 0, direction -1
+    downward = lp.ImprovingRay(direction=(F(-1),), base_point=(F(0),))
+    unbounded = lp.LpOutcome(status=lp.LpStatus.UNBOUNDED, certificate=downward)
+    assert not lp.verify_outcome(capped, unbounded)
+    short_lb = replace(cert, lb=cert.lb[:-1])
+    assert not lp.verify_outcome(capped, replace(optimum, certificate=short_lb))
+    long_ub = replace(cert, ub=cert.ub + (F(0),))
+    assert not lp.verify_outcome(capped, replace(optimum, certificate=long_ub))
+    farkas = lp.FarkasCertificate(eq=cert.eq, ub=cert.ub, lb=cert.lb)
+    assert not lp.verify_outcome(capped, replace(optimum, certificate=farkas))
+    assert not lp.verify_outcome(capped, replace(optimum, optimal_point=(F(0), F(0))))
+    assert not lp.verify_outcome(capped, replace(unbounded, certificate=cert))
+    # a refutation carrying a dual certificate
+    empty = lp.LinearProgram(objective=(F(0),), ub_matrix=((F(1),),), ub_rhs=(F(-1),))
+    refuted = lp.solve_lp(empty)
+    assert refuted.status is lp.LpStatus.INFEASIBLE and lp.verify_outcome(empty, refuted)
+    y = refuted.certificate
+    dual = lp.DualCertificate(eq=y.eq, ub=y.ub, lb=y.lb)
+    assert not lp.verify_outcome(empty, replace(refuted, certificate=dual))
+    # min -x, x >= 0: a ray whose base point breaks the bound
+    falling = lp.LinearProgram(objective=(F(-1),))
+    ray = lp.solve_lp(falling)
+    assert ray.status is lp.LpStatus.UNBOUNDED and lp.verify_outcome(falling, ray)
+    below = replace(ray.certificate, base_point=(F(-1),))
+    assert not lp.verify_outcome(falling, replace(ray, certificate=below))
+
+
 def _tampered(outcome: lp.LpOutcome) -> lp.LpOutcome:
     """A copy that must fail verification: the optimal value off by one, or
     the Farkas certificate or the ray direction negated."""

@@ -379,6 +379,7 @@ FORMAT_OWNERS = {
     "_integer_entries": ("numerics.py", "model.py", "design.py"),
     "_over": ("numerics.py", "design.py", "causal.py"),
     "_phase_one": ("lp.py", "model.py"),
+    "_program": ("model.py",),
     "_phase_two": ("lp.py", "model.py"),
     "_Feasible": ("lp.py",),
     "_Standard": ("lp.py",),
@@ -400,6 +401,21 @@ def test_compiled_rows_and_phase_one_are_read_only_by_their_owners():
         for name, owners in FORMAT_OWNERS.items():
             if path.name not in owners:
                 assert not re.search(rf"\b{name}\b", text), f"{path.name} names {name}"
+
+
+def test_only_sparse_row_builds_a_sparse_row():
+    # every compiled row, handed over or not, is sparse_row of a Fraction row
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "infodesign").glob("*.py"))
+    builders = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and "SparseRow" in ast.unparse(call.func):
+                around = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                innermost = max(around, key=lambda f: f.lineno, default=None)
+                builders.append((path.name, getattr(innermost, "name", None)))
+    assert builders == [("numerics.py", "sparse_row")]
 
 
 def test_the_library_imports_only_the_standard_library():
@@ -512,7 +528,8 @@ def test_solving_the_maxmin_program_compiles_none_of_its_rows(
     case, example_problem, example_marginal_yt, monkeypatch
 ):
     # the set hands its compiled rows over, so neither the standard form nor
-    # the checker compiles a row; a program built afresh compiles each once
+    # the checker compiles a row: phase 2 compiles the objective alone, once
+    # per solve; a program built afresh also compiles each row once
     problem, structure = (
         (example_problem, example_marginal_yt) if case == "example" else _generic_ub()
     )
@@ -527,6 +544,9 @@ def test_solving_the_maxmin_program_compiles_none_of_its_rows(
 
     monkeypatch.setattr(lp, "sparse_row", counted)
     outcome = lp.solve_lp(program)
-    assert compiled == []
-    assert lp.solve_lp(replace(program)) == outcome
-    assert len(compiled) == len(program.eq_matrix) + len(program.ub_matrix)
+    assert len(compiled) == 1 and compiled[0] is program.objective
+    compiled.clear()
+    fresh = replace(program)
+    assert lp.solve_lp(fresh) == outcome
+    rows = fresh.eq_matrix + fresh.ub_matrix
+    assert sorted(map(id, compiled)) == sorted(map(id, rows + (fresh.objective,)))
