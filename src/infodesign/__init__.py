@@ -44,7 +44,6 @@ from .errors import (
     EmptyOrFullVariableSet,
     InfoDesignError,
     InteriorSupportViolation,
-    NoImplementableActionError,
     NoIrrelevantCovariate,
     NotImplementableError,
     NotImplementingError,

@@ -10,6 +10,7 @@ every joint distribution consistent with the known assignment mechanism.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -51,8 +52,8 @@ class TreatmentModel:
     treatment; each row is the treatment distribution in that cell. ``mu``
     is the observed joint distribution over states ordered lexicographically
     by (outcome, covariates, treatment). That state layout lives here:
-    ``iter_states`` enumerates it, ``state_index`` indexes it and
-    ``state_labels`` names it.
+    ``iter_states`` is the one walk over the states, ``state_index`` is for
+    random access and ``state_labels`` names them.
     """
 
     outcomes: Vector
@@ -75,8 +76,7 @@ class TreatmentModel:
                 raise DimensionMismatch("every covariate needs at least two values")
         if self.assignment.rows != self.n_cells or self.assignment.cols != self.n_treatments:
             raise DimensionMismatch("assignment shape must be cells x treatments")
-        for c in range(self.n_cells):
-            row = self.assignment.row(c)
+        for c, row in enumerate(self.assignment.entries):
             if not _is_distribution(row):
                 raise ValueError(f"assignment row {c} is not a probability vector")
         if len(self.mu) != self.n_states:
@@ -90,10 +90,7 @@ class TreatmentModel:
 
     @property
     def n_cells(self) -> int:
-        total = 1
-        for domain in self.covariate_domains:
-            total *= len(domain)
-        return total
+        return math.prod(len(domain) for domain in self.covariate_domains)
 
     @property
     def n_treatments(self) -> int:
@@ -107,10 +104,10 @@ class TreatmentModel:
         return (y * self.n_cells + cell) * self.n_treatments + t
 
     def iter_states(self):
-        for y in range(self.n_outcomes):
-            for cell in range(self.n_cells):
-                for t in range(self.n_treatments):
-                    yield y, cell, t
+        """Every state as (y, cell, t), in state-index order."""
+        return itertools.product(
+            range(self.n_outcomes), range(self.n_cells), range(self.n_treatments)
+        )
 
     def state_labels(self) -> tuple[str, ...]:
         return tuple(
@@ -123,13 +120,9 @@ class TreatmentModel:
     @cached_property
     def _cell_masses(self) -> Vector:
         """mu's mass in each covariate cell, summed once per model."""
-        masses = []
-        for cell in range(self.n_cells):
-            total = F0
-            for y in range(self.n_outcomes):
-                for t in range(self.n_treatments):
-                    total += self.mu[self.state_index(y, cell, t)]
-            masses.append(total)
+        masses = [F0] * self.n_cells
+        for (_, cell, _), mass in zip(self.iter_states(), self.mu):
+            masses[cell] += mass
         return tuple(masses)
 
 
@@ -139,18 +132,12 @@ def _irrelevant_covariates(model: TreatmentModel) -> tuple[int, ...]:
     cells = tuple(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
     out = []
     for j in range(len(model.covariate_domains)):
+        # the first row seen for each value of the other covariates
         groups: dict[tuple, Vector] = {}
-        constant = True
-        for idx, cell in enumerate(cells):
-            key = cell[:j] + cell[j + 1 :]
-            row = model.assignment.row(idx)
-            if key in groups:
-                if groups[key] != row:
-                    constant = False
-                    break
-            else:
-                groups[key] = row
-        if constant:
+        if all(
+            groups.setdefault(cell[:j] + cell[j + 1 :], row) == row
+            for cell, row in zip(cells, model.assignment.entries)
+        ):
             out.append(j)
     return tuple(out)
 
@@ -168,13 +155,12 @@ def _compile_problem(model: TreatmentModel) -> DecisionProblem:
     utility = Matrix(model.n_treatments, n, tuple(tuple(row) for row in utility_rows))
 
     eq_rows = []
-    for c in range(model.n_cells):
-        for t in range(model.n_treatments):
-            p = model.assignment.entries[c][t]
-            row = [F0] * n
-            for y in range(model.n_outcomes):
-                for tau in range(model.n_treatments):
-                    row[model.state_index(y, c, tau)] = (F1 if tau == t else F0) - p
+    for c, shares in enumerate(model.assignment.entries):
+        for t, p in enumerate(shares):
+            row = [
+                (F1 if tau == t else F0) - p if cell == c else F0
+                for _, cell, tau in model.iter_states()
+            ]
             if dot(row, model.mu):
                 raise AssignmentMismatch(
                     f"observed treatment share in cell {c} contradicts the assignment row"
@@ -205,9 +191,8 @@ def build_treatment_problem(model: TreatmentModel) -> DecisionProblem:
     cells a prior assigns no mass. The checks run in the order
     InteriorSupportViolation, AssignmentMismatch, NoIrrelevantCovariate.
     """
-    for c in range(model.n_cells):
-        for t in range(model.n_treatments):
-            p = model.assignment.entries[c][t]
+    for c, shares in enumerate(model.assignment.entries):
+        for t, p in enumerate(shares):
             if not (F0 < p < F1):
                 raise InteriorSupportViolation(
                     f"assignment probability {p} for cell {c}, treatment {t} "
@@ -276,17 +261,14 @@ def _factorized(
     cell_masses: Sequence[Fraction],
 ) -> Vector:
     """The prior pi(y|t) P(t|x) m(x) for outcome marginals pi and cell masses m."""
-    nu = [F0] * model.n_states
-    for cell, mass in enumerate(cell_masses):
-        if not mass:
-            continue
-        shares = model.assignment.row(cell)
-        for y in range(model.n_outcomes):
-            for t in range(model.n_treatments):
-                weight = marginals[t][y]
-                if weight:
-                    nu[model.state_index(y, cell, t)] = weight * shares[t] * mass
-    return tuple(nu)
+    shares = model.assignment.entries
+    # a list, not a generator: tuple(generator) raised treatment-implement's peak RSS 0.8 MB
+    return tuple([
+        marginals[t][y] * shares[cell][t] * cell_masses[cell]
+        if marginals[t][y] and cell_masses[cell]
+        else F0
+        for y, cell, t in model.iter_states()
+    ])
 
 
 def prior_from_marginals(
@@ -316,10 +298,8 @@ def prior_from_marginals(
     return OutcomeMarginalPrior(nu=nu, payoffs=payoffs)
 
 
-def _concentrated_prior(
-    model: TreatmentModel, targets: Sequence[Fraction]
-) -> Vector:
-    """A supporting prior with the target payoffs, parked in one covariate cell.
+def _concentrated_prior(model: TreatmentModel, marginals: Sequence[Vector]) -> Vector:
+    """A supporting prior with the marginals' payoffs, parked in one covariate cell.
 
     Concentrating every prior's covariate mass in a cell that does not carry
     all of mu's mass leaves some positive-mu state with zero prior mass, so
@@ -327,8 +307,7 @@ def _concentrated_prior(
     strictly positive factorized prior admits no single-pair reallocation
     that respects the per-cell assignment rows.
     """
-    marginals = outcome_marginals_for_targets(model, targets)
-    cell = next(c for c in range(model.n_cells) if model.cell_mass(c) < 1)
+    cell = next(c for c, mass in enumerate(model._cell_masses) if mass < 1)
     return _factorized(model, marginals, [F1 if c == cell else F0 for c in range(model.n_cells)])
 
 
@@ -360,7 +339,7 @@ def implement_treatment(
     pi = outcome_marginals_for_targets(model, targets)
     nu = _factorized(model, pi, model._cell_masses)
     if not any(m and not v for m, v in zip(mu, nu)):
-        nu = _concentrated_prior(model, targets)
+        nu = _concentrated_prior(model, pi)
     return implement_at_prior(problem, alpha, nu)
 
 

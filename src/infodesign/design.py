@@ -31,7 +31,6 @@ from . import lp
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
-    NoImplementableActionError,
     NotImplementableError,
     NotImplementingError,
     ZeroSumViolation,
@@ -241,7 +240,10 @@ def researcher_optimum(
         slack = payoff(alpha, problem.mu, problem) - certificate.value
         supporting = SupportingPrior(nu=certificate.nu_star, slack=slack)
         return ResearcherOptimum(a, supporting, structure, certificate)
-    raise NoImplementableActionError("no pure action is implementable")
+    raise AssertionError(
+        "unreachable: full information implements the pure action mu best-responds "
+        "to, and the loop skips an action only on NotImplementableError"
+    )
 
 
 class InformativenessOrder(Enum):

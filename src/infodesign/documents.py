@@ -15,6 +15,7 @@ and a bad number still fails at its first place with the same message.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,9 +191,7 @@ def _parse_treatment_block(data, where: str, memo: dict[str, Fraction]) -> Treat
         raise DocumentError(f"{where}.covariates: expected a nonempty list of label lists")
     domains = tuple(_labels(d, f"{where}.covariates[{j}]") for j, d in enumerate(raw_domains))
     treatments = _labels(data.get("treatments"), f"{where}.treatments")
-    n_cells = 1
-    for d in domains:
-        n_cells *= len(d)
+    n_cells = math.prod(len(d) for d in domains)
     if len(outcomes) * n_cells * len(treatments) > MAX_STATES:
         raise DocumentError(
             f"{where}: more than {MAX_STATES} states (outcomes x covariate cells x treatments)"

@@ -33,10 +33,6 @@ class NotImplementingError(InfoDesignError, RuntimeError):
     """The supplied structure does not implement the requested action."""
 
 
-class NoImplementableActionError(InfoDesignError, RuntimeError):
-    """No pure action is implementable in this decision problem."""
-
-
 class InteriorSupportViolation(InfoDesignError, ValueError):
     """An assignment probability lies outside the open interval (0, 1)."""
 

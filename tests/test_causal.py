@@ -1,6 +1,8 @@
 """Treatment models: construction, factorized priors, universal implementation."""
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -107,7 +109,7 @@ def test_concentrated_prior_property(seed, shares):
     problem = idg.build_treatment_problem(model)
     lo, hi = model.outcomes[0], model.outcomes[-1]
     targets = tuple(lo + (hi - lo) * s for s in shares[: model.n_treatments])
-    nu = _concentrated_prior(model, targets)
+    nu = _concentrated_prior(model, idg.outcome_marginals_for_targets(model, targets))
     assert problem.priors.contains(nu)
     assert all(
         idg.counterfactual_mean(problem, a, nu) == target for a, target in enumerate(targets)
@@ -259,3 +261,51 @@ def test_random_models_validate():
         problem = idg.build_treatment_problem(model)
         assert idg.payoff_equivalence_classes(problem).all_nontrivial
         assert problem.n_states >= 8
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda m: replace(m, outcomes=(F(0),)), idg.DimensionMismatch,
+                     "need at least two outcome values", id="one-outcome"),
+        pytest.param(lambda m: replace(m, outcomes=(F(1), F(0))), ValueError,
+                     "outcome values must be strictly increasing", id="outcome-order"),
+        pytest.param(lambda m: replace(m, treatments=("t0",)), idg.DimensionMismatch,
+                     "need at least two treatments", id="one-treatment"),
+        pytest.param(lambda m: replace(m, covariate_domains=()), idg.DimensionMismatch,
+                     "need at least one covariate", id="no-covariate"),
+        pytest.param(lambda m: replace(m, covariate_domains=(("x0",), ("s0", "s1"))),
+                     idg.DimensionMismatch, "every covariate needs at least two values",
+                     id="one-value"),
+        pytest.param(lambda m: replace(m, assignment=idg.Matrix.from_rows([["1/2", "1/2"]])),
+                     idg.DimensionMismatch, "assignment shape must be cells x treatments",
+                     id="assignment-shape"),
+        pytest.param(lambda m: replace(m, assignment=idg.Matrix.from_rows([["1/2", "1/3"]] * 4)),
+                     ValueError, "assignment row 0 is not a probability vector",
+                     id="assignment-row"),
+        pytest.param(lambda m: replace(m, mu=m.mu[1:]), idg.DimensionMismatch,
+                     "mu length must match the state count", id="mu-length"),
+        pytest.param(lambda m: replace(m, mu=(F(1),) * m.n_states), ValueError,
+                     "mu must be a probability vector", id="mu-distribution"),
+        pytest.param(lambda m: idg.outcome_marginals_for_targets(m, (F(0),)),
+                     idg.DimensionMismatch, "one target mean per treatment required",
+                     id="target-count"),
+        pytest.param(lambda m: idg.prior_from_marginals(m, [(F(1), F(0))]),
+                     idg.DimensionMismatch, "one outcome marginal per treatment required",
+                     id="marginal-count"),
+        pytest.param(lambda m: idg.prior_from_marginals(m, [(F(1),), (F(1), F(0))]),
+                     idg.DimensionMismatch, "marginal for treatment 0 has the wrong length",
+                     id="marginal-length"),
+        pytest.param(lambda m: idg.prior_from_marginals(m, [(F(1), F(1)), (F(1), F(0))]),
+                     ValueError, "marginal for treatment 0 is not a probability vector",
+                     id="marginal-distribution"),
+        pytest.param(lambda m: idg.implement_treatment(m, idg.MixedAction.pure(0, 3)),
+                     idg.DimensionMismatch, "mixed action length does not match the treatments",
+                     id="implement-alpha"),
+        pytest.param(lambda m: idg.add_irrelevant_signal(m, ("s",)), idg.DimensionMismatch,
+                     "signal covariate needs at least two values", id="signal-values"),
+    ],
+)
+def test_treatment_model_refuses_inconsistent_inputs(example_model, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(example_model)

@@ -392,6 +392,16 @@ def test_certificates_match_the_recorded_outputs(example_files, capsys):
     assert code == 0 and out.encode() == (DATA / "implement-t1.json").read_bytes()
     code, out, _ = run(capsys, "--format", "machine", "solve", str(prob), str(kernel))
     assert code == 0 and out.encode() == (DATA / "solve-k1.json").read_bytes()
+    # the treatment path: t1 through the factorized prior, the even mixture
+    # through the prior concentrated in one covariate cell, and the compiled
+    # problem document with its assignment rows
+    for action, name in (("t1", "t1"), ("t0:1/2,t1:1/2", "mixed")):
+        code, out, _ = run(capsys, "--format", "machine", "treatment", "implement", str(prob), action)
+        recorded = DATA / f"treatment-implement-{name}.json"
+        assert code == 0 and out.encode() == recorded.read_bytes()
+    built = prob.parent / "built.json"
+    code, _, _ = run(capsys, "treatment", "build", str(prob), "--out", str(built))
+    assert code == 0 and built.read_bytes() == (DATA / "treatment-build.json").read_bytes()
 
 
 def test_farkas_report_checks_against_the_documented_rows(tmp_path, capsys):
@@ -1012,7 +1022,7 @@ PUBLIC_NAMES = [
     "FarkasCertificate", "IdentifiedSet", "ImprovingRay", "InfoDesignError",
     "InformationStructure", "InformativenessOrder", "InteriorSupportViolation", "KernelSpec",
     "LinearProgram", "LpOutcome", "LpStatus", "MarginalReport", "MarginalSpec", "Matrix",
-    "MixedAction", "NoImplementableActionError", "NoIrrelevantCovariate",
+    "MixedAction", "NoIrrelevantCovariate",
     "NotImplementableError", "NotImplementingError", "OutcomeMarginalPrior",
     "PayoffPartition", "PriorPolytope", "ResearcherOptimum", "SaddleCertificate", "Subspace",
     "SupportingPrior", "TreatmentModel", "Vector", "ZeroSumViolation",
@@ -1082,3 +1092,59 @@ def test_cli_process_runs_end_to_end(tmp_path, capsys):
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: {nested}: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+_ONE_STATE = {"states": ["s0"], "actions": ["a0"], "utility": [["1"]], "mu": ["1"]}
+_TREATMENT = {
+    "outcomes": ["0", "1"], "covariates": [["x0", "x1"]], "treatments": ["t0", "t1"],
+    "assignment": [["1/2", "1/2"], ["1/2", "1/2"]], "mu": ["1/8"] * 8,
+}
+
+
+@pytest.mark.parametrize(
+    "document, fragment",
+    [
+        pytest.param({**_ONE_STATE, "mu": "1"}, ".mu: expected a list of exact numbers",
+                     id="vector"),
+        pytest.param({**_ONE_STATE, "utility": "1"}, ".utility: expected a list of rows",
+                     id="matrix"),
+        pytest.param({**_ONE_STATE, "utility": [["1", "0"]]},
+                     ".utility[0]: row has 2 entries, expected 1", id="row-length"),
+        pytest.param({**_ONE_STATE, "states": [0]}, ".states: expected a list of string labels",
+                     id="labels"),
+        pytest.param([], ": top level must be an object", id="top-level"),
+        pytest.param({**_ONE_STATE, "schema_version": "2"}, ": unsupported schema_version '2'",
+                     id="schema"),
+        pytest.param({**_ONE_STATE, "actions": ["a0", "a1"]},
+                     ".utility: expected one row per action", id="utility-rows"),
+        pytest.param({**_ONE_STATE, "mu": ["1/2", "1/2"]}, ".mu: expected 1 entries",
+                     id="mu-length"),
+        pytest.param({**_ONE_STATE, "prior_constraints": {"equalities": []}},
+                     ".prior_constraints.equalities: expected an object", id="constraint-block"),
+        pytest.param({**_ONE_STATE, "prior_constraints": {"inequalities": {"matrix": [["1"]]}}},
+                     ".prior_constraints.inequalities: matrix and rhs lengths differ",
+                     id="constraint-rhs"),
+        pytest.param({**_ONE_STATE, "states": [], "utility": [[]], "mu": []},
+                     ": prior polytope needs at least one state", id="no-states"),
+        pytest.param({"treatment": []}, ".treatment: expected an object", id="treatment"),
+        pytest.param({"treatment": {**_TREATMENT, "covariates": []}},
+                     ".treatment.covariates: expected a nonempty list of label lists",
+                     id="covariates"),
+        pytest.param({"treatment": {**_TREATMENT, "assignment": [["1/2", "1/2"]]}},
+                     ".treatment.assignment: expected one row per covariate cell (2)",
+                     id="assignment-rows"),
+    ],
+)
+def test_problem_document_errors_exit_two(tmp_path, capsys, document, fragment):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "implement", str(path), "a0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}{fragment}") and err.count("\n") == 1
+
+
+def test_a_mixed_part_without_a_weight_exits_two(example_files, capsys):
+    prob, _ = example_files
+    code, out, err = run(capsys, "implement", str(prob), "t0:1/2,t1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weight for action 't1'") and err.count("\n") == 1

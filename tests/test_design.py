@@ -1,6 +1,7 @@
 """Experiment construction, boundary adjustment, implementing structures, order."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -391,3 +392,27 @@ def test_maximality_requires_implementation(example_problem):
     identity = idg.InformationStructure.identity(p.n_states)
     with pytest.raises(idg.NotImplementingError):
         idg.is_maximally_informative(p, identity, idg.MixedAction.pure(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda p: idg.kernel_to_experiment(idg.KernelSpec(idg.Subspace.zero(0))),
+                     idg.DimensionMismatch, "ambient dimension must be at least one",
+                     id="empty-kernel-space"),
+        pytest.param(lambda p: idg.extremal_reach(p, p.mu), ValueError,
+                     "reach undefined for nu equal to mu", id="reach-at-mu"),
+        pytest.param(lambda p: idg.boundary_adjust(p, p.mu[1:]), idg.DimensionMismatch,
+                     "prior length does not match the problem", id="adjust-length"),
+        pytest.param(lambda p: idg.boundary_adjust(p, (F(1),) + (F(0),) * (p.n_states - 1)),
+                     ValueError, "boundary adjustment requires a member of the prior set",
+                     id="adjust-outside"),
+        pytest.param(lambda p: idg.robustly_more_informative(
+                         idg.InformationStructure.identity(2), idg.InformationStructure.identity(3)),
+                     idg.DimensionMismatch, "structures live on different state spaces",
+                     id="order-states"),
+    ],
+)
+def test_design_refuses_inconsistent_inputs(example_problem, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(example_problem)

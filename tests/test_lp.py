@@ -483,3 +483,11 @@ def test_bools_and_subclasses_of_int_and_fraction_are_exact():
         lower_bounds=(False, _Int(0), _Fraction(0)),
     )
     assert lp.solve_lp(odd) == lp.solve_lp(plain)
+
+
+def test_verify_rejects_an_outcome_without_a_known_status():
+    # min x s.t. x <= 5, x >= 0, solved, then relabelled with a status string
+    capped = lp.LinearProgram(objective=(F(1),), ub_matrix=((F(1),),), ub_rhs=(F(5),))
+    optimum = lp.solve_lp(capped)
+    assert lp.verify_outcome(capped, optimum)
+    assert not lp.verify_outcome(capped, replace(optimum, status="optimal"))

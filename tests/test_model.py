@@ -550,3 +550,71 @@ def test_solving_the_maxmin_program_compiles_none_of_its_rows(
     assert lp.solve_lp(fresh) == outcome
     rows = fresh.eq_matrix + fresh.ub_matrix
     assert sorted(map(id, compiled)) == sorted(map(id, rows + (fresh.objective,)))
+
+
+# two states, two actions, the whole simplex as the prior set
+_SMALL = idg.DecisionProblem(
+    states=("s0", "s1"),
+    actions=("a0", "a1"),
+    utility=idg.Matrix.from_rows([[1, 0], [0, 1]]),
+    mu=(F(1, 2), F(1, 2)),
+    priors=idg.PriorPolytope.simplex(2),
+)
+_PURE = idg.MixedAction.pure(0, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: idg.PriorPolytope(1, eq_matrix=((F(1),),)), idg.DimensionMismatch,
+                     "constraint matrix and rhs lengths differ", id="rhs-length"),
+        pytest.param(lambda: idg.PriorPolytope(2, eq_matrix=((F(1),),), eq_rhs=(F(1),)),
+                     idg.DimensionMismatch, "constraint row of length 1 over 2 states",
+                     id="row-length"),
+        pytest.param(lambda: _SMALL.priors.contains((F(1),)), idg.DimensionMismatch,
+                     "point of length 1 in a 2-state prior set", id="contains"),
+        pytest.param(lambda: idg.MixedAction(()), idg.DimensionMismatch,
+                     "mixed action over zero actions", id="no-actions"),
+        pytest.param(lambda: idg.MixedAction.pure(2, 2), IndexError,
+                     "pure action index 2 out of range 2", id="pure-index"),
+        pytest.param(lambda: idg.InformationStructure(("m0",), idg.Matrix.identity(2)),
+                     idg.DimensionMismatch, "1 messages but 2 matrix rows", id="message-count"),
+        pytest.param(lambda: idg.InformationStructure((), idg.Matrix(0, 2, ())),
+                     idg.DimensionMismatch, "experiment needs at least one message",
+                     id="no-messages"),
+        pytest.param(lambda: replace(_SMALL, actions=()), idg.DimensionMismatch,
+                     "need at least one state and one action", id="no-labels"),
+        pytest.param(lambda: replace(_SMALL, states=("s0", "s0")), ValueError,
+                     "state labels must be unique", id="state-labels"),
+        pytest.param(lambda: replace(_SMALL, actions=("a0", "a0")), ValueError,
+                     "action labels must be unique", id="action-labels"),
+        pytest.param(lambda: replace(_SMALL, utility=idg.Matrix.identity(3)),
+                     idg.DimensionMismatch, "utility matrix shape does not match labels",
+                     id="utility-shape"),
+        pytest.param(lambda: replace(_SMALL, mu=(F(1),)), idg.DimensionMismatch,
+                     "mu length does not match the state count", id="mu-length"),
+        pytest.param(lambda: replace(_SMALL, priors=idg.PriorPolytope.simplex(3)),
+                     idg.DimensionMismatch, "prior set dimension does not match the state count",
+                     id="prior-dimension"),
+        pytest.param(lambda: replace(_SMALL, mu=(F(1), F(1))), ValueError,
+                     "mu must be a probability vector", id="mu-distribution"),
+        pytest.param(lambda: _SMALL.mixed_utility(idg.MixedAction.pure(0, 3)),
+                     idg.DimensionMismatch, "mixed action length does not match the action count",
+                     id="mixed-utility"),
+        pytest.param(lambda: _SMALL.action_index(2), IndexError, "action index 2 out of range",
+                     id="action-index"),
+        pytest.param(lambda: _SMALL.action_index("a2"), KeyError, "unknown action label 'a2'",
+                     id="action-label"),
+        pytest.param(lambda: idg.payoff(_PURE, (F(1),), _SMALL), idg.DimensionMismatch,
+                     "state distribution length does not match the problem", id="payoff-nu"),
+        pytest.param(lambda: idg.payoff(idg.MixedAction.pure(0, 3), _SMALL.mu, _SMALL),
+                     idg.DimensionMismatch, "mixed action length does not match the action count",
+                     id="payoff-alpha"),
+        pytest.param(lambda: idg.identified_set(_SMALL, idg.InformationStructure.identity(3)),
+                     idg.DimensionMismatch, "experiment columns do not match the problem's states",
+                     id="identified-set"),
+    ],
+)
+def test_model_refuses_inconsistent_inputs(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

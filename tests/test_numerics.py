@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, nullspace, complements, canonical subspaces."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infodesign as idg
+from infodesign import numerics
 from infodesign.numerics import Matrix, Subspace, _clear_column, dot, rref
 
 from support import (
@@ -329,3 +331,35 @@ def test_canonical_form_survives_basis_recombination():
             mixed.append(tuple(combo))
         rng.shuffle(mixed)
         assert Subspace.from_vectors(n, mixed) == s
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: dot((F(1),), ()), idg.DimensionMismatch,
+                     "dot product of lengths 1 and 0", id="dot"),
+        pytest.param(lambda: numerics.sparse_dot(numerics.sparse_row((F(1),)), (0.5,)),
+                     TypeError, "not an exact number: 0.5", id="sparse-dot"),
+        pytest.param(lambda: numerics.vec_sub((F(1),), ()), idg.DimensionMismatch,
+                     "subtracting vectors of lengths 1 and 0", id="vec-sub"),
+        pytest.param(lambda: numerics._integer_difference((F(1),), ()), idg.DimensionMismatch,
+                     "subtracting vectors of lengths 1 and 0", id="integer-difference"),
+        pytest.param(lambda: Matrix(-1, 0, ()), idg.DimensionMismatch,
+                     "matrix dimensions must be nonnegative", id="negative-shape"),
+        pytest.param(lambda: Matrix(1, 0, ()), idg.DimensionMismatch,
+                     "expected 1 rows, got 0", id="row-count"),
+        pytest.param(lambda: Matrix(1, 2, ((F(1),),)), idg.DimensionMismatch,
+                     "ragged row of length 1, expected 2", id="ragged"),
+        pytest.param(lambda: Matrix.from_rows([]), idg.DimensionMismatch,
+                     "column count required for a matrix with no rows", id="no-rows"),
+        pytest.param(lambda: Matrix.identity(2).matvec((F(1),)), idg.DimensionMismatch,
+                     "matvec: 2 columns vs vector of length 1", id="matvec"),
+        pytest.param(lambda: Subspace(2, ((F(1),),)), idg.DimensionMismatch,
+                     "basis vector of length 1 in ambient dimension 2", id="basis-length"),
+        pytest.param(lambda: Subspace.zero(2).contains_vector((F(1),)), idg.DimensionMismatch,
+                     "vector of length 1 in ambient dimension 2", id="contains-length"),
+    ],
+)
+def test_numerics_refuses_bad_operands(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
