@@ -152,6 +152,13 @@ def _load_structure(path: str, loaded: documents.LoadedProblem) -> InformationSt
     return documents.parse_structure_document(documents.load_json(path), loaded, where=path)
 
 
+def _worst_cases(problem: DecisionProblem, structure: InformationStructure) -> dict:
+    """Each pure action's worst-case payoff over the identified set, by action label."""
+    n = problem.n_actions
+    pure = [worst_case(problem, structure, MixedAction.pure(a, n))[0] for a in range(n)]
+    return _fmt_map(problem.actions, pure)
+
+
 def _cmd_solve(args) -> tuple[int, dict, list]:
     loaded = _load_problem(args.problem)
     problem = loaded.problem
@@ -164,12 +171,7 @@ def _cmd_solve(args) -> tuple[int, dict, list]:
         "value": format_scalar(cert.value),
         "alpha_star": _fmt_map(problem.actions, cert.alpha_star.weights),
         "nu_star": _fmt_map(problem.states, cert.nu_star),
-        "worst_cases": {
-            label: format_scalar(
-                worst_case(problem, structure, MixedAction.pure(a, problem.n_actions))[0]
-            )
-            for a, label in enumerate(problem.actions)
-        },
+        "worst_cases": _worst_cases(problem, structure),
         "structure": _structure_summary(structure),
     }
     return EXIT_OK, report, []
@@ -262,18 +264,14 @@ def _cmd_example(args) -> tuple[int, dict, list]:
     full = InformationStructure.identity(problem.n_states)
     cert_full = maxmin(problem, full)
     cert_partial = maxmin(problem, yt)
-    wc0 = worst_case(problem, yt, MixedAction.pure(0, 2))[0]
-    wc1 = worst_case(problem, yt, MixedAction.pure(1, 2))[0]
-    reversal = (
-        cert_full.alpha_star.weights != cert_partial.alpha_star.weights
-    )
+    reversal = cert_full.alpha_star.weights != cert_partial.alpha_star.weights
     report = {
         "command": "example",
         "observed_distribution": cells_by_xt(problem.mu),
         "disclosed_marginal": _fmt_map(yt.messages, push_forward(yt, problem.mu)),
         "worst_case_joint": cells_by_xt(nu_star),
         "full_information_means": _fmt_map(problem.actions, problem.pure_payoffs(problem.mu)),
-        "worst_case_payoffs": {"t0": format_scalar(wc0), "t1": format_scalar(wc1)},
+        "worst_case_payoffs": _worst_cases(problem, yt),
         "maxmin_full_information": {
             "alpha_star": _fmt_map(problem.actions, cert_full.alpha_star.weights),
             "value": format_scalar(cert_full.value),

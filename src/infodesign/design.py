@@ -131,6 +131,10 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
     entirely onto a payoff-equivalent partner state, scanning states and
     partners in canonical order and accepting the first reallocation that
     stays inside the prior set.
+
+    Either way the result is in the prior set and leaves empty a state s with
+    mu_s > 0, so its ``extremal_reach`` is exactly 1: coordinate s of
+    mu + lam (result - mu) is mu_s (1 - lam), negative past lam = 1.
     """
     nu = tuple(nu)
     if len(nu) != problem.n_states:
@@ -159,8 +163,6 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
             moved[s] = F0
             candidate = tuple(moved)
             if problem.priors.contains(candidate):
-                if extremal_reach(problem, candidate) > 1:
-                    raise AssertionError("adjusted prior must pin the segment at one")
                 return candidate
     raise AssumptionViolation(
         "no payoff-preserving reallocation stays in the prior set; "

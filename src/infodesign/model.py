@@ -440,26 +440,14 @@ class IdentifiedSet:
         return self.kernel.contains_vector(_integer_difference(point, self.mu))
 
     @cached_property
-    def pinned_pushforward(self) -> Vector:
-        """The message distribution mu induces, which every member reproduces; computed once."""
-        return self.experiment.matvec(self.mu)
-
-    def equality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
-        """Full equality block of the H-representation (base rows plus pinning rows)."""
-        return self._program.eq_matrix, self._program.eq_rhs
-
-    def inequality_rows(self) -> tuple[tuple[Vector, ...], Vector]:
-        return self._program.ub_matrix, self._program.ub_rhs
-
-    @cached_property
     def _program(self) -> lp.LinearProgram:
-        """The zero-objective program over the prior set's and the pinning rows, compiled once."""
+        """The set's one program, compiled once: zero objective, the prior rows, the pinning rows."""
         eq_rows, ub_rows = self.base._sparse_rows
         pinning = tuple([sparse_row(row) for row in self.experiment.entries])
         program = lp.LinearProgram(
             objective=(F0,) * self.base.dimension,
             eq_matrix=self.base.eq_matrix + self.experiment.entries,
-            eq_rhs=self.base.eq_rhs + self.pinned_pushforward,
+            eq_rhs=self.base.eq_rhs + self.experiment.matvec(self.mu),
             ub_matrix=self.base.ub_matrix,
             ub_rhs=self.base.ub_rhs,
         )

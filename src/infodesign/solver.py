@@ -58,7 +58,8 @@ class SaddleCertificate:
     """Witness (alpha*, nu*) that a maxmin problem is solved at `value`.
 
     alpha* best-responds to nu*, nu* is worst for alpha* over the identified
-    set, and both facts are checkable exactly via `verify`.
+    set, and `verify` checks both exactly. Like ``lp``'s outcome check, it
+    returns False for a certificate of the wrong shape.
     """
 
     alpha_star: MixedAction
@@ -68,6 +69,8 @@ class SaddleCertificate:
     def verify(self, problem: DecisionProblem, structure: InformationStructure) -> bool:
         # with payoff = value, no action beats the value iff alpha* plays best responses
         alpha, nu = self.alpha_star, self.nu_star
+        if len(alpha) != problem.n_actions or len(nu) != problem.n_states:
+            return False
         if payoff(alpha, nu, problem) != self.value or not is_best_response(problem, alpha, nu):
             return False
         if not identified_set(problem, structure).contains(nu):

@@ -221,6 +221,25 @@ def random_member(problem: idg.DecisionProblem, rng: random.Random) -> tuple:
     )
 
 
+def identified_set_rows(problem: idg.DecisionProblem, structure: idg.InformationStructure) -> tuple:
+    """(eq_rows, eq_rhs, ub_rows, ub_rhs) of the identified set, built from its parts.
+
+    The prior set's equality rows, then the experiment's rows pinned at the
+    message masses of mu (summed here, in Fractions), then the prior set's
+    inequality rows. No code of ``IdentifiedSet`` builds them, so an oracle
+    solving over these rows checks the set's own program.
+    """
+    priors = problem.priors
+    pinning = tuple(tuple(Fraction(x) for x in row) for row in structure.experiment.entries)
+    masses = tuple(sum((x * m for x, m in zip(row, problem.mu)), F0) for row in pinning)
+    return (
+        priors.eq_matrix + pinning,
+        priors.eq_rhs + masses,
+        priors.ub_matrix,
+        priors.ub_rhs,
+    )
+
+
 def raw_motivating_problem() -> idg.DecisionProblem:
     """The unextended two-covariate-free version of the built-in example.
 

@@ -517,6 +517,15 @@ def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accept
         assert located in err
 
 
+def test_a_negative_number_beyond_the_digit_limit_exits_two(tmp_path, capsys):
+    # the exponent passes and the bound reads the numerator's magnitude:
+    # -10e4299 is -10^4300, whose numerator has 4301 digits
+    problem, kernel = _number_documents(tmp_path, '"-10e4299"')
+    code, out, err = run(capsys, "solve", str(problem), str(kernel))
+    assert code == 2 and out == ""
+    assert f"{problem}.utility[0][0]: numerator or denominator has more than 4300 digits" in err
+
+
 
 # string forms of numbers, some equal in value; a document draws its numbers
 # from here with repeats, so most strings recur within it

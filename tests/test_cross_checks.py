@@ -81,6 +81,7 @@ from infodesign.model import _is_distribution
 from infodesign.numerics import dot, rref, sparse_dot
 
 from support import (
+    identified_set_rows,
     paired_problem,
     rand_distribution,
     random_mixed,
@@ -94,9 +95,7 @@ from support import (
 
 def _direct_worst_case(problem, structure, alpha):
     """Minimize the action's payoff over the identified set in state space."""
-    iset = idg.identified_set(problem, structure)
-    eq_rows, eq_rhs = iset.equality_rows()
-    ub_rows, ub_rhs = iset.inequality_rows()
+    eq_rows, eq_rhs, ub_rows, ub_rhs = identified_set_rows(problem, structure)
     n = problem.n_states
     program = lp.LinearProgram(
         objective=problem.mixed_utility(alpha),

@@ -117,6 +117,12 @@ def test_zero_sum_violation():
     assert spec.subspace.dim == 1 and sum(spec.subspace.basis[0]) == 0
 
 
+def test_zero_sum_violation_below_zero():
+    # the canonical basis vector (1, -2, 0) sums to -1
+    with pytest.raises(idg.ZeroSumViolation):
+        idg.KernelSpec(idg.Subspace.from_vectors(3, [idg.vector([1, -2, 0])]))
+
+
 def test_kernel_spec_refuses_a_non_canonical_basis():
     # the structure takes the spec's basis as its kernel: a repeated direction
     # gave kernel.dim == 2 against a nullspace of dimension 1, and a scaled one

@@ -12,6 +12,7 @@ import infodesign as idg
 from infodesign import lp
 
 from support import (
+    identified_set_rows,
     nudge_point,
     random_program,
     rational_programs,
@@ -101,21 +102,23 @@ def test_worst_case_value_over_identified_set(example_problem, example_marginal_
     # assemble the inner minimization directly from the H-representation,
     # independent of the solver module's kernel reformulation
     problem = example_problem
-    iset = idg.identified_set(problem, example_marginal_yt)
-    eq_rows, eq_rhs = iset.equality_rows()
+    eq_rows, eq_rhs, ub_rows, ub_rhs = identified_set_rows(problem, example_marginal_yt)
     n = problem.n_states
     program = lp.LinearProgram(
         objective=problem.utility_row(0),
         sense="min",
         eq_matrix=((F(1),) * n,) + eq_rows,
         eq_rhs=(F(1),) + eq_rhs,
-        ub_matrix=iset.inequality_rows()[0],
-        ub_rhs=iset.inequality_rows()[1],
+        ub_matrix=ub_rows,
+        ub_rhs=ub_rhs,
     )
     out = lp.solve_lp(program)
     assert out.status is lp.LpStatus.OPTIMAL
     assert out.optimal_value == F(1, 16)
     assert lp.verify_outcome(program, out)
+    # the library's worst case, solved over the set's own program, agrees
+    pure = idg.MixedAction.pure(0, problem.n_actions)
+    assert idg.worst_case(problem, example_marginal_yt, pure)[0] == out.optimal_value
 
 
 def test_solve_lp_on_simplex():
@@ -274,6 +277,50 @@ def test_verify_rejects_malformed_outcomes():
     assert ray.status is lp.LpStatus.UNBOUNDED and lp.verify_outcome(falling, ray)
     below = replace(ray.certificate, base_point=(F(-1),))
     assert not lp.verify_outcome(falling, replace(ray, certificate=below))
+
+
+def test_verify_rejects_outcomes_that_fail_one_test_only():
+    # each outcome below passes every test of verify_outcome but one
+    # min x s.t. x = 0, x <= 0, x >= 0: every (y, w, s) with y + w + s = 1
+    # bounds the value at 0, so only the signs tell a certificate apart
+    pinned = lp.LinearProgram(
+        objective=(F(1),), eq_matrix=((F(1),),), eq_rhs=(F(0),), ub_matrix=((F(1),),), ub_rhs=(F(0),)
+    )
+    optimum = lp.solve_lp(pinned)
+    assert optimum.status is lp.LpStatus.OPTIMAL and lp.verify_outcome(pinned, optimum)
+    for eq, ub, lb in [(1, 0, 0), (0, -1, 2)]:
+        sound = lp.DualCertificate(eq=(F(eq),), ub=(F(ub),), lb=(F(lb),))
+        assert lp.verify_outcome(pinned, replace(optimum, certificate=sound))
+    for eq, ub, lb in [(0, 1, 0), (2, 0, -1)]:  # w > 0, then s < 0, at a minimum
+        signed = lp.DualCertificate(eq=(F(eq),), ub=(F(ub),), lb=(F(lb),))
+        assert not lp.verify_outcome(pinned, replace(optimum, certificate=signed))
+    # min x s.t. x <= 5, x >= 0: the feasible point 1 does not attain the value 0
+    capped = lp.LinearProgram(objective=(F(1),), ub_matrix=((F(1),),), ub_rhs=(F(5),))
+    optimum = lp.solve_lp(capped)
+    assert not lp.verify_outcome(capped, replace(optimum, optimal_point=(F(1),)))
+    # min x s.t. x = 1, x >= 0: the point 0 meets the row as an upper bound only;
+    # (y, s) = (0, 1) is a sound dual for it at the value 0
+    unit = lp.LinearProgram(objective=(F(1),), eq_matrix=((F(1),),), eq_rhs=(F(1),))
+    under = lp.LpOutcome(
+        status=lp.LpStatus.OPTIMAL,
+        certificate=lp.DualCertificate(eq=(F(0),), ub=(), lb=(F(1),)),
+        optimal_point=(F(0),),
+        optimal_value=F(0),
+    )
+    assert not lp.verify_outcome(unit, under)
+    # min -x s.t. -x <= -1, x >= 0: the base point 0 breaks the row by one unit
+    rising = lp.LinearProgram(objective=(F(-1),), ub_matrix=((F(-1),),), ub_rhs=(F(-1),))
+    ray = lp.solve_lp(rising)
+    assert ray.status is lp.LpStatus.UNBOUNDED and lp.verify_outcome(rising, ray)
+    short = replace(ray.certificate, base_point=(F(0),))
+    assert not lp.verify_outcome(rising, replace(ray, certificate=short))
+    # the zero direction improves nothing, and the zero certificate refutes nothing
+    still = replace(ray.certificate, direction=(F(0),))
+    assert not lp.verify_outcome(rising, replace(ray, certificate=still))
+    empty = lp.LinearProgram(objective=(F(0),), ub_matrix=((F(1),),), ub_rhs=(F(-1),))
+    refuted = lp.solve_lp(empty)
+    zero = lp.FarkasCertificate(eq=(), ub=(F(0),), lb=(F(0),))
+    assert not lp.verify_outcome(empty, replace(refuted, certificate=zero))
 
 
 def _tampered(outcome: lp.LpOutcome) -> lp.LpOutcome:

@@ -19,6 +19,7 @@ from infodesign.numerics import _integer_difference, sparse_row
 
 from support import (
     fraction_spans,
+    identified_set_rows,
     paired_problem,
     random_member,
     random_treatment_model,
@@ -105,7 +106,7 @@ def test_identified_set_fully_informative_pins_mu(example_problem):
     problem = example_problem
     identity = idg.InformationStructure.identity(problem.n_states)
     iset = idg.identified_set(problem, identity)
-    eq_rows, eq_rhs = iset.equality_rows()
+    eq_rows, eq_rhs, ub_rows, ub_rhs = identified_set_rows(problem, identity)
     n = problem.n_states
     for coord in range(n):
         objective = tuple(F(1) if s == coord else F(0) for s in range(n))
@@ -115,12 +116,15 @@ def test_identified_set_fully_informative_pins_mu(example_problem):
                 sense=sense,
                 eq_matrix=((F(1),) * n,) + eq_rows,
                 eq_rhs=(F(1),) + eq_rhs,
-                ub_matrix=iset.inequality_rows()[0],
-                ub_rhs=iset.inequality_rows()[1],
+                ub_matrix=ub_rows,
+                ub_rhs=ub_rhs,
             )
             out = lp.solve_lp(program)
             assert out.status is lp.LpStatus.OPTIMAL
             assert out.optimal_value == problem.mu[coord]
+        # the set's own program pins the coordinate too, from either side
+        assert iset.minimize(objective)[0] == problem.mu[coord]
+        assert -iset.minimize(tuple(-x for x in objective))[0] == problem.mu[coord]
 
 
 def test_identified_set_single_message_is_whole_prior_set():

@@ -14,6 +14,7 @@ import infodesign as idg
 from infodesign import lp
 
 from support import (
+    identified_set_rows,
     paired_problem,
     random_member,
     random_mixed,
@@ -167,9 +168,7 @@ def test_maxmin_agrees_with_direct_minmax_formulation():
         cert = idg.maxmin(problem, structure)
         assert cert.verify(problem, structure)
 
-        iset = idg.identified_set(problem, structure)
-        eq_rows, eq_rhs = iset.equality_rows()
-        ub_rows, ub_rhs = iset.inequality_rows()
+        eq_rows, eq_rhs, ub_rows, ub_rhs = identified_set_rows(problem, structure)
         n_vars = n + 1  # state weights plus the epigraph variable
         program = lp.LinearProgram(
             objective=tuple([F(0)] * n + [F(1)]),
@@ -313,6 +312,35 @@ def test_saddle_certificate_rejects_tampered_witnesses(seed, data):
             assert not tampered(half, cert.nu_star).verify(problem, structure)
 
 
+def test_saddle_certificate_of_the_wrong_shape_reads_false(example_problem, example_marginal_yt):
+    """A malformed certificate fails verify, as a malformed outcome fails lp.verify_outcome."""
+    problem, structure = example_problem, example_marginal_yt
+    cert = idg.maxmin(problem, structure)
+    assert cert.verify(problem, structure)
+    one_action = replace(cert, alpha_star=idg.MixedAction((F(1),)))
+    assert one_action.verify(problem, structure) is False
+    short_nu = replace(cert, nu_star=cert.nu_star[:-1])
+    assert short_nu.verify(problem, structure) is False
+    # an entry that is not exact still raises, whatever the shape
+    inexact = replace(cert, nu_star=(0.5,) + cert.nu_star[1:])
+    with pytest.raises(TypeError):
+        inexact.verify(problem, structure)
+
+
+def test_saddle_certificate_at_a_member_that_is_not_worst(example_problem, example_model):
+    """Under the T marginal alpha* = t0 best-responds to mu, where it earns more than its worst case."""
+    problem = example_problem
+    structure = idg.marginal_structure(example_model, ["T"])
+    cert = idg.maxmin(problem, structure)
+    assert cert.verify(problem, structure)
+    assert idg.identified_set(problem, structure).contains(problem.mu)
+    at_mu = idg.payoff(cert.alpha_star, problem.mu, problem)
+    assert at_mu > cert.value
+    # each fails one test only: the payoff at nu*, then nu* being worst
+    assert not replace(cert, nu_star=problem.mu).verify(problem, structure)
+    assert not replace(cert, nu_star=problem.mu, value=at_mu).verify(problem, structure)
+
+
 def test_researcher_optimum(example_problem):
     p = example_problem
     pick = idg.researcher_optimum(p, idg.vector([0, 1]))
@@ -424,7 +452,7 @@ def test_worst_cases_share_one_phase_one(case):
         for p in (problem, other, problem):
             out = fresh[p is problem, alpha]
             assert idg.worst_case(p, structure, alpha) == (out.optimal_value, out.optimal_point)
-            assert idg.identified_set(p, structure).pinned_pushforward == structure.experiment.matvec(p.mu)
+            assert idg.identified_set(p, structure).mu is p.mu
 
 
 def test_structures_are_freed_by_reference_counting(example_problem, example_model):
