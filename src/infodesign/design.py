@@ -42,7 +42,6 @@ from .model import (
     is_best_response,
     kernel_of,
     payoff,
-    payoff_equivalence_classes,
 )
 from .numerics import (
     Matrix,
@@ -128,9 +127,9 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
 
     If some state already carries zero prior mass but positive true mass,
     nu itself qualifies. Otherwise mass at a positive-mu state is moved
-    entirely onto a payoff-equivalent partner state, scanning states and
-    partners in canonical order and accepting the first reallocation that
-    stays inside the prior set.
+    entirely onto a payoff-equivalent partner, a state with the same utility
+    column, scanning states and partners in index order and accepting the
+    first reallocation that stays inside the prior set.
 
     Either way the result is in the prior set and leaves empty a state s with
     mu_s > 0, so its ``extremal_reach`` is exactly 1: coordinate s of
@@ -147,16 +146,12 @@ def boundary_adjust(problem: DecisionProblem, nu: Sequence[Fraction]) -> Vector:
         if mu[s] and not nu[s]:  # mu is a distribution, so mu[s] > 0
             return nu
 
-    partition = payoff_equivalence_classes(problem)
-    mates: dict[int, tuple[int, ...]] = {}
-    for cls in partition.classes:
-        for member in cls:
-            mates[member] = cls
+    columns = tuple(zip(*problem.utility.entries))
     for s in range(problem.n_states):
         if mu[s] == 0:
             continue
-        for partner in mates[s]:
-            if partner == s:
+        for partner, column in enumerate(columns):
+            if partner == s or column != columns[s]:
                 continue
             moved = list(nu)
             moved[partner] += moved[s]

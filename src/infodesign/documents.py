@@ -32,9 +32,14 @@ SCHEMA_VERSION = "1"
 
 # Numbers are capped at CPython's default int-to-text digit limit, so every
 # accepted number prints back; exponents are checked before parsing, since
-# "1e1000000" alone would build a megabit integer.
+# "1e1000000" alone would build a megabit integer, and so is every run of
+# digits, which CPython's int parser would refuse with a message of its own.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**MAX_DIGITS
+_TOO_MANY_DIGITS = f"numerator or denominator has more than {MAX_DIGITS} digits"
+_DIGIT_RUN = re.compile(r"\d[\d_]*")  # digits and the underscores Fraction allows between them
+# a value that does not parse is named by at most this many characters of its repr
+_EXCERPT = 40
 # A treatment prior's equality block is dense, one row per (covariate cell,
 # treatment) over every state, so its size grows with the square of the state
 # count; a block with more states is refused before its numbers are parsed.
@@ -50,12 +55,19 @@ def _exact(value, where: str) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DIGITS)) or int(digits or "0") >= MAX_DIGITS:
             raise DocumentError(f"{where}: exponent must be less than {MAX_DIGITS} in magnitude")
+    if isinstance(value, str) and len(value) > MAX_DIGITS:
+        for run in _DIGIT_RUN.findall(value):
+            if len(run) - run.count("_") > MAX_DIGITS:
+                raise DocumentError(f"{where}: {_TOO_MANY_DIGITS}")
     try:
         number = scalar(value)
     except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
+        text = repr(value)
+        if len(text) > _EXCERPT:
+            text = f"{text[:_EXCERPT]}... ({len(text)} characters)"
+        raise DocumentError(f"{where}: not an exact number: {text}") from exc
     if max(abs(number.numerator), number.denominator) >= _DIGIT_LIMIT:
-        raise DocumentError(f"{where}: numerator or denominator has more than {MAX_DIGITS} digits")
+        raise DocumentError(f"{where}: {_TOO_MANY_DIGITS}")
     return number
 
 

@@ -27,10 +27,12 @@ are built only for the returned point, value and certificate.
 A program's rows are read through one integer view, ``LinearProgram._rows``:
 the eq rows, then the ub rows, each ``numerics.sparse_row`` of its row,
 computed on first read and cached, unless the builder handed the same rows
-over already compiled (``_with_rows``, as ``model`` does). The checker then
-reads the builder's rows, not its own compilation of the Fraction rows: it
-checks an outcome against the view, and the builder vouches that the view is
-the program. Each standard-form row is built from the view as integers over
+over already compiled (``_with_rows``). Only ``model``'s identified sets do,
+for their two programs: there the checker reads the builder's rows, not its
+own compilation of the Fraction rows, and the builder vouches that the view
+is the program. Every other program, each supporting-prior system and its
+refutation included, is checked against this module's own compilation of
+its rows. Each standard-form row is built from the view as integers over
 the lcm of its row denominator and its rhs's; the objective is laid out as
 ``sparse_row`` of it. A cost row is priced (``_price``) as one integer sum of
 the rows whose basic columns it holds, over the lcm of their heads.
@@ -191,7 +193,8 @@ class LinearProgram:
 def _with_rows(program: LinearProgram, rows: tuple[SparseRow, ...]) -> LinearProgram:
     """The program, its ``_rows`` view handed over: its eq rows, then its ub rows, compiled.
 
-    For a builder that already holds those rows compiled. The simplex and its
+    For a builder that already holds those rows compiled; only an identified
+    set's two programs are handed over this way. The simplex and its
     checker both read this view, so a view that disagreed with the Fraction
     rows would mislead both alike: the builder vouches for every entry. Only
     the count is checked here; each read pairs the view with the rhs strictly.

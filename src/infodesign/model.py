@@ -16,13 +16,15 @@ mu itself is passed. An experiment's columns are checked on its matrix's
 integer view (``Matrix._integer_entries``), the one that ``nullspace`` later
 eliminates, so the check and the kernel share one conversion.
 
-The linear programs built here hand their rows over to ``lp`` already
-compiled (``LinearProgram._rows``), each ``sparse_row`` of the program's own
-row, so the simplex and its checker compile none of them and a view agrees
-with its program by construction. ``PriorPolytope.feasibility_program``
-hands over the prior set's rows; each identified set builds one program over
-its rows (``IdentifiedSet._program``), which its phase 1 solves and
-``maxmin``'s program extends with one u_a - t row per action.
+Each identified set builds one program over its rows
+(``IdentifiedSet._program``), which its phase 1 solves and ``maxmin``'s
+program extends with one u_a - t row per action. These two programs hand
+their rows over to ``lp`` already compiled (``lp._with_rows``): the prior
+set's compiled rows, the experiment's rows compiled once per set and the
+action rows, each ``sparse_row`` of the program's own row, so the simplex
+and its checker compile none of them. Every other program, the prior set's
+``feasibility_program`` and so every supporting-prior program, is handed to
+``lp`` plain, and ``lp`` compiles its rows itself.
 """
 
 from __future__ import annotations
@@ -139,24 +141,15 @@ class PriorPolytope:
     def feasibility_program(
         self, ub_matrix: tuple[Vector, ...] = (), ub_rhs: Vector = ()
     ) -> lp.LinearProgram:
-        """A zero-objective program: sum to one, the equalities, the set's <= rows, then these.
-
-        The set's rows are handed over compiled; the sum-to-one row and the
-        added rows are compiled here, from the program's own rows.
-        """
+        """A zero-objective program: sum to one, the equalities, the set's <= rows, then these."""
         n = self.dimension
-        program = lp.LinearProgram(
+        return lp.LinearProgram(
             objective=(F0,) * n,
-            sense="min",
             eq_matrix=((F1,) * n,) + self.eq_matrix,
             eq_rhs=(F1,) + self.eq_rhs,
             ub_matrix=self.ub_matrix + ub_matrix,
             ub_rhs=self.ub_rhs + ub_rhs,
         )
-        eq_rows, ub_rows = self._sparse_rows
-        added = tuple([sparse_row(row) for row in ub_matrix])
-        ones = sparse_row(program.eq_matrix[0])
-        return lp._with_rows(program, (ones,) + eq_rows + ub_rows + added)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[SparseRow, ...], tuple[SparseRow, ...]]:
@@ -440,10 +433,14 @@ class IdentifiedSet:
         return self.kernel.contains_vector(_integer_difference(point, self.mu))
 
     @cached_property
+    def _pinning(self) -> tuple[SparseRow, ...]:
+        """The experiment's rows, compiled once for the set's two programs."""
+        return tuple([sparse_row(row) for row in self.experiment.entries])
+
+    @cached_property
     def _program(self) -> lp.LinearProgram:
         """The set's one program, compiled once: zero objective, the prior rows, the pinning rows."""
         eq_rows, ub_rows = self.base._sparse_rows
-        pinning = tuple([sparse_row(row) for row in self.experiment.entries])
         program = lp.LinearProgram(
             objective=(F0,) * self.base.dimension,
             eq_matrix=self.base.eq_matrix + self.experiment.entries,
@@ -451,19 +448,21 @@ class IdentifiedSet:
             ub_matrix=self.base.ub_matrix,
             ub_rhs=self.base.ub_rhs,
         )
-        return lp._with_rows(program, eq_rows + pinning + ub_rows)
+        return lp._with_rows(program, eq_rows + self._pinning + ub_rows)
 
     def _maxmin_program(self, problem: DecisionProblem) -> lp.LinearProgram:
         """min t over (nu, t), nu in the set and u_a . nu <= t for every action a of problem.
 
         Rows: the set's equalities, then one row u_a - t per action, then the
-        set's inequalities, with t a free last variable. The set's rows and
-        their compiled view are ``_program``'s (a zero t entry leaves a compiled
-        row as it is). problem is the one the set was identified for; a
-        problem over another number of states raises DimensionMismatch.
+        set's inequalities, with t a free last variable. The set's rows are
+        ``_program``'s, and their compiled rows the set's own (a zero t entry
+        leaves a compiled row as it is). problem is the one the set was
+        identified for; a problem over another number of states raises
+        DimensionMismatch.
         """
         n = self.base.dimension
         base = self._program
+        eq_rows, ub_rows = self.base._sparse_rows
         actions = tuple([row + (-F1,) for row in problem.utility.entries])
         program = lp.LinearProgram(
             objective=(F0,) * n + (F1,),
@@ -474,9 +473,8 @@ class IdentifiedSet:
             ub_rhs=(F0,) * problem.n_actions + base.ub_rhs,
             lower_bounds=(F0,) * n + (None,),
         )
-        n_eq = len(base.eq_matrix)
         compiled = tuple([sparse_row(row) for row in actions])
-        return lp._with_rows(program, base._rows[:n_eq] + compiled + base._rows[n_eq:])
+        return lp._with_rows(program, eq_rows + self._pinning + compiled + ub_rows)
 
     def minimize(self, objective: Sequence[Fraction]) -> tuple[Fraction, Vector]:
         """Exact minimum of a linear objective over the set, and a minimizer: phase 2 only.
@@ -529,6 +527,5 @@ def payoff_equivalence_classes(problem: DecisionProblem) -> PayoffPartition:
     groups: dict[Vector, list[int]] = {}
     for s in range(problem.n_states):
         groups.setdefault(problem.utility.column(s), []).append(s)
-    classes = tuple(tuple(members) for members in groups.values())
-    classes = tuple(sorted(classes, key=lambda c: c[0]))
+    classes = tuple(tuple(members) for members in groups.values())  # by first member
     return PayoffPartition(classes, all(len(c) >= 2 for c in classes))

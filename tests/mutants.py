@@ -286,6 +286,28 @@ MUTANTS = (
         "an exponent of 4300 must be refused before Fraction parses it",
         ("test_cli.py",),
     ),
+    Mutant(
+        "document-digit-run", "documents.py",
+        "if len(run) - run.count(\"_\") > MAX_DIGITS:",
+        "if len(run) - run.count(\"_\") >= MAX_DIGITS:",
+        "a string of 4300 digits is within the limit and must be accepted",
+        ("test_cli.py",),
+    ),
+    # model.IdentifiedSet's two hand-overs
+    Mutant(
+        "maxmin-handover-order", "model.py",
+        "eq_rows + self._pinning + compiled + ub_rows",
+        "eq_rows + self._pinning + ub_rows + compiled",
+        "the action rows come before the set's inequality rows, as in the program",
+        ("test_model.py",),
+    ),
+    Mutant(
+        "program-handover-pinning", "model.py",
+        "eq_rows + self._pinning + ub_rows",
+        "eq_rows + ub_rows",
+        "the set's program must hand over its pinning rows",
+        ("test_model.py",),
+    ),
 )
 
 

@@ -487,34 +487,46 @@ def _number_documents(tmp_path, entry):
     return problem, kernel
 
 
+_EXPONENT_REASON = "exponent must be less than 4300 in magnitude"
+_DIGITS_REASON = "numerator or denominator has more than 4300 digits"
+
+
 @pytest.mark.parametrize(
-    "entry, accepted",
+    "entry, reason",
     [
-        ('"1e4299"', True),
-        ('"1e-4299"', True),
-        ('"1e4300"', False),
-        ('"1e-4300"', False),
-        ('"1e1000000"', False),
-        ('"1' + "0" * 4300 + '"', False),
-        ('"10e4299"', False),  # the exponent passes, the value has 4301 digits
-        ("1" + "0" * 4299, True),
-        ("1" + "0" * 4300, False),
+        ('"1e4299"', None),
+        ('"1e-4299"', None),
+        ('"1e4300"', _EXPONENT_REASON),
+        ('"1e-4300"', _EXPONENT_REASON),
+        ('"1e1000000"', _EXPONENT_REASON),
+        ('"1' + "0" * 4299 + '"', None),
+        ('"1' + "0" * 4299 + '/1"', None),  # a run of 4300 digits in a longer string
+        ('"1' + "0" * 4300 + '"', _DIGITS_REASON),
+        ('"1/' + "1" * 4301 + '"', _DIGITS_REASON),
+        ('"1_' + "0" * 4300 + '"', _DIGITS_REASON),  # Fraction reads 1_0 as 10
+        ('"10e4299"', _DIGITS_REASON),  # the exponent passes, the value has 4301 digits
+        ('"' + "x" * 5000 + '"', "not an exact number: '" + "x" * 39 + "... (5002 characters)"),
+        ("1" + "0" * 4299, None),
+        ("1" + "0" * 4300, "Exceeds the limit (4300 digits) for integer string conversion"),
     ],
     ids=[
-        "1e4299", "1e-4299", "1e4300", "1e-4300", "1e1000000", "str-4301", "10e4299", "int-4300",
-        "int-4301",
+        "1e4299", "1e-4299", "1e4300", "1e-4300", "1e1000000", "str-4300", "str-4300-over-1",
+        "str-4301", "denominator-4301", "underscored-4301", "10e4299", "not-a-number-5000",
+        "int-4300", "int-4301",
     ],
 )
-def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, accepted):
+def test_numbers_beyond_the_digit_limit_exit_two(tmp_path, capsys, entry, reason):
     problem, kernel = _number_documents(tmp_path, entry)
     code, out, err = run(capsys, "solve", str(problem), str(kernel))
     assert "Traceback" not in out + err
-    if accepted:
+    if reason is None:
         assert code == 0
     else:
-        assert code == 2
+        assert code == 2 and out == ""
         located = f"{problem}.utility[0][0]: " if entry.startswith('"') else f"{problem}: "
-        assert located in err
+        assert err.startswith(f"error: {located}{reason}")
+        # one line, bounded whatever the size of the refused number
+        assert err.count("\n") == 1 and len(err) < len(located) + 200
 
 
 def test_a_negative_number_beyond_the_digit_limit_exits_two(tmp_path, capsys):

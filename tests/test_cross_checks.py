@@ -76,7 +76,6 @@ from hypothesis import given, strategies as st
 
 import infodesign as idg
 from infodesign import lp, solver
-from infodesign.causal import _irrelevant_covariates
 from infodesign.model import _is_distribution
 from infodesign.numerics import dot, rref, sparse_dot
 
@@ -789,6 +788,16 @@ def _oracle_labels(model):
     )
 
 
+def _oracle_ignores(model, j):
+    """Whether every two cells that differ in covariate j only have equal assignment rows."""
+    cells = list(itertools.product(*(range(len(d)) for d in model.covariate_domains)))
+    for a, b in itertools.combinations(range(len(cells)), 2):
+        differ = [k for k, (u, v) in enumerate(zip(cells[a], cells[b])) if u != v]
+        if differ == [j] and model.assignment.row(a) != model.assignment.row(b):
+            return False
+    return True
+
+
 def _oracle_problem(model):
     """Interior support, observed shares, an ignored covariate, then the rows."""
     n = model.n_states
@@ -808,7 +817,7 @@ def _oracle_problem(model):
                 raise idg.AssignmentMismatch(
                     f"observed treatment share in cell {c} contradicts the assignment row"
                 )
-    if not _irrelevant_covariates(model):
+    if not any(_oracle_ignores(model, j) for j in range(len(model.covariate_domains))):
         raise idg.NoIrrelevantCovariate(
             "assignment depends on every covariate; add an independent signal "
             "covariate (see add_irrelevant_signal) to restore payoff redundancy"
@@ -967,6 +976,26 @@ def test_treatment_layout_matches_oracles_on_fixed_models():
     every_pair = list(itertools.combinations(range(raw.n_states), 2))
     for model in (raw, interior, example):
         _assert_layout_matches_oracles(model, every_pair)
+
+
+def test_ignored_covariate_oracle_on_two_covariates():
+    # two binary covariates; cell (x1, x2) has the assignment row rows[x1][x2]
+    low, even = idg.vector(["1/4", "3/4"]), idg.vector(["1/2", "1/2"])
+    for rows, ignored in [
+        (((low, even), (even, low)), ()),  # varies with both: NoIrrelevantCovariate
+        (((low, low), (even, even)), (1,)),
+        (((low, even), (low, even)), (0,)),
+        (((low, low), (low, low)), (0, 1)),
+    ]:
+        assignment = idg.Matrix(4, 2, tuple(rows[x1][x2] for x1 in range(2) for x2 in range(2)))
+        mu = [F(0)] * 16  # every cell 1/4, each outcome 1/2 given the cell and treatment
+        for y, cell, t in itertools.product(range(2), range(4), range(2)):
+            mu[(y * 4 + cell) * 2 + t] = assignment.entries[cell][t] / 8
+        model = idg.TreatmentModel(
+            idg.vector([0, 1]), (("a", "b"), ("c", "d")), ("t0", "t1"), assignment, tuple(mu)
+        )
+        assert tuple(j for j in range(2) if _oracle_ignores(model, j)) == ignored
+        _assert_layout_matches_oracles(model, [(0, 1)], marginals=False)
 
 
 def _oracle_researcher_optimum(problem, values):

@@ -219,6 +219,23 @@ def test_boundary_adjust_moves_interior_mu():
     assert idg.extremal_reach(problem, adjusted) == 1
 
 
+def test_boundary_adjust_moves_onto_the_next_partner_the_prior_set_allows():
+    # s0, s2 and s3 share one utility column and s1 has its own; the prior set
+    # caps s2 at 1/3, so moving s0's mass onto s2, its first partner, is
+    # refused, and the move lands on s3, its second; s1 is never a partner
+    utility = idg.Matrix.from_rows([[1, 0, 1, 1], [2, 5, 2, 2]])
+    priors = idg.PriorPolytope(
+        4, ub_matrix=(idg.vector([0, 0, 1, 0]),), ub_rhs=(F(1, 3),), known_member=(F(1, 4),) * 4
+    )
+    problem = idg.DecisionProblem(
+        ("s0", "s1", "s2", "s3"), ("a0", "a1"), utility, (F(1, 4),) * 4, priors
+    )
+    assert idg.payoff_equivalence_classes(problem).classes == ((0, 2, 3), (1,))
+    adjusted = idg.boundary_adjust(problem, problem.mu)
+    assert adjusted == idg.vector(["0", "1/4", "1/4", "1/2"])
+    assert problem.pure_payoffs(adjusted) == problem.pure_payoffs(problem.mu)
+
+
 def test_boundary_adjust_extremality_matches_lp_oracle():
     rng = random.Random(42)
     for seed in range(10):

@@ -373,8 +373,9 @@ def test_the_integer_difference_is_exact_and_refuses_floats(example_problem):
 
 # each exact format is read only by the modules that own it
 FORMAT_OWNERS = {
-    "_rows": ("lp.py", "model.py"),
+    "_rows": ("lp.py",),
     "_with_rows": ("lp.py", "model.py"),
+    "_pinning": ("model.py",),
     "_sparse_rows": ("model.py",),
     "_utility_rows": ("model.py",),
     "_mu_payoffs": ("model.py",),
@@ -470,7 +471,7 @@ def _wide_identified_set(seed: int, treatment: bool):
 
 
 def _built_programs(problem, structure, r) -> list:
-    """Every program the set's builders make: maxmin's, the set's phase 1, the prior set's."""
+    """Every program the builders make: maxmin's, the set's phase 1, then the prior set's two."""
     iset = replace(idg.identified_set(problem, structure))  # nothing cached on it yet
     phase_one = []
     run = lp._phase_one
@@ -496,8 +497,10 @@ def _built_programs(problem, structure, r) -> list:
 def _assert_hands_over_the_rows_sparse_row_compiles(problem, structure, r) -> None:
     programs = _built_programs(problem, structure, r)
     assert len(programs) == 4
-    for program in programs:
-        assert "_rows" in program.__dict__  # handed over, not computed on a read
+    for i, program in enumerate(programs):
+        # the set's two programs are handed over; the prior set's feasibility
+        # and supporting-prior programs are compiled by lp on the first read
+        assert ("_rows" in program.__dict__) == (i < 2)
         rows = program.eq_matrix + program.ub_matrix
         assert program._rows == tuple(sparse_row(row) for row in rows)
         # replace builds the program again, and its view is computed afresh
